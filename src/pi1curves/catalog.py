@@ -319,10 +319,6 @@ def group_from_json(data: dict) -> PermutationGroup:
     return PermutationGroup.from_generators(gens, degree)
 
 
-def catalog_to_json() -> dict:
-    return {name: group_to_json(g) for name, g in build_catalog().items()}
-
-
 def _catalog_path():
     return os.environ.get("PI1_CATALOG_PATH")
 

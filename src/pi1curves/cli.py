@@ -197,8 +197,6 @@ def build_parser():
                         help="indent JSON output")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized search budgets")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count (results are independent of it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate", help="check a configuration file")
@@ -243,8 +241,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be positive")
     try:
         return args.func(args)
     except DomainError as exc:

@@ -345,6 +345,17 @@ def _check_smooth_fiber_point(config, ref):
                           f"{ref} is already a singular point")
 
 
+def _same_subgroup(group: PermutationGroup, a: PermutationGroup,
+                   b: PermutationGroup) -> bool:
+    """Whether a and b are one group: equal masks over group's elements
+    (PermutationGroup.span), or through their stabilizer chains when
+    neither lies in group."""
+    pa, pb = _positions(group, a), _positions(group, b)
+    if pa is None or pb is None:
+        return pa is None and pb is None and a.same_group(b)
+    return group.span(pa) == group.span(pb)
+
+
 def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
                         gamma: Perm, base_cover: CoverDescriptor,
                         y1: PointRef, y2: PointRef) -> CoverDescriptor:
@@ -355,15 +366,17 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
     result is connected and Galois (verified by the test suite, not
     assumed here).
     """
-    require(base_cover.group.same_group(sub), "NOT_A_MEMBER",
+    require(_same_subgroup(ambient, base_cover.group, sub), "NOT_A_MEMBER",
             "base cover is not a cover for the given subgroup")
-    require(gamma in ambient, "NOT_A_MEMBER", "gamma not in the ambient group")
+    require(gamma.degree == ambient.degree, "DEGREE_MISMATCH",
+            f"{gamma.degree} != {ambient.degree}")
+    g = ambient.index().get(gamma)
+    require(g is not None, "NOT_A_MEMBER", "gamma not in the ambient group")
     positions = _positions(ambient, sub)
     require(positions is not None, "NOT_A_MEMBER",
             "subgroup is not contained in the ambient group")
-    _, cosets = ambient.coset_map(positions + [ambient.index()[gamma]])
-    require(cosets == 1, "NOT_GENERATING",
-            "<subgroup, gamma> is a proper subgroup")
+    require(ambient.span(positions + [g]).bit_count() == len(ambient.index()),
+            "NOT_GENERATING", "<subgroup, gamma> is a proper subgroup")
     require(config_connected(base_cover.base), "BASE_NOT_CONNECTED")
     require(is_connected(base_cover), "BASE_NOT_CONNECTED",
             "base cover is disconnected")
@@ -372,19 +385,16 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
         _check_smooth_fiber_point(config, ref)
     require(y1 != y2, "FIBER_NOT_TORSOR", "points must be distinct")
 
+    # the induced ambient-group cover keeps the monodromy and gluings
     new_config = identify(config, [{y1, y2}])
-    induced = induce(base_cover, ambient)
     new_index = len(new_config.identification_classes) - 1
-    new_class = new_config.identification_classes[new_index]
-    # label x over y1 is matched with label gamma*x over y2
-    if new_class.base_branch == min(y1, y2) and min(y1, y2) == y1:
-        constant = gamma
-    else:
-        constant = gamma.inverse
-    branch = new_class.members[1]
-    gluings = {ci: dict(b) for ci, b in induced.gluings.items()}
+    branch = new_config.identification_classes[new_index].members[1]
+    # label x over y1 is matched with label gamma*x over y2; the new class
+    # is {y1, y2}, so its base branch is min(y1, y2)
+    constant = gamma if y1 < y2 else gamma.inverse
+    gluings = {ci: dict(b) for ci, b in base_cover.gluings.items()}
     gluings[new_index] = {branch: Gluing.of_constant(constant)}
-    return CoverDescriptor(new_config, ambient, dict(induced.monodromy),
+    return CoverDescriptor(new_config, ambient, dict(base_cover.monodromy),
                            gluings, dict(base_cover.ramification))
 
 
@@ -397,17 +407,18 @@ def glue_two_components(group: PermutationGroup,
     Requires sub1, sub2 <= group = <sub1, sub2>; the matching rule
     identifies equal torsor labels, so the gluing constant is the identity.
     """
-    require(cover1.group.same_group(sub1), "NOT_A_MEMBER",
+    require(_same_subgroup(group, cover1.group, sub1), "NOT_A_MEMBER",
             "first cover group mismatch")
-    require(cover2.group.same_group(sub2), "NOT_A_MEMBER",
+    require(_same_subgroup(group, cover2.group, sub2), "NOT_A_MEMBER",
             "second cover group mismatch")
     positions1, positions2 = _positions(group, sub1), _positions(group, sub2)
     require(positions1 is not None, "NOT_A_MEMBER",
             "G1 is not a subgroup of the group")
     require(positions2 is not None, "NOT_A_MEMBER",
             "G2 is not a subgroup of the group")
-    _, cosets = group.coset_map(positions1 + positions2)
-    require(cosets == 1, "NOT_GENERATING", "<G1, G2> is a proper subgroup")
+    require(group.span(positions1 + positions2).bit_count()
+            == len(group.index()),
+            "NOT_GENERATING", "<G1, G2> is a proper subgroup")
     for cover, y in ((cover1, y1), (cover2, y2)):
         require(config_connected(cover.base), "BASE_NOT_CONNECTED")
         require(is_connected(cover), "BASE_NOT_CONNECTED",

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, require
+from .groups import is_prime
 
 
 @dataclass(frozen=True, order=True)
@@ -193,7 +194,7 @@ def validate(config: CurveConfiguration) -> list:
     ids = [c.id for c in config.components]
     if len(set(ids)) != len(ids):
         violations.append(("DUPLICATE_COMPONENT", f"component ids {ids}"))
-    if config.characteristic != 0 and not _is_prime(config.characteristic):
+    if config.characteristic != 0 and not is_prime(config.characteristic):
         violations.append(("BAD_CHARACTERISTIC",
                            f"{config.characteristic} is not prime or 0"))
     for comp in config.components:
@@ -399,9 +400,3 @@ def replay(config: CurveConfiguration, steps) -> CurveConfiguration:
     for step in steps:
         current = identify(current, [{step.first, step.second}])
     return current
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))

@@ -1,7 +1,9 @@
 """Domain errors with machine-readable codes.
 
 Every failure mode of the library raises DomainError carrying a stable
-``code`` string (e.g. NOT_CONNECTED, NOT_PRIME).  The CLI maps these to
+``code`` string (e.g. NOT_CONNECTED, NOT_PRIME).  INTERNAL_INVARIANT
+marks a broken internal invariant (a bug, not bad input), checked with
+require so that it holds under ``python -O`` too.  The CLI maps these to
 exit status 1; usage errors exit with 2.
 """
 

@@ -1,11 +1,15 @@
 """Finite permutation-group engine.
 
-Order and membership go through a deterministic Schreier-Sims stabilizer
-chain (base points chosen as the smallest moved point at each level).
-Everything else (Sylow subgroups, normal closures, quotients, minimal
-generator counts, subgroup lattices, Moebius/Eulerian counting) is built
-for desk scale: exhaustive element enumeration is permitted and the
-default size bounds keep it honest.
+A group has two representations.  Order and membership go through a
+deterministic Schreier-Sims stabilizer chain (base points chosen as the
+smallest moved point at each level), which works at any size.  Everything
+that enumerates (the cover calculus, subgroup lattices, Moebius/Eulerian
+counting, minimal generator counts) runs on the element index of a group
+small enough to list (|G| <= ENUM_BOUND): elements are numbered by their
+position in elements(), multiplication is a lookup in cached rows, and a
+subgroup is an int bitmask over those positions (span), so the subset test
+is a & ~b == 0 and the order is a.bit_count().  Sylow subgroups, normal
+closures and quotients stay on Perm products and the chain.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ MIN_GEN_BOUND = 2_000        # deterministic min_generators bound
 LATTICE_BOUND = 200          # subgroup lattice bound
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     return all(p % d for d in range(2, int(p ** 0.5) + 1))
@@ -184,6 +188,24 @@ class PermutationGroup:
             rows[i] = row
         return row
 
+    def span(self, positions) -> int:
+        """The subgroup generated by the elements at these positions, as a
+        bitmask over positions in elements(): bit i is set iff element i
+        lies in it.  The empty span is the trivial subgroup, mask 1."""
+        rows = [self.left_row(i) for i in set(positions)]
+        mask = 1
+        frontier = [0]
+        while frontier:
+            new_frontier = []
+            for x in frontier:
+                for row in rows:
+                    y = row[x]
+                    if not mask >> y & 1:
+                        mask |= 1 << y
+                        new_frontier.append(y)
+            frontier = new_frontier
+        return mask
+
     def coset_map(self, positions):
         """The right cosets H*x of the subgroup H generated by the elements
         at these positions: (coset of each position, number of cosets).
@@ -252,7 +274,7 @@ def normal_closure(group: PermutationGroup, perms) -> PermutationGroup:
 
 def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     """A Sylow p-subgroup, by ascending chain through normalizing p-elements."""
-    require(_is_prime(p), "NOT_PRIME", f"p = {p}")
+    require(is_prime(p), "NOT_PRIME", f"p = {p}")
     order = group.order()
     p_part = 1
     while order % (p_part * p) == 0:
@@ -297,7 +319,7 @@ def quasi_p_part(group: PermutationGroup, p: int) -> PermutationGroup:
     """
     if p == 0:
         return PermutationGroup.trivial(group.degree)
-    require(_is_prime(p), "NOT_PRIME", f"p = {p}")
+    require(is_prime(p), "NOT_PRIME", f"p = {p}")
     return normal_closure(group, sylow_subgroup(group, p).generators)
 
 
@@ -340,27 +362,12 @@ def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
     image_gens = [hom.map_element(g) for g in group.generators]
     image = PermutationGroup.from_generators(image_gens, max(1, len(reps)))
     hom = GroupHom(group, normal, image, coset_index, tuple(reps))
-    # sanity: |G| = |N| * |G/N| and the map is a homomorphism on generators
-    assert group.order() == normal.order() * image.order()
+    require(group.order() == normal.order() * image.order(),
+            "INTERNAL_INVARIANT", "|G| != |N| * |G/N|")
     return hom
 
 
 # -- minimal generators -----------------------------------------------------
-
-def _cyclic_subgroup_representatives(elements, degree):
-    """One generator per distinct cyclic subgroup (smallest in sort order)."""
-    seen = {}
-    for x in elements:
-        powers = [x]
-        y = x
-        while not y.is_identity():
-            y = y * x
-            powers.append(y)
-        key = frozenset(p.images for p in powers)
-        if key not in seen:
-            seen[key] = x
-    return sorted(seen.values())
-
 
 def _generates(group, tuple_of_perms, order=None):
     target = order if order is not None else group.order()
@@ -370,56 +377,36 @@ def _generates(group, tuple_of_perms, order=None):
 
 def min_generators(group: PermutationGroup, bound: int = MIN_GEN_BOUND,
                    seed: int = 0, random_budget: int = 64) -> int:
-    """d(G): the minimal number of generators, by exhaustive search.
-
-    Raises GROUP_TOO_LARGE above `bound`; use min_generators_upper_bound
-    for a randomized estimate on larger groups.
-    """
+    """d(G): the minimal number of generators, by exhaustive search over
+    element positions; raises GROUP_TOO_LARGE above `bound`."""
     order = group.order()
     if order == 1:
         return 0
     require(order <= bound, "GROUP_TOO_LARGE", f"|G| = {order} > {bound}")
-    elements = group.elements()
-    nontrivial = [x for x in elements if not x.is_identity()]
-    reps = [x for x in _cyclic_subgroup_representatives(nontrivial, group.degree)]
+    full = (1 << order) - 1
+    nontrivial = range(1, order)  # the identity is position 0
+    # one generator per cyclic subgroup, the smallest in element order
+    cyclic: dict = {}
+    for i in nontrivial:
+        cyclic.setdefault(group.span([i]), i)
+    reps = list(cyclic.values())
     rng = Random(seed)
     k = 1
     while True:
         # randomized probe first; a hit at level k is conclusive because
         # every level below k was already exhausted
         for _ in range(random_budget):
-            candidate = tuple(rng.choice(nontrivial) for _ in range(k))
-            if _generates(group, candidate, order):
+            candidate = [rng.choice(nontrivial) for _ in range(k)]
+            if group.span(candidate) == full:
                 return k
         # exhaustive: first slot runs over cyclic-subgroup representatives
         # (replacing the first entry by another generator of the same cyclic
         # subgroup never changes the generated subgroup)
         for first in reps:
             for rest in itertools.product(nontrivial, repeat=k - 1):
-                if _generates(group, (first,) + rest, order):
+                if group.span((first,) + rest) == full:
                     return k
         k += 1
-
-
-def min_generators_upper_bound(group: PermutationGroup, seed: int = 0,
-                               tries: int = 2000) -> int:
-    """Randomized upper bound for d(G); flagged, not exact."""
-    order = group.order()
-    if order == 1:
-        return 0
-    rng = Random(seed)
-    gens = list(group.generators)
-    best = len(gens)
-    elements = None
-    if order <= ENUM_BOUND:
-        elements = group.elements()
-    for k in range(1, best):
-        pool = elements if elements is not None else gens
-        for _ in range(tries):
-            candidate = tuple(rng.choice(pool) for _ in range(k))
-            if _generates(group, candidate, order):
-                return k
-    return best
 
 
 # -- abelianization ---------------------------------------------------------
@@ -436,7 +423,7 @@ def abelianization(group: PermutationGroup) -> GroupHom:
 
 def abelianization_p_rank(group: PermutationGroup, p: int) -> int:
     """σ(G): rank of the maximal elementary abelian p-quotient."""
-    require(_is_prime(p), "NOT_PRIME", f"p = {p}")
+    require(is_prime(p), "NOT_PRIME", f"p = {p}")
     ab = abelianization(group).image
     pth_powers = []
     for g in ab.elements():
@@ -448,7 +435,8 @@ def abelianization_p_rank(group: PermutationGroup, p: int) -> int:
     order = elementary.order()
     rank = 0
     while order > 1:
-        assert order % p == 0
+        require(order % p == 0, "INTERNAL_INVARIANT",
+                "elementary abelian quotient is not a p-group")
         order //= p
         rank += 1
     return rank
@@ -456,68 +444,73 @@ def abelianization_p_rank(group: PermutationGroup, p: int) -> int:
 
 # -- subgroup lattice and counting ------------------------------------------
 
+def _lattice_masks(group: PermutationGroup, bound: int) -> list:
+    """All subgroups as masks (PermutationGroup.span), sorted by order and
+    then by the sorted list of their element positions."""
+    require(group.order() <= bound, "GROUP_TOO_LARGE",
+            f"|G| = {group.order()} > {bound}")
+    # close the cyclic subgroups under pairwise joins; each subgroup keeps
+    # the generators it was first found with, and a join spans those
+    gens = {1: ()}
+    for i in range(1, group.order()):
+        gens.setdefault(group.span([i]), (i,))
+    known = list(gens)
+    fresh = known
+    while fresh:
+        new: dict = {}
+        for a in fresh:
+            for b in known:
+                if not a & ~b or not b & ~a:
+                    continue
+                join_gens = gens[a] + tuple(g for g in gens[b]
+                                            if not a >> g & 1)
+                join = group.span(join_gens)
+                if join not in gens and join not in new:
+                    new[join] = join_gens
+        gens.update(new)
+        fresh = list(new)
+        known += fresh
+    return sorted(gens, key=lambda m: (m.bit_count(), _positions_of(m)))
+
+
+def _positions_of(mask: int) -> list:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _moebius_masks(group: PermutationGroup, bound: int) -> dict:
+    """μ(H, G) as {mask of H: μ}, largest subgroups first."""
+    mu: dict = {}
+    for h in sorted(_lattice_masks(group, bound), key=lambda m: -m.bit_count()):
+        # every subgroup already in mu is at least as large as h, so the
+        # proper overgroups of h among them are exactly its supersets
+        mu[h] = -sum(m for k, m in mu.items() if not h & ~k) if mu else 1
+    return mu
+
+
+def _frozenset_of(group: PermutationGroup, mask: int) -> frozenset:
+    elements = group.elements()
+    return frozenset(elements[i] for i in _positions_of(mask))
+
+
 def subgroup_lattice(group: PermutationGroup, bound: int = LATTICE_BOUND):
-    """All subgroups (up to equality) as frozensets of elements.
+    """All subgroups (up to equality) as frozensets of elements, sorted by
+    order and then by their sorted elements.
 
     Computed by closing the cyclic subgroups under pairwise joins.
     """
-    require(group.order() <= bound, "GROUP_TOO_LARGE",
-            f"|G| = {group.order()} > {bound}")
-    elements = group.elements()
-    identity = Perm.identity(group.degree)
-
-    def close(seed_perms):
-        seen = {identity}
-        frontier = [identity]
-        gens = list(seed_perms)
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                for g in gens:
-                    y = g * x
-                    if y not in seen:
-                        seen.add(y)
-                        new_frontier.append(y)
-            frontier = new_frontier
-        return frozenset(seen)
-
-    subgroups = {frozenset([identity])}
-    for x in elements:
-        subgroups.add(close([x]))
-    while True:
-        new = set()
-        for a, b in itertools.combinations(sorted(subgroups, key=_subgroup_key), 2):
-            if a <= b or b <= a:
-                continue
-            join = close(sorted(a | b))
-            if join not in subgroups:
-                new.add(join)
-        if not new:
-            break
-        subgroups |= new
-    return sorted(subgroups, key=_subgroup_key)
-
-
-def _subgroup_key(subgroup):
-    return (len(subgroup), sorted(p.images for p in subgroup))
+    return [_frozenset_of(group, m) for m in _lattice_masks(group, bound)]
 
 
 def moebius(group: PermutationGroup, bound: int = LATTICE_BOUND):
     """Moebius function μ(H, G) on the subgroup lattice, as {H: μ}."""
-    lattice = subgroup_lattice(group, bound)
-    by_size = sorted(lattice, key=lambda s: -len(s))
-    mu: dict = {}
-    top = by_size[0]
-    mu[top] = 1
-    for h in by_size[1:]:
-        mu[h] = -sum(mu[k] for k in by_size if len(k) > len(h) and h < k)
-    return mu
+    return {_frozenset_of(group, h): m
+            for h, m in _moebius_masks(group, bound).items()}
 
 
 def eulerian(group: PermutationGroup, k: int, bound: int = LATTICE_BOUND) -> int:
     """φ_k(G): the number of generating k-tuples, via Moebius inversion."""
-    mu = moebius(group, bound)
-    return sum(m * (len(h) ** k) for h, m in mu.items())
+    return sum(m * h.bit_count() ** k
+               for h, m in _moebius_masks(group, bound).items())
 
 
 def count_generating_tuples(group: PermutationGroup, k: int) -> int:
@@ -543,7 +536,7 @@ def nakajima_tG(group: PermutationGroup, p: int):
     Exact only for p-groups (where the group algebra is local and
     t_G = d(G)); returns None (Unknown) otherwise.
     """
-    require(_is_prime(p), "NOT_PRIME", f"p = {p}")
+    require(is_prime(p), "NOT_PRIME", f"p = {p}")
     if not is_p_group(group, p):
         return None
     return min_generators(group)

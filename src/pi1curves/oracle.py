@@ -22,7 +22,7 @@ from .covers import (Gluing, build_descriptor, cover_to_json, descend,
 from .curves import (CurveConfiguration, PointRef, delta, is_connected,
                      require_valid, strip_identifications)
 from .errors import DomainError, require
-from .groups import PermutationGroup, eulerian
+from .groups import PermutationGroup
 from .perms import Perm
 
 ENUMERATION_BOUND = 10 ** 7
@@ -59,7 +59,8 @@ def enumerate_connected_covers(group: PermutationGroup,
     _check_rational(config)
     _, free_edges = spanning_tree(config)
     d = len(free_edges)
-    assert d == delta(config)
+    require(d == delta(config), "INTERNAL_INVARIANT",
+            "non-tree edge count differs from delta")
     order = group.order()
     require(order ** d <= ENUMERATION_BOUND, "TOO_LARGE",
             f"|G|^delta = {order}^{d} exceeds the enumeration bound")
@@ -226,9 +227,3 @@ def nodal_affine_curve(p: int) -> CurveConfiguration:
     a, b = PointRef("C1", "0"), PointRef("C1", "1")
     return CurveConfiguration.build(p, [("C1", 0)], {"C1": ["0", "1", "inf"]},
                                     [[a, b]], removed=[PointRef("C1", "inf")])
-
-
-def eulerian_matches_enumeration(group: PermutationGroup,
-                                 config: CurveConfiguration) -> bool:
-    count, _ = enumerate_connected_covers(group, config)
-    return count == eulerian(group, delta(config))

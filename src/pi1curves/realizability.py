@@ -15,7 +15,7 @@ from .curves import (CurveConfiguration, affine_delta, delta,
                      is_connected, require_valid)
 from .errors import require
 from .groups import (PermutationGroup, abelianization_p_rank, is_p_group,
-                     min_generators, quasi_p_part, quotient)
+                     is_prime, min_generators, quasi_p_part, quotient)
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,8 @@ class RealizabilityVerdict:
     evidence: dict
 
     def __post_init__(self):
-        assert self.verdict in ("Yes", "No", "Unknown")
+        require(self.verdict in ("Yes", "No", "Unknown"), "INTERNAL_INVARIANT",
+                "verdict must be Yes, No or Unknown")
 
     @property
     def yes(self) -> bool:
@@ -37,11 +38,7 @@ class RealizabilityVerdict:
 
 
 def _check_char(p):
-    require(p == 0 or _is_prime(p), "BAD_CHARACTERISTIC", f"p = {p}")
-
-
-def _is_prime(p):
-    return p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1))
+    require(p == 0 or is_prime(p), "BAD_CHARACTERISTIC", f"p = {p}")
 
 
 def affine_realizable(group: PermutationGroup, p: int, g: int, r: int,

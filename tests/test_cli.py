@@ -126,6 +126,9 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # --jobs was removed
+        main(["--jobs", "2", "selftest"])
+    assert exc.value.code == 2
 
 
 def test_missing_file_is_domain_error(capsys):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from pi1curves.catalog import alternating, catalog_group, cyclic, dihedral, symmetric
+from pi1curves.catalog import (alternating, catalog_group, catalog_groups,
+                               cyclic, dihedral, symmetric)
 from pi1curves.errors import DomainError
 from pi1curves.groups import (
     PermutationGroup,
@@ -124,13 +125,45 @@ def test_hasse_witt_sigma():
     assert abelianization_p_rank(cyclic(15), 5) == 1
 
 
-def test_subgroup_lattice_s3():
-    S3 = symmetric(3)
-    lattice = subgroup_lattice(S3)
-    assert len(lattice) == 6  # 1, three C2, A3, S3
-    mu = moebius(S3)
-    whole = frozenset(S3.elements())
-    assert mu[whole] == 1
+# number of subgroups and μ(1, G)
+LATTICES = {"S3": (6, 3), "S4": (30, -12), "A5": (59, -60), "D4": (10, 0),
+            "Q8": (6, 0), "C2xC2xC2": (16, -8), "SL23": (15, 0)}
+
+
+@pytest.mark.parametrize("name", LATTICES)
+def test_subgroup_lattice(name):
+    subgroups, mu_trivial = LATTICES[name]
+    G = catalog_group(name)
+    lattice = subgroup_lattice(G)
+    assert len(lattice) == subgroups
+    mu = moebius(G)
+    assert mu[frozenset(G.elements())] == 1
+    assert mu[frozenset([Perm.identity(G.degree)])] == mu_trivial
+
+
+def _perm_closure(degree, gens):
+    identity = Perm.identity(degree)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        frontier = [y for y in {g * x for x in frontier for g in gens}
+                    if y not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def test_span_matches_perm_closure():
+    rng = random.Random(5)
+    for name, G in catalog_groups(24):
+        elements = G.elements()
+        assert G.span(()) == 1
+        for _ in range(6):
+            positions = tuple(rng.randrange(len(elements))
+                              for _ in range(rng.randint(0, 3)))
+            mask = G.span(positions)
+            expected = _perm_closure(G.degree, [elements[i] for i in positions])
+            assert {elements[i] for i in range(len(elements))
+                    if mask >> i & 1} == expected, (name, positions)
 
 
 def test_eulerian_vs_exhaustive():

@@ -5,6 +5,7 @@ from pi1curves.curves import CurveConfiguration, PointRef
 from pi1curves.errors import DomainError
 from pi1curves.groups import min_generators, quasi_p_part, quotient
 from pi1curves.realizability import (
+    RealizabilityVerdict,
     affine_realizable,
     hasse_witt_check,
     nakajima_check,
@@ -155,3 +156,9 @@ def test_verdict_json_shape():
     assert v.to_json() == {"verdict": "No",
                            "evidence": {"sigma": 3, "bound": 2},
                            "rule": "hasse-witt"}
+
+
+def test_verdict_outside_three_values_is_domain_error():
+    with pytest.raises(DomainError) as err:
+        RealizabilityVerdict("Maybe", "none", {})
+    assert err.value.code == "INTERNAL_INVARIANT"
