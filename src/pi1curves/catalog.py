@@ -18,7 +18,7 @@ import os
 from functools import lru_cache
 from importlib import resources
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .groups import PermutationGroup
 from .perms import Perm
 
@@ -217,7 +217,8 @@ def _build_tables() -> dict:
     groups: dict = {}
 
     def add(name, obj):
-        assert name not in groups
+        require(name not in groups, "INTERNAL_INVARIANT",
+                f"catalog name {name} used twice")
         groups[name] = obj
 
     # abelian groups, all orders <= 24

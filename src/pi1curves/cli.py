@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -188,6 +189,7 @@ def cmd_selftest(args):
     return 0 if failures == 0 else 1
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pi1curves",

@@ -24,9 +24,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .curves import (CurveConfiguration, PointRef, dual_graph, identify,
-                     is_connected as config_connected, require_valid)
+                     is_connected as config_connected, require_valid,
+                     union_find)
 from .errors import DomainError, require
-from .groups import PermutationGroup, subgroup_generated
+from .groups import (PermutationGroup, subgroup_generated,
+                     subgroup_positions)
 from .perms import Perm
 
 
@@ -172,23 +174,14 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
 
 # -- verdicts ---------------------------------------------------------------
 
-def _positions(group: PermutationGroup, sub: PermutationGroup):
-    """Positions of sub's generators in group, or None unless sub is a
-    subgroup of group."""
-    index = group.index()
-    if sub.degree != group.degree \
-            or not all(h in index for h in sub.generators):
-        return None
-    return [index[h] for h in sub.generators]
-
-
 def _sheet_ids(group: PermutationGroup, sub: PermutationGroup):
     """The sheets over a component with monodromy sub: the cosets sub*x,
     as (sheet of each label position, number of sheets)."""
-    positions = _positions(group, sub)
+    positions = subgroup_positions(group, sub)
     if positions is None:
         raise DomainError("NOT_A_MEMBER", "monodromy is not a subgroup of G")
-    return group.coset_map(positions)
+    ids, reps = group.coset_map(positions)
+    return ids, len(reps)
 
 
 def _gluing_row(cover: CoverDescriptor, ci: int, branch: PointRef):
@@ -201,40 +194,27 @@ def _gluing_row(cover: CoverDescriptor, ci: int, branch: PointRef):
 
 def is_connected(cover: CoverDescriptor) -> bool:
     """Union-find over (component, sheet) nodes through all gluings."""
-    sheets = {}
+    sheets = {}  # component id -> node of each label position
     total = 0
     for comp in cover.base.components:
         ids, count = _sheet_ids(cover.group, cover.monodromy_of(comp.id))
-        sheets[comp.id] = (total, ids)
+        sheets[comp.id] = [total + i for i in ids]
         total += count
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    roots = total
+    edges = set()
     for ci, cls in enumerate(cover.base.identification_classes):
-        base_offset, base_ids = sheets[cls.base_branch.component_id]
+        base = sheets[cls.base_branch.component_id]
         for branch in cls.members[1:]:
             row = _gluing_row(cover, ci, branch)
-            offset, ids = sheets[branch.component_id]
-            edges = set(zip(base_ids, map(ids.__getitem__, row)))
-            for a, b in edges:
-                a, b = find(base_offset + a), find(offset + b)
-                if a != b:
-                    parent[a] = b
-                    roots -= 1
-    return roots == 1
+            edges.update(zip(base, map(sheets[branch.component_id].__getitem__,
+                                       row)))
+    return len(set(union_find(total, edges))) == 1
 
 
 def is_galois(cover: CoverDescriptor) -> bool:
     """Right G-action must commute with every gluing map, and the gluing
     must be a bijection of full fibers (torsors)."""
     group = cover.group
-    if any(_positions(group, sub) is None
+    if any(subgroup_positions(group, sub) is None
            for sub in cover.monodromy.values()):
         return False
     for branches in cover.gluings.values():
@@ -350,7 +330,7 @@ def _same_subgroup(group: PermutationGroup, a: PermutationGroup,
     """Whether a and b are one group: equal masks over group's elements
     (PermutationGroup.span), or through their stabilizer chains when
     neither lies in group."""
-    pa, pb = _positions(group, a), _positions(group, b)
+    pa, pb = subgroup_positions(group, a), subgroup_positions(group, b)
     if pa is None or pb is None:
         return pa is None and pb is None and a.same_group(b)
     return group.span(pa) == group.span(pb)
@@ -372,7 +352,7 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
             f"{gamma.degree} != {ambient.degree}")
     g = ambient.index().get(gamma)
     require(g is not None, "NOT_A_MEMBER", "gamma not in the ambient group")
-    positions = _positions(ambient, sub)
+    positions = subgroup_positions(ambient, sub)
     require(positions is not None, "NOT_A_MEMBER",
             "subgroup is not contained in the ambient group")
     require(ambient.span(positions + [g]).bit_count() == len(ambient.index()),
@@ -411,7 +391,8 @@ def glue_two_components(group: PermutationGroup,
             "first cover group mismatch")
     require(_same_subgroup(group, cover2.group, sub2), "NOT_A_MEMBER",
             "second cover group mismatch")
-    positions1, positions2 = _positions(group, sub1), _positions(group, sub2)
+    positions1 = subgroup_positions(group, sub1)
+    positions2 = subgroup_positions(group, sub2)
     require(positions1 is not None, "NOT_A_MEMBER",
             "G1 is not a subgroup of the group")
     require(positions2 is not None, "NOT_A_MEMBER",

@@ -17,6 +17,14 @@ from .errors import DomainError, require
 from .groups import is_prime
 
 
+def _typed(value, kind: type, what: str):
+    """value, when it has the JSON type kind (a bool is not an int)."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise DomainError("BAD_CONFIG_FILE",
+                          f"{what} must be {kind.__name__}, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class PointRef:
     component_id: str
@@ -125,33 +133,72 @@ class CurveConfiguration:
     def from_json(data: dict) -> "CurveConfiguration":
         allowed = {"characteristic", "components", "points",
                    "identifications", "removed"}
-        unknown = set(data) - allowed
+        unknown = set(_typed(data, dict, "configuration")) - allowed
         if unknown:
             raise DomainError("BAD_CONFIG_FILE",
                               f"unknown fields {sorted(unknown)}")
         try:
             components = []
-            for c in data["components"]:
-                extra = set(c) - {"id", "genus", "p_rank"}
+            for c in _typed(data["components"], list, "components"):
+                extra = set(_typed(c, dict, "component")) \
+                    - {"id", "genus", "p_rank"}
                 if extra:
                     raise DomainError("BAD_CONFIG_FILE",
                                       f"unknown component fields {sorted(extra)}")
-                components.append(ComponentData(c["id"], c.get("genus", 0),
-                                                c.get("p_rank")))
-            classes = [[PointRef.from_json(p) for p in cls]
-                       for cls in data.get("identifications", [])]
-            removed = [PointRef.from_json(p) for p in data.get("removed", [])]
-            return CurveConfiguration.build(
-                data.get("characteristic", 0), components,
-                {c: list(v) for c, v in data.get("points", {}).items()},
-                classes, removed)
-        except (KeyError, TypeError) as exc:
+                p_rank = c.get("p_rank")
+                components.append(ComponentData(
+                    _typed(c["id"], str, "component id"),
+                    _typed(c.get("genus", 0), int, "genus"),
+                    None if p_rank is None else _typed(p_rank, int, "p_rank")))
+        except KeyError as exc:
             raise DomainError("BAD_CONFIG_FILE", repr(exc))
+        points = _typed(data.get("points", {}), dict, "points")
+        for labels in points.values():
+            for label in _typed(labels, list, "point labels"):
+                _typed(label, str, "point label")
+        classes = [[PointRef.from_json(p)
+                    for p in _typed(cls, list, "identification class")]
+                   for cls in _typed(data.get("identifications", []), list,
+                                     "identifications")]
+        removed = [PointRef.from_json(p)
+                   for p in _typed(data.get("removed", []), list, "removed")]
+        return CurveConfiguration.build(
+            _typed(data.get("characteristic", 0), int, "characteristic"),
+            components, points, classes, removed)
 
     @staticmethod
     def load(path) -> "CurveConfiguration":
         with open(path, encoding="utf-8") as fh:
             return CurveConfiguration.from_json(json.load(fh))
+
+
+def union_find(n: int, pairs) -> list:
+    """The equivalence relation on 0..n-1 that the pairs generate, by
+    union-find: the root of each element's class."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(n)]
+
+
+def equivalence_classes(pairs, items=()) -> list:
+    """The classes of the equivalence relation that the pairs generate on
+    the given items and the pairs' members: lists of members in first-seen
+    order, ordered by their first-seen member."""
+    number = {x: i for i, x in enumerate(dict.fromkeys(items))}
+    edges = [(number.setdefault(a, len(number)),
+              number.setdefault(b, len(number))) for a, b in pairs]
+    roots = union_find(len(number), edges)
+    classes: dict = {}
+    for x, i in number.items():
+        classes.setdefault(roots[i], []).append(x)
+    return list(classes.values())
 
 
 @dataclass(frozen=True)
@@ -162,20 +209,8 @@ class DualGraph:
     edges: tuple      # (component_id, component_id) pairs, may repeat / loop
 
     def connected_components(self):
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for a, b in self.edges:
-            parent[find(a)] = find(b)
-        groups: dict = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        return sorted(sorted(g) for g in groups.values())
+        return sorted(sorted(c)
+                      for c in equivalence_classes(self.edges, self.vertices))
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
@@ -317,47 +352,15 @@ def identify(config: CurveConfiguration, relation) -> CurveConfiguration:
             if ref in config.removed_points:
                 raise DomainError("OVERLAP_WITH_REMOVED", str(ref))
 
-    # union-find over points, seeded with the existing classes
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for cls in config.identification_classes:
-        for ref in cls.members[1:]:
-            union(cls.members[0], ref)
-    touched = set()
-    for merge_set in relation:
-        for ref in merge_set[1:]:
-            union(merge_set[0], ref)
-        for ref in merge_set:
-            touched.add(find(ref))
-    touched = {find(t) for t in touched}
-
-    groups: dict = {}
-    for ref in parent:
-        groups.setdefault(find(ref), []).append(ref)
-
-    untouched, merged = [], []
-    for cls in config.identification_classes:
-        root = find(cls.members[0])
-        if root not in touched:
-            untouched.append(cls)
-    seen_roots = set()
-    for merge_set in relation:
-        root = find(merge_set[0])
-        if root not in seen_roots:
-            seen_roots.add(root)
-            merged.append(IdentificationClass.of(groups[root]))
-    return replace(config,
-                   identification_classes=tuple(untouched) + tuple(merged))
+    merge_sets = [cls.members for cls in config.identification_classes]
+    classes = equivalence_classes((s[0], ref) for s in merge_sets + relation
+                                  for ref in s[1:])
+    class_of = {ref: i for i, members in enumerate(classes) for ref in members}
+    touched = dict.fromkeys(class_of[s[0]] for s in relation)  # in order
+    untouched = tuple(cls for cls in config.identification_classes
+                      if class_of[cls.members[0]] not in touched)
+    merged = tuple(IdentificationClass.of(classes[i]) for i in touched)
+    return replace(config, identification_classes=untouched + merged)
 
 
 @dataclass(frozen=True)

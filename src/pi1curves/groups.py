@@ -3,19 +3,23 @@
 A group has two representations.  Order and membership go through a
 deterministic Schreier-Sims stabilizer chain (base points chosen as the
 smallest moved point at each level), which works at any size.  Everything
-that enumerates (the cover calculus, subgroup lattices, Moebius/Eulerian
-counting, minimal generator counts) runs on the element index of a group
-small enough to list (|G| <= ENUM_BOUND): elements are numbered by their
-position in elements(), multiplication is a lookup in cached rows, and a
-subgroup is an int bitmask over those positions (span), so the subset test
-is a & ~b == 0 and the order is a.bit_count().  Sylow subgroups, normal
-closures and quotients stay on Perm products and the chain.
+that enumerates runs on the element index of a group small enough to list
+(|G| <= ENUM_BOUND): elements are numbered by their position in
+elements(), multiplication is a lookup in cached rows, and a subgroup is
+an int bitmask over those positions (span), so the subset test is
+a & ~b == 0 and the order is a.bit_count().  On the index run the cover
+calculus, subgroup lattices, Moebius/Eulerian counting, minimal generator
+counts, Sylow subgroups, normal closures, quotients and sigma(G); they
+raise GROUP_TOO_LARGE above ENUM_BOUND and build no chain for the
+subgroups they pass through.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import mul
 from random import Random
 
 from .errors import DomainError, require
@@ -139,18 +143,15 @@ class PermutationGroup:
         if "elements" not in self._memo:
             require(self.order() <= ENUM_BOUND, "GROUP_TOO_LARGE",
                     f"|G| = {self.order()} > {ENUM_BOUND}")
-            seen = {Perm.identity(self.degree)}
-            frontier = list(seen)
-            while frontier:
-                new_frontier = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = g * x
-                        if y not in seen:
-                            seen.add(y)
-                            new_frontier.append(y)
-                frontier = new_frontier
-            self._memo["elements"] = tuple(sorted(seen))
+            queue = [Perm.identity(self.degree)]
+            seen = set(queue)
+            for x in queue:  # breadth first: the queue grows as we go
+                for g in self.generators:
+                    y = g * x
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            self._memo["elements"] = tuple(sorted(queue))
         return self._memo["elements"]
 
     # -- element index ------------------------------------------------------
@@ -193,22 +194,19 @@ class PermutationGroup:
         bitmask over positions in elements(): bit i is set iff element i
         lies in it.  The empty span is the trivial subgroup, mask 1."""
         rows = [self.left_row(i) for i in set(positions)]
-        mask = 1
-        frontier = [0]
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                for row in rows:
-                    y = row[x]
-                    if not mask >> y & 1:
-                        mask |= 1 << y
-                        new_frontier.append(y)
-            frontier = new_frontier
+        mask, queue = 1, [0]
+        for x in queue:  # breadth first: the queue grows as we go
+            for row in rows:
+                y = row[x]
+                if not mask >> y & 1:
+                    mask |= 1 << y
+                    queue.append(y)
         return mask
 
     def coset_map(self, positions):
         """The right cosets H*x of the subgroup H generated by the elements
-        at these positions: (coset of each position, number of cosets).
+        at these positions: (coset of each position, smallest position in
+        each coset).
 
         Cosets are the orbits of H's left rows, numbered in order of their
         smallest element; H is the whole group iff there is one coset.
@@ -216,23 +214,23 @@ class PermutationGroup:
         rows = [self.left_row(i) for i in positions]
         n = len(self.elements())
         if not rows:
-            return range(n), n
+            return range(n), range(n)
         ids = [-1] * n
-        count = 0
+        reps = []
         for x in range(n):
             if ids[x] >= 0:
                 continue
-            ids[x] = count
+            ids[x] = len(reps)
             stack = [x]
             while stack:
                 y = stack.pop()
                 for row in rows:
                     z = row[y]
                     if ids[z] < 0:
-                        ids[z] = count
+                        ids[z] = len(reps)
                         stack.append(z)
-            count += 1
-        return ids, count
+            reps.append(x)
+        return ids, reps
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         return (self.degree == other.degree
@@ -254,22 +252,47 @@ def subgroup_generated(group: PermutationGroup, perms) -> PermutationGroup:
     return PermutationGroup.from_generators(list(perms), group.degree)
 
 
+def subgroup_positions(group: PermutationGroup, sub: PermutationGroup):
+    """Positions of sub's generators in group.elements(), or None unless
+    sub is a subgroup of group."""
+    index = group.index()
+    positions = [index.get(h) for h in sub.generators]
+    if sub.degree != group.degree or None in positions:
+        return None
+    return positions
+
+
+def _normal_closure(group: PermutationGroup, perms):
+    """The normal closure of perms in group, as (the positions of its
+    generators: the nontrivial perms, then every conjugate that was not yet
+    in the closure, in the order found; its mask)."""
+    index = group.index()
+    gens = []
+    for s in perms:
+        if s.degree != group.degree:
+            raise DomainError("DEGREE_MISMATCH", f"{s.degree} != {group.degree}")
+        if s not in index:
+            raise DomainError("NOT_A_MEMBER", f"{s} not in group")
+        if index[s]:
+            gens.append(index[s])
+    mask = group.span(gens)
+    # g*x*g^-1 is right[left[x]] for the rows of each generator g of group
+    conjugators = [(group.left_row(index[g]), group.right_row(index[g.inverse]))
+                   for g in group.generators]
+    for n in gens:  # conjugates only the generators, as they are added
+        for left, right in conjugators:
+            c = right[left[n]]
+            if not mask >> c & 1:
+                gens.append(c)
+                mask = group.span(gens)
+    return gens, mask
+
+
 def normal_closure(group: PermutationGroup, perms) -> PermutationGroup:
     """Smallest normal subgroup of `group` containing `perms`."""
-    for s in perms:
-        require(s in group, "NOT_A_MEMBER", f"{s} not in group")
-    gens = [s for s in perms if not s.is_identity()]
-    closure = PermutationGroup.from_generators(gens, group.degree)
-    queue = list(gens)
-    while queue:
-        n = queue.pop(0)
-        for g in group.generators:
-            c = g * n * g.inverse
-            if c not in closure:
-                gens.append(c)
-                queue.append(c)
-                closure = PermutationGroup.from_generators(gens, group.degree)
-    return closure
+    elements = group.elements()
+    return PermutationGroup.from_generators(
+        [elements[i] for i in _normal_closure(group, perms)[0]], group.degree)
 
 
 def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
@@ -281,13 +304,11 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
         p_part *= p
     if p_part == 1:
         return PermutationGroup.trivial(group.degree)
-    elements = group.elements()
-    sub = PermutationGroup.trivial(group.degree)
-    sub_gens: list = []
-    while sub.order() < p_part:
-        grew = False
-        for x in elements:
-            if x in sub:
+    elements, index = group.elements(), group.index()
+    mask, gens = 1, []
+    while mask.bit_count() < p_part:
+        for i, x in enumerate(elements):
+            if mask >> i & 1:
                 continue
             # p-power part of x
             k = x.order()
@@ -296,20 +317,20 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
                 m *= p
             if m == 1:
                 continue
-            y = x
-            for _ in range(k // m - 1):
-                y = y * x
-            if y in sub or y.is_identity():
+            j = index[reduce(mul, [x] * (k // m))]
+            if mask >> j & 1:  # the identity is position 0, always set
                 continue
             # y must normalize the current p-subgroup
-            if all(y * g * y.inverse in sub for g in sub_gens):
-                sub_gens.append(y)
-                sub = PermutationGroup.from_generators(sub_gens, group.degree)
-                grew = True
+            y = elements[j]
+            if all(mask >> index[y * elements[g] * y.inverse] & 1
+                   for g in gens):
+                gens.append(j)
+                mask = group.span(gens)
                 break
-        if not grew:  # cannot happen for a genuine group; guard anyway
+        else:  # cannot happen for a genuine group; guard anyway
             raise DomainError("GROUP_TOO_LARGE", "sylow ascent stalled")
-    return sub
+    return PermutationGroup.from_generators([elements[i] for i in gens],
+                                            group.degree)
 
 
 def quasi_p_part(group: PermutationGroup, p: int) -> PermutationGroup:
@@ -319,61 +340,41 @@ def quasi_p_part(group: PermutationGroup, p: int) -> PermutationGroup:
     """
     if p == 0:
         return PermutationGroup.trivial(group.degree)
-    require(is_prime(p), "NOT_PRIME", f"p = {p}")
     return normal_closure(group, sylow_subgroup(group, p).generators)
 
 
 @dataclass(frozen=True)
 class GroupHom:
-    """Quotient presentation G -> G/N with image acting on left cosets."""
+    """Quotient presentation G -> G/N with image acting on the cosets of N,
+    numbered in order of their smallest element."""
     source: PermutationGroup
     kernel: PermutationGroup
     image: PermutationGroup
-    _coset_index: dict = field(compare=False, repr=False)
-    _coset_reps: tuple = field(compare=False, repr=False)
+    _cosets: list = field(compare=False, repr=False)  # coset of each position
+    _reps: tuple = field(compare=False, repr=False)   # smallest of each coset
 
     def map_element(self, g):
         """Image of g as a permutation of the cosets."""
-        n = len(self._coset_reps)
-        images = [self._coset_index[(g * self._coset_reps[i]).images]
-                  for i in range(n)]
-        return Perm(tuple(images))
+        row = self.source.left_row(self.source.index()[g])
+        return Perm(tuple(self._cosets[row[r]] for r in self._reps))
 
 
 def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
-    require(normal.is_subgroup_of(group), "NOT_A_MEMBER",
-            "kernel is not a subgroup")
-    for g in group.generators:
-        for n in normal.generators:
-            require(g * n * g.inverse in normal, "NOT_NORMAL",
-                    "subgroup is not normal")
-    kernel_elements = normal.elements()
-    coset_index: dict = {}
-    reps = []
-    for x in group.elements():
-        if x.images in coset_index:
-            continue
-        reps.append(x)
-        i = len(reps) - 1
-        for n in kernel_elements:
-            coset_index[(x * n).images] = i
-    hom = GroupHom(group, normal, PermutationGroup.trivial(max(1, len(reps))),
-                   coset_index, tuple(reps))
-    image_gens = [hom.map_element(g) for g in group.generators]
-    image = PermutationGroup.from_generators(image_gens, max(1, len(reps)))
-    hom = GroupHom(group, normal, image, coset_index, tuple(reps))
-    require(group.order() == normal.order() * image.order(),
+    positions = subgroup_positions(group, normal)
+    require(positions is not None, "NOT_A_MEMBER", "kernel is not a subgroup")
+    mask = group.span(positions)
+    require(_normal_closure(group, normal.generators)[1] == mask, "NOT_NORMAL",
+            "subgroup is not normal")
+    cosets, reps = group.coset_map(positions)
+    hom = GroupHom(group, normal, None, cosets, tuple(reps))
+    image = PermutationGroup.from_generators(
+        [hom.map_element(g) for g in group.generators], max(1, len(reps)))
+    require(len(cosets) == mask.bit_count() * image.order(),
             "INTERNAL_INVARIANT", "|G| != |N| * |G/N|")
-    return hom
+    return replace(hom, image=image)
 
 
 # -- minimal generators -----------------------------------------------------
-
-def _generates(group, tuple_of_perms, order=None):
-    target = order if order is not None else group.order()
-    return PermutationGroup.from_generators(
-        list(tuple_of_perms), group.degree).order() == target
-
 
 def min_generators(group: PermutationGroup, bound: int = MIN_GEN_BOUND,
                    seed: int = 0, random_budget: int = 64) -> int:
@@ -411,10 +412,13 @@ def min_generators(group: PermutationGroup, bound: int = MIN_GEN_BOUND,
 
 # -- abelianization ---------------------------------------------------------
 
+def _commutators(group: PermutationGroup) -> list:
+    return [a * b * a.inverse * b.inverse
+            for a in group.generators for b in group.generators]
+
+
 def derived_subgroup(group: PermutationGroup) -> PermutationGroup:
-    commutators = [a * b * a.inverse * b.inverse
-                   for a in group.generators for b in group.generators]
-    return normal_closure(group, commutators)
+    return normal_closure(group, _commutators(group))
 
 
 def abelianization(group: PermutationGroup) -> GroupHom:
@@ -422,23 +426,18 @@ def abelianization(group: PermutationGroup) -> GroupHom:
 
 
 def abelianization_p_rank(group: PermutationGroup, p: int) -> int:
-    """σ(G): rank of the maximal elementary abelian p-quotient."""
+    """σ(G): rank of the maximal elementary abelian p-quotient G/G'G^p,
+    where G'G^p is the normal closure of the generators' commutators and
+    p-th powers."""
     require(is_prime(p), "NOT_PRIME", f"p = {p}")
-    ab = abelianization(group).image
-    pth_powers = []
-    for g in ab.elements():
-        y = g
-        for _ in range(p - 1):
-            y = y * g
-        pth_powers.append(y)
-    elementary = quotient(ab, normal_closure(ab, pth_powers)).image
-    order = elementary.order()
+    powers = [reduce(mul, [g] * p) for g in group.generators]
+    _, mask = _normal_closure(group, _commutators(group) + powers)
+    order = len(group.elements()) // mask.bit_count()
     rank = 0
-    while order > 1:
-        require(order % p == 0, "INTERNAL_INVARIANT",
-                "elementary abelian quotient is not a p-group")
-        order //= p
+    while p ** rank < order:
         rank += 1
+    require(p ** rank == order, "INTERNAL_INVARIANT",
+            "elementary abelian quotient is not a p-group")
     return rank
 
 
@@ -520,7 +519,7 @@ def count_generating_tuples(group: PermutationGroup, k: int) -> int:
             f"|G|^k = {order ** k} too large")
     elements = group.elements()
     return sum(1 for tup in itertools.product(elements, repeat=k)
-               if _generates(group, tup, order))
+               if subgroup_generated(group, tup).order() == order)
 
 
 def is_p_group(group: PermutationGroup, p: int) -> bool:

@@ -150,3 +150,28 @@ def test_pretty_flag(capsys, nodal_file):
     _, pretty, _ = run(capsys, "--pretty", "invariants", nodal_file)
     assert json.loads(compact) == json.loads(pretty)
     assert "\n" in pretty.strip()
+
+
+# configuration files of the wrong shape: each used to end in a traceback,
+# or (labels_string) to be read as the labels "a" and "b"
+MALFORMED_CONFIGS = {
+    "genus_not_int": {"components": [{"id": "C1", "genus": "x"}]},
+    "characteristic_string": {"characteristic": "5",
+                              "components": [{"id": "C1", "genus": 0}]},
+    "points_list": {"components": [{"id": "C1", "genus": 0}],
+                    "points": [["C1", "a"]]},
+    "id_list": {"components": [{"id": ["x"], "genus": 0}]},
+    "labels_string": {"components": [{"id": "C1", "genus": 0}],
+                      "points": {"C1": "ab"}},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+def test_malformed_config_is_bad_config_file(capsys, tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_CONFIGS[name]))
+    for command in ("validate", "invariants"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BAD_CONFIG_FILE: ")

@@ -1,7 +1,10 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pi1curves.curves import (
     CurveConfiguration,
@@ -188,3 +191,102 @@ def test_random_configs_delta_betti_and_replay():
         assert delta(config) == dual_graph(config).betti_number()
         steps = factorize(config)
         assert replay(strip_identifications(config), steps) == config
+
+
+# -- configuration schema ---------------------------------------------------
+
+SCHEMA = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=100)
+NAMES = st.text(alphabet="abC1_", max_size=3)
+
+
+@st.composite
+def config_json(draw):
+    """A configuration in its JSON form, of the right types throughout
+    (not necessarily a valid curve: validate() judges that)."""
+    ids = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    components = []
+    for cid in ids:
+        component = {"id": cid}
+        for key in ("genus", "p_rank"):
+            if draw(st.booleans()):
+                component[key] = draw(st.integers(0, 3))
+        components.append(component)
+    data = {"components": components,
+            "characteristic": draw(st.sampled_from([0, 2, 3, 4, 5]))}
+    points = {cid: draw(st.lists(NAMES, max_size=3, unique=True))
+              for cid in ids if draw(st.booleans())}
+    refs = [[cid, label] for cid, labels in points.items() for label in labels]
+    if points:
+        data["points"] = points
+    if refs:
+        ref = st.sampled_from(refs)
+        data["identifications"] = draw(st.lists(
+            st.lists(ref, min_size=2, max_size=3), max_size=2))
+        data["removed"] = draw(st.lists(ref, max_size=2))
+    return data
+
+
+def _typed_fields(data):
+    """(path, JSON type) of every field the schema types."""
+    yield ("characteristic",), int
+    yield ("components",), list
+    for i, component in enumerate(data["components"]):
+        yield ("components", i), dict
+        yield ("components", i, "id"), str
+        yield ("components", i, "genus"), int
+        yield ("components", i, "p_rank"), int
+    yield ("points",), dict
+    for cid, labels in data.get("points", {}).items():
+        yield ("points", cid), list
+        for j in range(len(labels)):
+            yield ("points", cid, j), str
+    yield ("identifications",), list
+    for i, members in enumerate(data.get("identifications", [])):
+        yield ("identifications", i), list
+        for j in range(len(members)):
+            yield ("identifications", i, j), list
+            yield ("identifications", i, j, 0), str
+            yield ("identifications", i, j, 1), str
+    yield ("removed",), list
+    for i in range(len(data.get("removed", []))):
+        yield ("removed", i), list
+        yield ("removed", i, 0), str
+        yield ("removed", i, 1), str
+
+
+JSON_VALUES = {type(None): st.none(), bool: st.booleans(),
+               int: st.integers(), float: st.floats(), str: NAMES,
+               list: st.lists(st.integers(), max_size=2),
+               dict: st.dictionaries(NAMES, st.integers(), max_size=2)}
+
+
+def _wrong_value(kind):
+    """Any JSON value whose type is not kind (a bool is not an int)."""
+    return st.one_of([s for t, s in JSON_VALUES.items() if t is not kind])
+
+
+@SCHEMA
+@given(config_json())
+def test_schema_round_trip(data):
+    config = CurveConfiguration.from_json(data)
+    again = CurveConfiguration.from_json(json.loads(json.dumps(config.to_json())))
+    assert again == config
+    assert again.to_json() == config.to_json()
+
+
+@SCHEMA
+@given(config_json(), st.data())
+def test_schema_rejects_wrong_types(data, choices):
+    path, kind = choices.draw(st.sampled_from(list(_typed_fields(data))))
+    wrong = choices.draw(_wrong_value(kind))
+    if path[-1] == "p_rank" and wrong is None:
+        wrong = "0"  # a null p_rank means "equal to the genus"
+    data = copy.deepcopy(data)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = wrong
+    with pytest.raises(DomainError) as err:
+        CurveConfiguration.from_json(data)
+    assert err.value.code == "BAD_CONFIG_FILE"

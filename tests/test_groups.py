@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pi1curves import groups
 from pi1curves.catalog import (alternating, catalog_group, catalog_groups,
                                cyclic, dihedral, symmetric)
 from pi1curves.errors import DomainError
@@ -192,3 +193,76 @@ def test_conjugate_preserves_order():
     H = sylow_subgroup(S4, 2)
     t = Perm.from_cycles(4, [(1, 2, 3)])
     assert H.conjugate(t).order() == H.order()
+
+
+QUOTIENT_GROUPS = [name for name, _ in catalog_groups(60)]
+
+
+@pytest.mark.parametrize("name", QUOTIENT_GROUPS)
+def test_quotient_layer(name):
+    G = catalog_group(name)
+    order, elements = G.order(), G.elements()
+    for p in (2, 3, 5, 7):
+        p_part = 1
+        while order % (p_part * p) == 0:
+            p_part *= p
+        assert sylow_subgroup(G, p).order() == p_part
+    rng = random.Random(name)
+    chosen = [rng.choice(elements) for _ in range(rng.randint(1, 2))]
+    N = normal_closure(G, chosen)
+    members = set(N.elements())
+    assert set(chosen) <= members
+    assert all(g * n * g.inverse in members
+               for g in G.generators for n in N.generators)
+    assert members == _perm_closure(
+        G.degree, [g * s * g.inverse for g in elements for s in chosen])
+    hom = quotient(G, N)
+    assert hom.image.order() == order // len(members)
+    for _ in range(8):
+        a, b = rng.choice(elements), rng.choice(elements)
+        assert hom.map_element(a * b) == hom.map_element(a) * hom.map_element(b)
+
+
+def test_quotient_layer_builds_no_chain(monkeypatch):
+    # only the group's own chain (for its order) and the chain of a
+    # quotient's image may be built; sigma needs no quotient at all
+    G = catalog_group("SL23")
+    G.order()
+    chained = []
+    chain = PermutationGroup._chain
+
+    def recording(self):
+        if "chain" not in self._memo:
+            chained.append(self)
+        return chain(self)
+
+    def forbidden(*args):
+        raise AssertionError("sigma must not form a quotient")
+
+    monkeypatch.setattr(PermutationGroup, "_chain", recording)
+    N = normal_closure(G, [G.elements()[5]])
+    sylow_subgroup(G, 2)
+    quasi_p_part(G, 3)
+    monkeypatch.setattr(groups, "quotient", forbidden)
+    monkeypatch.setattr(groups, "abelianization", forbidden)
+    assert abelianization_p_rank(G, 2) == 0
+    assert abelianization_p_rank(G, 3) == 1
+    assert chained == []
+    monkeypatch.undo()
+    monkeypatch.setattr(PermutationGroup, "_chain", recording)
+    image = quotient(G, N).image
+    assert all(c is image for c in chained)
+
+
+def test_quotient_layer_needs_an_enumerable_group():
+    S8 = symmetric(8)  # 40,320 elements, above ENUM_BOUND
+    calls = [lambda: normal_closure(S8, []), lambda: derived_subgroup(S8),
+             lambda: quasi_p_part(S8, 11), lambda: quasi_p_part(S8, 2),
+             lambda: quotient(S8, PermutationGroup.trivial(8)),
+             lambda: abelianization_p_rank(S8, 2)]
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.code == "GROUP_TOO_LARGE"
+    # p does not divide |S8|: the trivial Sylow subgroup needs no elements
+    assert sylow_subgroup(S8, 11).order() == 1
