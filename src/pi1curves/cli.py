@@ -108,17 +108,13 @@ def cmd_enumerate(args):
 
 def cmd_export_dot(args):
     data = _load_json(args.file)
-    if "group" in data:
+    if isinstance(data, dict) and "group" in data:
         cover = cover_from_json(data)
         sys.stdout.write(sheet_graph_dot(cover))
     else:
         config = CurveConfiguration.from_json(data)
         sys.stdout.write(dual_graph_dot(config))
     return 0
-
-
-def _point(data):
-    return PointRef.from_json(data)
 
 
 def cmd_glue(args):
@@ -141,16 +137,18 @@ def cmd_glue(args):
                 gamma = Perm.from_one_indexed(step["gamma"])
                 covers[result] = glue_same_component(
                     ambient, cover.group, gamma, cover,
-                    _point(step["y1"]), _point(step["y2"]))
+                    PointRef.from_json(step["y1"]),
+                    PointRef.from_json(step["y2"]))
             elif op == "two_components":
                 group = _resolve_group(step["group"])
                 c1, c2 = covers[step["cover1"]], covers[step["cover2"]]
                 covers[result] = glue_two_components(
                     group, c1.group, c2.group, c1, c2,
-                    _point(step["y1"]), _point(step["y2"]))
+                    PointRef.from_json(step["y1"]),
+                    PointRef.from_json(step["y2"]))
             else:
                 raise DomainError("BAD_COVER_FILE", f"unknown op {op!r}")
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise DomainError("BAD_COVER_FILE", f"malformed step: {exc!r}")
     if output is None:
         output = steps[-1]["result"] if steps else None

@@ -13,15 +13,17 @@ Constant gluings (left translation by c: lambda -> c*lambda) are the
 Galois case; raw dict maps appear only from descend() and hand-built
 descriptors and are what is_galois() rejects when not equivariant.
 
-The verdicts, the sheet graph and descent run on element positions
-(PermutationGroup.index and its multiplication rows), not on Perm
-products; Perm stays the type of labels at the API and JSON boundary.
+Every check runs on element positions (PermutationGroup.index, its
+multiplication rows and span masks), not on Perm products: membership
+of a label, an inertia generator or a subgroup is read off the element
+index.  Only connectivity_criterion, the independent oracle for
+is_connected, asks the stabilizer chain.  Perm stays the type of labels
+at the API and JSON boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from .curves import (CurveConfiguration, PointRef, dual_graph, identify,
                      is_connected as config_connected, require_valid,
@@ -45,10 +47,6 @@ class Gluing:
     mapping: tuple | None = None  # sorted tuple of (label, image) pairs
 
     @staticmethod
-    def of_constant(c: Perm) -> "Gluing":
-        return Gluing(constant=c)
-
-    @staticmethod
     def of_mapping(pairs, group: PermutationGroup) -> "Gluing":
         """Build from {base label: branch label}; collapses to a constant
         when the map is a left translation."""
@@ -68,15 +66,6 @@ class Gluing:
         return Gluing(mapping=tuple((elements[i], elements[j])
                                     for i, j in enumerate(row)))
 
-    @cached_property
-    def _lookup(self) -> dict:
-        return dict(self.mapping)
-
-    def apply(self, label: Perm) -> Perm:
-        if self.constant is not None:
-            return self.constant * label
-        return self._lookup[label]
-
     def row(self, group: PermutationGroup):
         """The gluing on element positions, or None when it is not a
         bijection of G (a constant or a label outside G)."""
@@ -84,7 +73,7 @@ class Gluing:
         if self.constant is not None:
             c = index.get(self.constant)
             return None if c is None else group.left_row(c)
-        return _bijection_row(self._lookup.items(), index)
+        return _bijection_row(self.mapping, index)
 
 
 def _bijection_row(items, index):
@@ -124,24 +113,26 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
     of its points licenses it (ETALE_GENUS_ZERO otherwise).
     """
     require_valid(config)
+    index = group.index()  # GROUP_TOO_LARGE above ENUM_BOUND
     monodromy = dict(monodromy or {})
     ramification = dict(ramification or {})
     # messages are formatted only on failure: Perm and PointRef reprs are
     # costly on the enumeration paths
     for comp_id, sub in monodromy.items():
         config.component(comp_id)  # raises POINT_NOT_FOUND
-        if not sub.is_subgroup_of(group):
+        if subgroup_positions(group, sub) is None:
             raise DomainError("NOT_A_MEMBER",
                               f"monodromy over {comp_id} is not a subgroup of G")
     for ref, perms in ramification.items():
         if not config.has_point(ref):
             raise DomainError("POINT_NOT_FOUND", str(ref))
         for p in perms:
-            if p not in group:
+            if p not in index:
                 raise DomainError("NOT_A_MEMBER", f"inertia generator {p}")
     for comp in config.components:
-        if comp.genus == 0 and monodromy.get(comp.id) is not None \
-                and monodromy[comp.id].order() > 1:
+        sub = monodromy.get(comp.id)
+        if comp.genus == 0 and sub is not None \
+                and any(not g.is_identity() for g in sub.generators):
             licensed = any(ref.component_id == comp.id for ref in ramification)
             if not licensed:
                 raise DomainError(
@@ -159,10 +150,10 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
         for branch in cls.members[1:]:
             g = branches.get(branch)
             if g is None:
-                g = Gluing.of_constant(Perm.identity(group.degree))
+                g = Gluing(Perm.identity(group.degree))
             elif isinstance(g, Perm):
-                g = Gluing.of_constant(g)
-            if g.constant is not None and g.constant not in group:
+                g = Gluing(g)
+            if g.constant is not None and g.constant not in index:
                 raise DomainError("NOT_A_MEMBER",
                                   f"gluing constant {g.constant} not in G")
             full[ci][branch] = g
@@ -274,45 +265,17 @@ def torsor_labeling(group: PermutationGroup, fiber, action,
 
 # -- induction and gluing ---------------------------------------------------
 
-def induce(cover: CoverDescriptor, ambient: PermutationGroup,
-           coset_reps=None) -> CoverDescriptor:
+def induce(cover: CoverDescriptor,
+           ambient: PermutationGroup) -> CoverDescriptor:
     """Reinterpret an H-cover as a (disconnected) ambient-group cover.
 
     In the torsor model the label set simply grows from H to the ambient
-    group; monodromy subgroups and gluing constants are unchanged.  An
-    explicit transversal, when supplied, must start with the identity and
-    hit every left coset exactly once.
+    group; monodromy subgroups and gluing constants are unchanged.
     """
-    sub = cover.group
-    require(sub.is_subgroup_of(ambient), "NOT_A_MEMBER",
+    positions = subgroup_positions(ambient, cover.group)
+    require(positions is not None, "NOT_A_MEMBER",
             "cover group is not a subgroup of the ambient group")
-    if coset_reps is not None:
-        reps = list(coset_reps)
-        index = ambient.order() // sub.order()
-        require(len(reps) == index and reps and reps[0].is_identity(),
-                "NOT_A_TRANSVERSAL",
-                f"need {index} representatives starting with the identity")
-        for r in reps:
-            require(r in ambient, "NOT_A_TRANSVERSAL", f"{r} not in the group")
-        for i, a in enumerate(reps):
-            for b in reps[i + 1:]:
-                require(b.inverse * a not in sub, "NOT_A_TRANSVERSAL",
-                        f"{a} and {b} represent the same coset")
     return replace(cover, group=ambient)
-
-
-def coset_transversal(ambient: PermutationGroup,
-                      sub: PermutationGroup) -> list:
-    """Deterministic left-coset transversal: identity first, then minimal
-    representatives in sorted element order."""
-    reps = [Perm.identity(ambient.degree)]
-    covered = set(x.images for x in sub.elements())
-    for x in ambient.elements():
-        if x.images in covered:
-            continue
-        reps.append(x)
-        covered.update((x * h).images for h in sub.elements())
-    return reps
 
 
 def _check_smooth_fiber_point(config, ref):
@@ -327,13 +290,11 @@ def _check_smooth_fiber_point(config, ref):
 
 def _same_subgroup(group: PermutationGroup, a: PermutationGroup,
                    b: PermutationGroup) -> bool:
-    """Whether a and b are one group: equal masks over group's elements
-    (PermutationGroup.span), or through their stabilizer chains when
-    neither lies in group."""
+    """Whether a and b are one subgroup of group: equal masks over its
+    elements (PermutationGroup.span); False when either lies outside it."""
     pa, pb = subgroup_positions(group, a), subgroup_positions(group, b)
-    if pa is None or pb is None:
-        return pa is None and pb is None and a.same_group(b)
-    return group.span(pa) == group.span(pb)
+    return pa is not None and pb is not None \
+        and group.span(pa) == group.span(pb)
 
 
 def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
@@ -353,8 +314,6 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
     g = ambient.index().get(gamma)
     require(g is not None, "NOT_A_MEMBER", "gamma not in the ambient group")
     positions = subgroup_positions(ambient, sub)
-    require(positions is not None, "NOT_A_MEMBER",
-            "subgroup is not contained in the ambient group")
     require(ambient.span(positions + [g]).bit_count() == len(ambient.index()),
             "NOT_GENERATING", "<subgroup, gamma> is a proper subgroup")
     require(config_connected(base_cover.base), "BASE_NOT_CONNECTED")
@@ -373,7 +332,7 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
     # is {y1, y2}, so its base branch is min(y1, y2)
     constant = gamma if y1 < y2 else gamma.inverse
     gluings = {ci: dict(b) for ci, b in base_cover.gluings.items()}
-    gluings[new_index] = {branch: Gluing.of_constant(constant)}
+    gluings[new_index] = {branch: Gluing(constant)}
     return CoverDescriptor(new_config, ambient, dict(base_cover.monodromy),
                            gluings, dict(base_cover.ramification))
 
@@ -391,14 +350,9 @@ def glue_two_components(group: PermutationGroup,
             "first cover group mismatch")
     require(_same_subgroup(group, cover2.group, sub2), "NOT_A_MEMBER",
             "second cover group mismatch")
-    positions1 = subgroup_positions(group, sub1)
-    positions2 = subgroup_positions(group, sub2)
-    require(positions1 is not None, "NOT_A_MEMBER",
-            "G1 is not a subgroup of the group")
-    require(positions2 is not None, "NOT_A_MEMBER",
-            "G2 is not a subgroup of the group")
-    require(group.span(positions1 + positions2).bit_count()
-            == len(group.index()),
+    positions = subgroup_positions(group, sub1) \
+        + subgroup_positions(group, sub2)
+    require(group.span(positions).bit_count() == len(group.index()),
             "NOT_GENERATING", "<G1, G2> is a proper subgroup")
     for cover, y in ((cover1, y1), (cover2, y2)):
         require(config_connected(cover.base), "BASE_NOT_CONNECTED")
@@ -427,7 +381,7 @@ def glue_two_components(group: PermutationGroup,
     new_index = len(new_config.identification_classes) - 1
     new_class = new_config.identification_classes[new_index]
     gluings[new_index] = {
-        new_class.members[1]: Gluing.of_constant(Perm.identity(group.degree))}
+        new_class.members[1]: Gluing(Perm.identity(group.degree))}
     monodromy = {**cover1.monodromy, **cover2.monodromy}
     ramification = {**cover1.ramification, **cover2.ramification}
     return CoverDescriptor(new_config, group, monodromy, gluings, ramification)
@@ -595,29 +549,16 @@ def normalize_spanning_tree(cover: CoverDescriptor) -> CoverDescriptor:
     tree, _ = spanning_tree(config)
     identity = Perm.identity(cover.group.degree)
     translation = {min(c.id for c in config.components): identity}
-    # propagate translations outward along the tree
-    pending = list(tree)
-    while pending:
-        progressed = False
-        for edge in list(pending):
-            ci, branch = edge
-            base = config.identification_classes[ci].base_branch
-            c = cover.gluings[ci][branch].constant
-            a, b = base.component_id, branch.component_id
-            if a in translation and b not in translation:
-                # want t_b * c * t_a^{-1} = identity
-                translation[b] = translation[a] * c.inverse
-            elif b in translation and a not in translation:
-                translation[a] = translation[b] * c
-            elif a in translation and b in translation:
-                pass
-            else:
-                continue
-            pending.remove(edge)
-            progressed = True
-        require(progressed, "BASE_NOT_CONNECTED", "tree propagation stalled")
-    for comp in config.components:
-        translation.setdefault(comp.id, identity)
+    # the tree edges come in BFS order from that component, so one end of
+    # each edge already has its translation; want t_b * c * t_a^-1 = 1
+    for ci, branch in tree:
+        c = cover.gluings[ci][branch].constant
+        a = config.identification_classes[ci].base_branch.component_id
+        b = branch.component_id
+        if a in translation:
+            translation[b] = translation[a] * c.inverse
+        else:
+            translation[a] = translation[b] * c
 
     gluings = {}
     for ci, branches in cover.gluings.items():
@@ -627,7 +568,7 @@ def normalize_spanning_tree(cover: CoverDescriptor) -> CoverDescriptor:
         for branch, gluing in branches.items():
             t_branch = translation[branch.component_id]
             new_c = t_branch * gluing.constant * t_base.inverse
-            gluings[ci][branch] = Gluing.of_constant(new_c)
+            gluings[ci][branch] = Gluing(new_c)
     monodromy = {comp_id: sub.conjugate(translation[comp_id])
                  for comp_id, sub in cover.monodromy.items()}
     return CoverDescriptor(config, cover.group, monodromy, gluings,
@@ -731,13 +672,13 @@ def cover_to_json(cover: CoverDescriptor) -> dict:
     }
 
 
-def cover_from_json(data: dict, group_resolver=None) -> CoverDescriptor:
+def cover_from_json(data: dict) -> CoverDescriptor:
     from .catalog import catalog_group, group_from_json
     try:
         config = CurveConfiguration.from_json(data["configuration"])
         group_data = data["group"]
         if isinstance(group_data, str):
-            group = (group_resolver or catalog_group)(group_data)
+            group = catalog_group(group_data)
         else:
             group = group_from_json(group_data)
         monodromy = {
@@ -749,7 +690,7 @@ def cover_from_json(data: dict, group_resolver=None) -> CoverDescriptor:
             ci = entry["class_index"]
             branch = PointRef.from_json(entry["branch"])
             if "constant" in entry:
-                g = Gluing.of_constant(Perm.from_one_indexed(entry["constant"]))
+                g = Gluing(Perm.from_one_indexed(entry["constant"]))
             else:
                 g = Gluing.of_mapping(
                     {Perm.from_one_indexed(a): Perm.from_one_indexed(b)
@@ -760,5 +701,5 @@ def cover_from_json(data: dict, group_resolver=None) -> CoverDescriptor:
                 tuple(Perm.from_one_indexed(im) for im in entry["inertia"])
             for entry in data.get("ramification", [])}
         return build_descriptor(config, group, monodromy, gluings, ramification)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise DomainError("BAD_COVER_FILE", repr(exc))

@@ -110,10 +110,6 @@ class CurveConfiguration:
                 return i
         return None
 
-    def is_smooth_marked_point(self, ref: PointRef) -> bool:
-        return (self.has_point(ref) and self.class_of(ref) is None
-                and ref not in self.removed_points)
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:

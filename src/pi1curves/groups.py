@@ -36,6 +36,14 @@ def is_prime(p: int) -> bool:
     return all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
+def _p_part(n: int, p: int) -> int:
+    """The largest power of the prime p that divides n >= 1."""
+    part = 1
+    while n % (part * p) == 0:
+        part *= p
+    return part
+
+
 class _ChainLevel:
     """One level of a stabilizer chain: base point, orbit transversal,
     and the chain of the stabilizer."""
@@ -298,10 +306,7 @@ def normal_closure(group: PermutationGroup, perms) -> PermutationGroup:
 def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     """A Sylow p-subgroup, by ascending chain through normalizing p-elements."""
     require(is_prime(p), "NOT_PRIME", f"p = {p}")
-    order = group.order()
-    p_part = 1
-    while order % (p_part * p) == 0:
-        p_part *= p
+    p_part = _p_part(group.order(), p)
     if p_part == 1:
         return PermutationGroup.trivial(group.degree)
     elements, index = group.elements(), group.index()
@@ -312,9 +317,7 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
                 continue
             # p-power part of x
             k = x.order()
-            m = 1
-            while k % (m * p) == 0:
-                m *= p
+            m = _p_part(k, p)
             if m == 1:
                 continue
             j = index[reduce(mul, [x] * (k // m))]
@@ -376,14 +379,14 @@ def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
 
 # -- minimal generators -----------------------------------------------------
 
-def min_generators(group: PermutationGroup, bound: int = MIN_GEN_BOUND,
-                   seed: int = 0, random_budget: int = 64) -> int:
+def min_generators(group: PermutationGroup, seed: int = 0) -> int:
     """d(G): the minimal number of generators, by exhaustive search over
-    element positions; raises GROUP_TOO_LARGE above `bound`."""
+    element positions; raises GROUP_TOO_LARGE above MIN_GEN_BOUND."""
     order = group.order()
     if order == 1:
         return 0
-    require(order <= bound, "GROUP_TOO_LARGE", f"|G| = {order} > {bound}")
+    require(order <= MIN_GEN_BOUND, "GROUP_TOO_LARGE",
+            f"|G| = {order} > {MIN_GEN_BOUND}")
     full = (1 << order) - 1
     nontrivial = range(1, order)  # the identity is position 0
     # one generator per cyclic subgroup, the smallest in element order
@@ -394,9 +397,9 @@ def min_generators(group: PermutationGroup, bound: int = MIN_GEN_BOUND,
     rng = Random(seed)
     k = 1
     while True:
-        # randomized probe first; a hit at level k is conclusive because
-        # every level below k was already exhausted
-        for _ in range(random_budget):
+        # 64 randomized probes first; a hit at level k is conclusive
+        # because every level below k was already exhausted
+        for _ in range(64):
             candidate = [rng.choice(nontrivial) for _ in range(k)]
             if group.span(candidate) == full:
                 return k
@@ -443,11 +446,11 @@ def abelianization_p_rank(group: PermutationGroup, p: int) -> int:
 
 # -- subgroup lattice and counting ------------------------------------------
 
-def _lattice_masks(group: PermutationGroup, bound: int) -> list:
+def _lattice_masks(group: PermutationGroup) -> list:
     """All subgroups as masks (PermutationGroup.span), sorted by order and
     then by the sorted list of their element positions."""
-    require(group.order() <= bound, "GROUP_TOO_LARGE",
-            f"|G| = {group.order()} > {bound}")
+    require(group.order() <= LATTICE_BOUND, "GROUP_TOO_LARGE",
+            f"|G| = {group.order()} > {LATTICE_BOUND}")
     # close the cyclic subgroups under pairwise joins; each subgroup keeps
     # the generators it was first found with, and a join spans those
     gens = {1: ()}
@@ -476,10 +479,10 @@ def _positions_of(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _moebius_masks(group: PermutationGroup, bound: int) -> dict:
+def _moebius_masks(group: PermutationGroup) -> dict:
     """μ(H, G) as {mask of H: μ}, largest subgroups first."""
     mu: dict = {}
-    for h in sorted(_lattice_masks(group, bound), key=lambda m: -m.bit_count()):
+    for h in sorted(_lattice_masks(group), key=lambda m: -m.bit_count()):
         # every subgroup already in mu is at least as large as h, so the
         # proper overgroups of h among them are exactly its supersets
         mu[h] = -sum(m for k, m in mu.items() if not h & ~k) if mu else 1
@@ -491,25 +494,25 @@ def _frozenset_of(group: PermutationGroup, mask: int) -> frozenset:
     return frozenset(elements[i] for i in _positions_of(mask))
 
 
-def subgroup_lattice(group: PermutationGroup, bound: int = LATTICE_BOUND):
+def subgroup_lattice(group: PermutationGroup):
     """All subgroups (up to equality) as frozensets of elements, sorted by
     order and then by their sorted elements.
 
     Computed by closing the cyclic subgroups under pairwise joins.
     """
-    return [_frozenset_of(group, m) for m in _lattice_masks(group, bound)]
+    return [_frozenset_of(group, m) for m in _lattice_masks(group)]
 
 
-def moebius(group: PermutationGroup, bound: int = LATTICE_BOUND):
+def moebius(group: PermutationGroup):
     """Moebius function μ(H, G) on the subgroup lattice, as {H: μ}."""
     return {_frozenset_of(group, h): m
-            for h, m in _moebius_masks(group, bound).items()}
+            for h, m in _moebius_masks(group).items()}
 
 
-def eulerian(group: PermutationGroup, k: int, bound: int = LATTICE_BOUND) -> int:
+def eulerian(group: PermutationGroup, k: int) -> int:
     """φ_k(G): the number of generating k-tuples, via Moebius inversion."""
     return sum(m * h.bit_count() ** k
-               for h, m in _moebius_masks(group, bound).items())
+               for h, m in _moebius_masks(group).items())
 
 
 def count_generating_tuples(group: PermutationGroup, k: int) -> int:
@@ -524,9 +527,7 @@ def count_generating_tuples(group: PermutationGroup, k: int) -> int:
 
 def is_p_group(group: PermutationGroup, p: int) -> bool:
     order = group.order()
-    while order % p == 0:
-        order //= p
-    return order == 1
+    return _p_part(order, p) == order
 
 
 def nakajima_tG(group: PermutationGroup, p: int):

@@ -192,8 +192,7 @@ def cross_check_descent(group: PermutationGroup,
         for pairs in cover_rel:
             labels = dict(pairs)
             if labels.get(cls.base_branch) == a:
-                labels[cls.members[1]] = direct.gluings[0][
-                    cls.members[1]].apply(b)
+                labels[cls.members[1]] = b  # direct glues by the identity
             corrupted.append({(ref, x) for ref, x in labels.items()})
         try:
             descend(base_cover, base_rel, corrupted)

@@ -15,7 +15,8 @@ from .curves import (CurveConfiguration, affine_delta, delta,
                      is_connected, require_valid)
 from .errors import require
 from .groups import (PermutationGroup, abelianization_p_rank, is_p_group,
-                     is_prime, min_generators, quasi_p_part, quotient)
+                     is_prime, min_generators, nakajima_tG, quasi_p_part,
+                     quotient)
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,11 @@ def nakajima_check(group: PermutationGroup, p: int,
     require(config.is_projective, "NOT_PROJECTIVE")
     require(is_connected(config), "NOT_CONNECTED")
     bound = sum(c.genus for c in config.components) + delta(config)
-    if not is_p_group(group, p):
+    t = nakajima_tG(group, p)
+    if t is None:
         return RealizabilityVerdict(
             "Unknown", "nakajima",
             {"bound": bound, "reason": "t_G unsupported for non-p-groups"})
-    t = min_generators(group)
     evidence = {"t_G": t, "bound": bound}
     if t > bound:
         return RealizabilityVerdict("No", "nakajima", evidence)

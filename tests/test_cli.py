@@ -175,3 +175,25 @@ def test_malformed_config_is_bad_config_file(capsys, tmp_path, name):
         assert code == 1
         assert out == ""
         assert err.startswith("error: BAD_CONFIG_FILE: ")
+
+
+# cover and script files of the wrong shape that used to end in a traceback
+MALFORMED_COVER_INPUTS = {
+    "monodromy_list": ("export-dot", "BAD_COVER_FILE", lambda: {
+        **cover_to_json(build_descriptor(nodal_curve(5), catalog_group("S3"))),
+        "monodromy": []}),
+    "bare_number": ("export-dot", "BAD_CONFIG_FILE", lambda: 5),
+    "step_not_object": ("glue", "BAD_COVER_FILE",
+                        lambda: {"covers": {}, "steps": [5]}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_COVER_INPUTS)
+def test_malformed_cover_input_exits_1(capsys, tmp_path, name):
+    command, error_code, make = MALFORMED_COVER_INPUTS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(make()))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {error_code}: ")

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from pi1curves.catalog import catalog_group, cyclic
+from pi1curves.catalog import catalog_group, cyclic, symmetric
 from pi1curves.covers import (
     Gluing,
     build_descriptor,
     connectivity_criterion,
     cover_from_json,
     cover_to_json,
-    coset_transversal,
     descend,
     dual_graph_dot,
     glue_same_component,
@@ -86,17 +85,37 @@ def test_build_descriptor_etale_genus_zero_guard():
     assert cover.monodromy_of("C1").order() == 2
 
 
+@pytest.mark.parametrize("name, code", [
+    ("monodromy", "NOT_A_MEMBER"),
+    ("inertia_generator", "NOT_A_MEMBER"),
+    ("gluing_constant", "NOT_A_MEMBER"),
+    ("constant_of_another_degree", "NOT_A_MEMBER"),
+    ("group_above_enum_bound", "GROUP_TOO_LARGE"),
+])
+def test_build_descriptor_rejects_non_members(name, code):
+    S3, A3, flip = s3_and_a3()
+    branch = P("C1", "1")
+    arguments = {
+        "monodromy": {"monodromy": {"C1": subgroup_generated(S3, [flip])}},
+        "inertia_generator": {"ramification": {P("C1", "0"): (flip,)}},
+        "gluing_constant": {"gluings": {0: {branch: flip}}},
+        "constant_of_another_degree": {
+            "gluings": {0: {branch: Perm.identity(4)}}},
+        "group_above_enum_bound": {"group": symmetric(8)},
+    }[name]
+    config = CurveConfiguration.build(
+        5, [("C1", 1)], {"C1": ["0", "1"]}, [[P("C1", "0"), branch]])
+    with pytest.raises(DomainError) as err:
+        build_descriptor(config, **{"group": A3, **arguments})
+    assert err.value.code == code
+
+
 def test_induce_and_transversal():
     S3, A3, _ = s3_and_a3()
     base = CurveConfiguration.build(5, [("C1", 1)], {"C1": ["a"]}, [])
     cover = build_descriptor(base, A3, monodromy={"C1": A3})
-    reps = coset_transversal(S3, A3)
-    assert len(reps) == 2 and reps[0].is_identity()
-    bigger = induce(cover, S3, reps)
+    bigger = induce(cover, S3)
     assert bigger.group.same_group(S3)
-    with pytest.raises(DomainError) as err:
-        induce(cover, S3, [reps[0], reps[0]])
-    assert err.value.code == "NOT_A_TRANSVERSAL"
 
 
 def test_induce_requires_subgroup():
@@ -210,6 +229,38 @@ def test_glue_same_component_rejects_non_subgroup():
         glue_same_component(A3, outside, rotation, cover,
                             P("C1", "a"), P("C1", "b"))
     assert err.value.code == "NOT_A_MEMBER"
+
+
+@pytest.mark.parametrize("name", ["S3", "SL23"])
+def test_cover_calculus_never_sifts(monkeypatch, name):
+    # membership is read off the element index: no stabilizer-chain sift
+    def forbidden(*args):
+        raise AssertionError("sifted through the stabilizer chain")
+
+    G = catalog_group(name)
+    a, b = G.generators
+    H, H2 = subgroup_generated(G, [a]), subgroup_generated(G, [b])
+    for attr in ("contains", "is_subgroup_of", "same_group"):
+        monkeypatch.setattr(PermutationGroup, attr, forbidden)
+    base = CurveConfiguration.build(5, [("C1", 1)],
+                                    {"C1": ["a", "b", "r"]}, [])
+    cover = build_descriptor(base, H, monodromy={"C1": H},
+                             ramification={P("C1", "r"): (a,)})
+    glued = glue_same_component(G, H, b, cover, P("C1", "a"), P("C1", "b"))
+    assert is_connected(glued) and is_galois(glued)
+    data = cover_to_json(glued)
+    assert cover_to_json(cover_from_json(data)) == data
+    assert sheet_graph_dot(glued).startswith("graph sheets {")
+    base2 = CurveConfiguration.build(5, [("D1", 1)], {"D1": ["a"]}, [])
+    cover2 = build_descriptor(base2, H2, monodromy={"D1": H2})
+    joined = glue_two_components(G, H, H2, cover, cover2,
+                                 P("C1", "a"), P("D1", "a"))
+    norm = normalize_spanning_tree(joined)
+    assert is_connected(norm) and is_galois(norm)
+    assert induce(cover, G).group is G
+    relation = [{(P("C1", "a"), x), (P("C1", "b"), a * x)}
+                for x in H.elements()]
+    assert is_galois(descend(cover, [{P("C1", "a"), P("C1", "b")}], relation))
 
 
 # -- descent ----------------------------------------------------------------
