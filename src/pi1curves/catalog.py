@@ -313,6 +313,9 @@ def group_from_json(data: dict) -> PermutationGroup:
         gens = [Perm.from_one_indexed(images) for images in data["generators"]]
     except (KeyError, TypeError) as exc:
         raise DomainError("BAD_GROUP_FILE", str(exc))
+    if type(degree) is not int or degree < 1:
+        raise DomainError("BAD_GROUP_FILE",
+                          f"degree must be a positive int, not {degree!r}")
     for g in gens:
         if g.degree != degree:
             raise DomainError("DEGREE_MISMATCH",

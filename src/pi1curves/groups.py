@@ -1,17 +1,20 @@
 """Finite permutation-group engine.
 
 A group has two representations.  Order and membership go through a
-deterministic Schreier-Sims stabilizer chain (base points chosen as the
-smallest moved point at each level), which works at any size.  Everything
-that enumerates runs on the element index of a group small enough to list
-(|G| <= ENUM_BOUND): elements are numbered by their position in
-elements(), multiplication is a lookup in cached rows, and a subgroup is
-an int bitmask over those positions (span), so the subset test is
-a & ~b == 0 and the order is a.bit_count().  On the index run the cover
-calculus, subgroup lattices, Moebius/Eulerian counting, minimal generator
-counts, Sylow subgroups, normal closures, quotients and sigma(G); they
-raise GROUP_TOO_LARGE above ENUM_BOUND and build no chain for the
-subgroups they pass through.
+stabilizer chain on plain image tuples, built by deterministic
+Schreier-Sims with sifting: every Schreier generator is sifted through the
+deeper levels, only a residue that fails to sift becomes a new strong
+generator, and a new level takes the smallest point that residue moves.
+The order is the product of the orbit sizes, membership is a sift, and
+the chain builds no Perm.  Everything that enumerates runs on the element
+index of a group small enough to list (|G| <= ENUM_BOUND): elements are
+numbered by their position in elements(), multiplication is a lookup in
+cached rows, and a subgroup is an int bitmask over those positions (span),
+so the subset test is a & ~b == 0 and the order is a.bit_count().  On the
+index run the cover calculus, subgroup lattices, Moebius/Eulerian
+counting, minimal generator counts, Sylow subgroups, normal closures,
+quotients and sigma(G); they raise GROUP_TOO_LARGE above ENUM_BOUND and
+build no chain for the subgroups they pass through.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from math import prod
 from operator import mul
 from random import Random
 
 from .errors import DomainError, require
-from .perms import Perm
+from .perms import Perm, compose, invert
 
 ENUM_BOUND = 10_000          # full element enumeration allowed up to here
 MIN_GEN_BOUND = 2_000        # deterministic min_generators bound
@@ -44,57 +48,48 @@ def _p_part(n: int, p: int) -> int:
     return part
 
 
-class _ChainLevel:
-    """One level of a stabilizer chain: base point, orbit transversal,
-    and the chain of the stabilizer."""
+# A stabilizer chain is a list of levels (base point, orbit, generators) on
+# image tuples: the orbit maps each point q to (u, u^-1) with u(base) = q,
+# and each strong generator added at the level is paired with its inverse.
 
-    def __init__(self, generators, degree):
-        self.base = min(i for g in generators for i in range(degree)
-                        if g(i) != i)
-        # BFS orbit of the base point with coset representatives.
-        transversal = {self.base: Perm.identity(degree)}
-        frontier = [self.base]
-        while frontier:
-            new_frontier = []
-            for point in frontier:
-                for g in generators:
-                    image = g(point)
-                    if image not in transversal:
-                        transversal[image] = g * transversal[point]
-                        new_frontier.append(image)
-            frontier = sorted(new_frontier)
-        self.transversal = transversal
-        # Schreier generators for the stabilizer of the base point.
-        schreier = []
-        seen = set()
-        for point in sorted(transversal):
-            t_point = transversal[point]
-            for g in generators:
-                s = transversal[g(point)].inverse * g * t_point
-                if not s.is_identity() and s.images not in seen:
-                    seen.add(s.images)
-                    schreier.append(s)
-        self.stabilizer = _build_chain(schreier, degree)
-
-    def order(self) -> int:
-        rest = self.stabilizer.order() if self.stabilizer else 1
-        return len(self.transversal) * rest
-
-    def sift(self, perm) -> bool:
-        image = perm(self.base)
-        if image not in self.transversal:
-            return False
-        rest = self.transversal[image].inverse * perm
-        if self.stabilizer is None:
-            return rest.is_identity()
-        return self.stabilizer.sift(rest)
+def _sift(chain: list, g: tuple, start: int = 0) -> tuple:
+    """Strip g through chain[start:]; g lies in the group of chain[start]
+    iff the residue is the identity."""
+    for base, orbit, _ in chain[start:]:
+        coset = orbit.get(g[base])
+        if coset is None:
+            return g
+        g = compose(coset[1], g)
+    return g
 
 
-def _build_chain(generators, degree):
-    generators = [g for g in generators if not g.is_identity()]
-    if not generators:
-        return None
-    return _ChainLevel(generators, degree)
+def _extend(chain: list, depth: int, g: tuple, identity: tuple) -> None:
+    """Add g, which fixes the base points above depth and does not sift
+    through chain[depth:], as a strong generator at depth (a new level takes
+    the smallest point g moves).  Each new Schreier generator u_q^-1 * s * u_p
+    (every old orbit point p with g, every new one with every generator) is
+    sifted through the deeper levels; a residue that is not the identity is
+    added one level down.
+    """
+    if depth == len(chain):
+        base = next(i for i, x in enumerate(g) if i != x)
+        chain.append((base, {base: (identity, identity)}, []))
+    _, orbit, gens = chain[depth]
+    gens.append((g, invert(g)))
+    pairs = [(p, gens[-1]) for p in orbit]
+    while pairs:
+        seen = len(orbit)
+        for p, (s, s_inv) in pairs:
+            u, u_inv = orbit[p]
+            su = compose(s, u)
+            coset = orbit.get(s[p])
+            if coset is None:
+                orbit[s[p]] = (su, compose(u_inv, s_inv))
+                continue
+            residue = _sift(chain, compose(coset[1], su), depth + 1)
+            if residue != identity:
+                _extend(chain, depth + 1, residue, identity)
+        pairs = [(p, gen) for p in list(orbit)[seen:] for gen in gens]
 
 
 @dataclass(frozen=True)
@@ -125,23 +120,24 @@ class PermutationGroup:
 
     # -- order / membership -------------------------------------------------
 
-    def _chain(self):
+    def _chain(self) -> list:
         if "chain" not in self._memo:
-            self._memo["chain"] = _build_chain(list(self.generators), self.degree)
+            identity, chain = tuple(range(self.degree)), []
+            for g in self.generators:
+                residue = _sift(chain, g.images)
+                if residue != identity:
+                    _extend(chain, 0, residue, identity)
+            self._memo["chain"] = chain
         return self._memo["chain"]
 
     def order(self) -> int:
-        chain = self._chain()
-        return chain.order() if chain else 1
+        return prod(len(orbit) for _, orbit, _ in self._chain())
 
     def contains(self, perm) -> bool:
         if perm.degree != self.degree:
             raise DomainError("DEGREE_MISMATCH",
                               f"{perm.degree} != {self.degree}")
-        if perm.is_identity():
-            return True
-        chain = self._chain()
-        return chain.sift(perm) if chain else False
+        return _sift(self._chain(), perm.images) == tuple(range(self.degree))
 
     def __contains__(self, perm) -> bool:
         return self.contains(perm)

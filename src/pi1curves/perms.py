@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .errors import DomainError
 
@@ -53,30 +54,25 @@ class Perm:
             raise DomainError("DEGREE_MISMATCH",
                               f"{len(a)} != {len(b)}")
         # composites of valid permutations need no re-validation
-        return _intern(tuple(a[i] for i in b))
+        return _intern(compose(a, b))
 
     @cached_property
     def inverse(self) -> "Perm":
-        images = [0] * self.degree
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return Perm(tuple(images))
+        return Perm(invert(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
     def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
+        """The lcm of the cycle lengths."""
+        return lcm(*map(len, self.cycles()))
 
     def __lt__(self, other: "Perm") -> bool:
         return self.images < other.images
 
-    def cycle_string(self) -> str:
+    def cycles(self) -> list:
+        """The cycles of length at least 2, 0-indexed, each starting at its
+        smallest point, in the order of those points."""
         seen = set()
         out = []
         for i in range(self.degree):
@@ -88,11 +84,24 @@ class Perm:
                 seen.add(j)
                 cycle.append(j)
                 j = self.images[j]
-            out.append("(" + " ".join(str(c + 1) for c in cycle) + ")")
-        return "".join(out) or "()"
+            out.append(cycle)
+        return out
+
+    def cycle_string(self) -> str:
+        return "".join("(" + " ".join(str(c + 1) for c in cycle) + ")"
+                       for cycle in self.cycles()) or "()"
 
     def __repr__(self):
         return f"Perm[{self.cycle_string()}]"
+
+
+def compose(a: tuple, b: tuple) -> tuple:
+    """a * b on image tuples."""
+    return tuple(map(a.__getitem__, b))
+
+
+def invert(a: tuple) -> tuple:
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
 _INTERNED: dict = {}

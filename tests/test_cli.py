@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -197,3 +198,27 @@ def test_malformed_cover_input_exits_1(capsys, tmp_path, name):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {error_code}: ")
+
+
+def test_realizable_big_group_is_too_large_fast(capsys, tmp_path, nodal_file):
+    # S14 on three generators: its order comes from a 13-level chain
+    generators = [[2, 1] + list(range(3, 15)), list(range(2, 15)) + [1],
+                  [4, 8, 1, 13, 6, 2, 10, 14, 3, 12, 5, 11, 7, 9]]
+    path = tmp_path / "g14.json"
+    path.write_text(json.dumps({"degree": 14, "generators": generators}))
+    started = time.time()
+    code, out, err = run(capsys, "realizable", nodal_file, "--group", str(path))
+    elapsed = time.time() - started
+    assert code == 1 and out == ""
+    assert err == "error: GROUP_TOO_LARGE: |G| = 87178291200 > 2000\n"
+    assert elapsed < 5, f"{elapsed:.1f}s over the 5s budget"
+
+
+@pytest.mark.parametrize("degree", ["3", True, 0, None, 2.5])
+def test_group_file_degree_must_be_positive_int(capsys, tmp_path, nodal_file,
+                                                degree):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": degree, "generators": [[1]]}))
+    code, out, err = run(capsys, "realizable", nodal_file, "--group", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: BAD_GROUP_FILE: degree must be")

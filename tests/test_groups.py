@@ -1,8 +1,11 @@
 import random
+from functools import reduce
+from math import factorial
+from operator import mul
 
 import pytest
 
-from pi1curves import groups
+from pi1curves import groups, perms
 from pi1curves.catalog import (alternating, catalog_group, catalog_groups,
                                cyclic, dihedral, symmetric)
 from pi1curves.errors import DomainError
@@ -266,3 +269,114 @@ def test_quotient_layer_needs_an_enumerable_group():
         assert err.value.code == "GROUP_TOO_LARGE"
     # p does not divide |S8|: the trivial Sylow subgroup needs no elements
     assert sylow_subgroup(S8, 11).order() == 1
+
+
+# -- the stabilizer chain against sympy --------------------------------------
+
+def _standard_generators():
+    """S_n and A_n (n = 8..12), M11 and M12 on standard generators, with
+    their orders."""
+    out = {}
+    for n in range(8, 13):
+        cycle = tuple(range(1, n + 1))
+        out[f"S{n}"] = (factorial(n), [Perm.from_cycles(n, [(1, 2)]),
+                                       Perm.from_cycles(n, [cycle])])
+        odd_cycle = cycle if n % 2 else cycle[1:]
+        out[f"A{n}"] = (factorial(n) // 2,
+                        [Perm.from_cycles(n, [(1, 2, 3)]),
+                         Perm.from_cycles(n, [odd_cycle])])
+    m11 = [Perm.from_cycles(11, [tuple(range(1, 12))]),
+           Perm.from_cycles(11, [(3, 7, 11, 8), (4, 10, 5, 6)])]
+    out["M11"] = (7920, m11)
+    out["M12"] = (95040, [
+        Perm.from_cycles(12, [tuple(range(1, 12))]),
+        Perm.from_cycles(12, [(3, 7, 11, 8), (4, 10, 5, 6)]),
+        Perm.from_cycles(12, [(1, 12), (2, 11), (3, 6), (4, 8), (5, 9),
+                              (7, 10)])])
+    return out
+
+
+def _padded_conjugate(rng, gens):
+    """gens and two random words of length 20 in them, conjugated by a
+    random permutation."""
+    degree = gens[0].degree
+    padded = gens + [reduce(mul, rng.choices(gens, k=20)) for _ in range(2)]
+    images = list(range(degree))
+    rng.shuffle(images)
+    t = Perm(tuple(images))
+    return [t * g * t.inverse for g in padded]
+
+
+def _random_perm(rng, degree):
+    images = list(range(degree))
+    rng.shuffle(images)
+    return Perm(tuple(images))
+
+
+def _agrees_with_sympy(sympy_groups, G, queries):
+    S = sympy_groups.PermutationGroup(
+        [sympy_groups.Permutation(list(g.images)) for g in G.generators]
+        or [sympy_groups.Permutation(list(range(G.degree)))])
+    assert G.order() == S.order()
+    return [G.contains(x) for x in queries] == \
+        [S.contains(sympy_groups.Permutation(list(x.images)))
+         for x in queries]
+
+
+@pytest.fixture(scope="module")
+def sympy_groups():
+    return pytest.importorskip("sympy.combinatorics")
+
+
+def test_chain_matches_sympy_on_catalog(sympy_groups):
+    rng = random.Random(3)
+    for name, G in catalog_groups():
+        queries = list(G.elements()[:5]) + [_random_perm(rng, G.degree)
+                                            for _ in range(5)]
+        assert _agrees_with_sympy(sympy_groups, G, queries), name
+
+
+@pytest.mark.parametrize("name", sorted(_standard_generators()))
+def test_chain_matches_sympy_on_large_groups(sympy_groups, name):
+    order, gens = _standard_generators()[name]
+    rng = random.Random(name)
+    conj = _padded_conjugate(rng, gens)
+    G = PermutationGroup.from_generators(conj)
+    members = [reduce(mul, rng.choices(conj, k=rng.randint(5, 30)))
+               for _ in range(10)]
+    queries = members + [_random_perm(rng, G.degree) for _ in range(10)]
+    assert _agrees_with_sympy(sympy_groups, G, queries)
+    assert G.order() == order
+    assert all(G.contains(x) for x in members)
+    if name[0] != "S":  # an even group: no odd permutation lies in it
+        outside = Perm.from_cycles(G.degree, [(1, 2)])
+        assert not any(G.contains(x * outside) for x in members)
+
+
+def test_chain_matches_sympy_on_random_groups(sympy_groups):
+    rng = random.Random(1)
+    for _ in range(150):
+        degree = rng.randint(1, 16)
+        gens = [_random_perm(rng, degree) for _ in range(rng.randint(1, 3))]
+        if degree > 1 and rng.random() < 0.5:  # sparse: a transposition
+            gens[0] = Perm.from_cycles(degree, [tuple(rng.sample(
+                range(1, degree + 1), 2))])
+        G = PermutationGroup.from_generators(gens, degree)
+        queries = [_random_perm(rng, degree) for _ in range(5)]
+        assert _agrees_with_sympy(sympy_groups, G, queries), gens
+
+
+def test_chain_interns_no_perm():
+    order, gens = _standard_generators()["S12"]
+    G = PermutationGroup.from_generators(
+        _padded_conjugate(random.Random(0), gens))
+    query = Perm(tuple(reversed(range(12))))
+    interned = len(perms._INTERNED)
+    assert G.order() == order and G.contains(query)
+    assert len(perms._INTERNED) == interned
+
+
+def test_chain_degree_mismatch():
+    with pytest.raises(DomainError) as err:
+        symmetric(4).contains(Perm.identity(5))
+    assert err.value.code == "DEGREE_MISMATCH"

@@ -34,6 +34,20 @@ def test_inverse_random():
         assert (p.inverse * p).is_identity()
 
 
+def test_order_is_smallest_identity_power():
+    rng = random.Random(3)
+    for _ in range(50):
+        images = list(range(rng.randint(1, 12)))
+        rng.shuffle(images)
+        p = Perm(tuple(images))
+        power, k = p, 1
+        while not power.is_identity():
+            power, k = power * p, k + 1
+        assert p.order() == k
+    assert Perm.from_cycles(5, [(1, 2), (3, 4, 5)]).order() == 6
+    assert Perm.identity(1).order() == 1
+
+
 def test_one_indexed_round_trip():
     p = Perm.from_cycles(5, [(1, 3, 5)])
     assert Perm.from_one_indexed(p.to_one_indexed()) == p
