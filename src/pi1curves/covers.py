@@ -71,7 +71,7 @@ class Gluing:
         bijection of G (a constant or a label outside G)."""
         index = group.index()
         if self.constant is not None:
-            c = index.get(self.constant)
+            c = index.get(self.constant.images)
             return None if c is None else group.left_row(c)
         return _bijection_row(self.mapping, index)
 
@@ -81,7 +81,7 @@ def _bijection_row(items, index):
     items, or None unless it is a bijection of the indexed group."""
     row = [None] * len(index)
     for a, b in items:
-        i, j = index.get(a), index.get(b)
+        i, j = index.get(a.images), index.get(b.images)
         if i is None or j is None:
             return None
         row[i] = j
@@ -127,7 +127,7 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
         if not config.has_point(ref):
             raise DomainError("POINT_NOT_FOUND", str(ref))
         for p in perms:
-            if p not in index:
+            if p.images not in index:
                 raise DomainError("NOT_A_MEMBER", f"inertia generator {p}")
     for comp in config.components:
         sub = monodromy.get(comp.id)
@@ -153,7 +153,7 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
                 g = Gluing(Perm.identity(group.degree))
             elif isinstance(g, Perm):
                 g = Gluing(g)
-            if g.constant is not None and g.constant not in index:
+            if g.constant is not None and g.constant.images not in index:
                 raise DomainError("NOT_A_MEMBER",
                                   f"gluing constant {g.constant} not in G")
             full[ci][branch] = g
@@ -220,7 +220,7 @@ def _equivariant(group: PermutationGroup, row) -> bool:
     """row(x*g) == row(x)*g for every label x and every generator g."""
     index = group.index()
     for g in group.generators:
-        r = group.right_row(index[g])
+        r = group.right_row(index[g.images])
         if list(map(row.__getitem__, r)) != list(map(r.__getitem__, row)):
             return False
     return True
@@ -311,7 +311,7 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
             "base cover is not a cover for the given subgroup")
     require(gamma.degree == ambient.degree, "DEGREE_MISMATCH",
             f"{gamma.degree} != {ambient.degree}")
-    g = ambient.index().get(gamma)
+    g = ambient.index().get(gamma.images)
     require(g is not None, "NOT_A_MEMBER", "gamma not in the ambient group")
     positions = subgroup_positions(ambient, sub)
     require(ambient.span(positions + [g]).bit_count() == len(ambient.index()),
@@ -434,7 +434,7 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
         for ref, x in c:
             i, s = slot.get(ref, (None, 0))
             base_indices.add(i)
-            label = index.get(x)
+            label = index.get(x.images)
             if label is None:
                 label = outside.setdefault(x, n + len(outside))
             points.add(label * n_slots + s)
@@ -688,6 +688,9 @@ def cover_from_json(data: dict) -> CoverDescriptor:
         gluings: dict = {}
         for entry in data.get("gluings", []):
             ci = entry["class_index"]
+            if type(ci) is not int:
+                raise DomainError("BAD_COVER_FILE",
+                                  f"class_index must be an int, not {ci!r}")
             branch = PointRef.from_json(entry["branch"])
             if "constant" in entry:
                 g = Gluing(Perm.from_one_indexed(entry["constant"]))

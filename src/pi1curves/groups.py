@@ -1,20 +1,22 @@
 """Finite permutation-group engine.
 
-A group has two representations.  Order and membership go through a
-stabilizer chain on plain image tuples, built by deterministic
-Schreier-Sims with sifting: every Schreier generator is sifted through the
-deeper levels, only a residue that fails to sift becomes a new strong
-generator, and a new level takes the smallest point that residue moves.
-The order is the product of the orbit sizes, membership is a sift, and
-the chain builds no Perm.  Everything that enumerates runs on the element
-index of a group small enough to list (|G| <= ENUM_BOUND): elements are
-numbered by their position in elements(), multiplication is a lookup in
-cached rows, and a subgroup is an int bitmask over those positions (span),
-so the subset test is a & ~b == 0 and the order is a.bit_count().  On the
-index run the cover calculus, subgroup lattices, Moebius/Eulerian
-counting, minimal generator counts, Sylow subgroups, normal closures,
-quotients and sigma(G); they raise GROUP_TOO_LARGE above ENUM_BOUND and
-build no chain for the subgroups they pass through.
+Group elements are plain image tuples everywhere inside the engine;
+composition is perms.compose, and Perm appears only at the API boundary
+(generators in, elements() out).  Order and membership go through a
+stabilizer chain, built by deterministic Schreier-Sims with sifting: every
+Schreier generator is sifted through the deeper levels, only a residue
+that fails to sift becomes a new strong generator, and a new level takes
+the smallest point that residue moves.  The order is the product of the
+orbit sizes and membership is a sift.  Everything that enumerates runs on
+the element index of a group small enough to list (|G| <= ENUM_BOUND):
+elements are numbered by their position in elements(), index() maps each
+image tuple to its position, multiplication is a lookup in cached rows,
+and a subgroup is an int bitmask over those positions (span), so the
+subset test is a & ~b == 0 and the order is a.bit_count().  On the index
+run the cover calculus, subgroup lattices, Moebius/Eulerian counting,
+minimal generator counts, Sylow subgroups, normal closures, quotients and
+sigma(G); they raise GROUP_TOO_LARGE above ENUM_BOUND and build no chain
+for the subgroups they pass through.
 """
 
 from __future__ import annotations
@@ -147,15 +149,18 @@ class PermutationGroup:
         if "elements" not in self._memo:
             require(self.order() <= ENUM_BOUND, "GROUP_TOO_LARGE",
                     f"|G| = {self.order()} > {ENUM_BOUND}")
-            queue = [Perm.identity(self.degree)]
+            gens = [g.images for g in self.generators]
+            queue = [tuple(range(self.degree))]
             seen = set(queue)
             for x in queue:  # breadth first: the queue grows as we go
-                for g in self.generators:
-                    y = g * x
+                for g in gens:
+                    y = compose(g, x)
                     if y not in seen:
                         seen.add(y)
                         queue.append(y)
-            self._memo["elements"] = tuple(sorted(queue))
+            queue.sort()
+            self._memo["index"] = {x: i for i, x in enumerate(queue)}
+            self._memo["elements"] = tuple(map(Perm.trusted, queue))
         return self._memo["elements"]
 
     # -- element index ------------------------------------------------------
@@ -165,9 +170,8 @@ class PermutationGroup:
     # the smallest in sort order.
 
     def index(self) -> dict:
-        """Element -> its position in elements()."""
-        if "index" not in self._memo:
-            self._memo["index"] = {x: i for i, x in enumerate(self.elements())}
+        """Image tuple -> position in elements(), keys in that order."""
+        self.elements()
         return self._memo["index"]
 
     def left_row(self, i: int) -> tuple:
@@ -184,12 +188,12 @@ class PermutationGroup:
             rows = self._memo[side] = [None] * len(self.elements())
         row = rows[i]
         if row is None:
-            elements, index = self.elements(), self.index()
-            g = elements[i]
+            index = self.index()
+            g = self.elements()[i].images
             if side == "left":
-                row = tuple(index[g * x] for x in elements)
+                row = tuple(index[compose(g, x)] for x in index)
             else:
-                row = tuple(index[x * g] for x in elements)
+                row = tuple(index[compose(x, g)] for x in index)
             rows[i] = row
         return row
 
@@ -260,7 +264,7 @@ def subgroup_positions(group: PermutationGroup, sub: PermutationGroup):
     """Positions of sub's generators in group.elements(), or None unless
     sub is a subgroup of group."""
     index = group.index()
-    positions = [index.get(h) for h in sub.generators]
+    positions = [index.get(h.images) for h in sub.generators]
     if sub.degree != group.degree or None in positions:
         return None
     return positions
@@ -275,13 +279,14 @@ def _normal_closure(group: PermutationGroup, perms):
     for s in perms:
         if s.degree != group.degree:
             raise DomainError("DEGREE_MISMATCH", f"{s.degree} != {group.degree}")
-        if s not in index:
+        if s.images not in index:
             raise DomainError("NOT_A_MEMBER", f"{s} not in group")
-        if index[s]:
-            gens.append(index[s])
+        if index[s.images]:
+            gens.append(index[s.images])
     mask = group.span(gens)
     # g*x*g^-1 is right[left[x]] for the rows of each generator g of group
-    conjugators = [(group.left_row(index[g]), group.right_row(index[g.inverse]))
+    conjugators = [(group.left_row(index[g.images]),
+                    group.right_row(index[g.inverse.images]))
                    for g in group.generators]
     for n in gens:  # conjugates only the generators, as they are added
         for left, right in conjugators:
@@ -316,13 +321,13 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
             m = _p_part(k, p)
             if m == 1:
                 continue
-            j = index[reduce(mul, [x] * (k // m))]
+            j = index[reduce(compose, [x.images] * (k // m))]
             if mask >> j & 1:  # the identity is position 0, always set
                 continue
             # y must normalize the current p-subgroup
-            y = elements[j]
-            if all(mask >> index[y * elements[g] * y.inverse] & 1
-                   for g in gens):
+            y, y_inv = elements[j].images, elements[j].inverse.images
+            if all(mask >> index[compose(compose(y, elements[g].images),
+                                         y_inv)] & 1 for g in gens):
                 gens.append(j)
                 mask = group.span(gens)
                 break
@@ -347,14 +352,13 @@ class GroupHom:
     """Quotient presentation G -> G/N with image acting on the cosets of N,
     numbered in order of their smallest element."""
     source: PermutationGroup
-    kernel: PermutationGroup
     image: PermutationGroup
     _cosets: list = field(compare=False, repr=False)  # coset of each position
     _reps: tuple = field(compare=False, repr=False)   # smallest of each coset
 
     def map_element(self, g):
         """Image of g as a permutation of the cosets."""
-        row = self.source.left_row(self.source.index()[g])
+        row = self.source.left_row(self.source.index()[g.images])
         return Perm(tuple(self._cosets[row[r]] for r in self._reps))
 
 
@@ -365,7 +369,7 @@ def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
     require(_normal_closure(group, normal.generators)[1] == mask, "NOT_NORMAL",
             "subgroup is not normal")
     cosets, reps = group.coset_map(positions)
-    hom = GroupHom(group, normal, None, cosets, tuple(reps))
+    hom = GroupHom(group, None, cosets, tuple(reps))
     image = PermutationGroup.from_generators(
         [hom.map_element(g) for g in group.generators], max(1, len(reps)))
     require(len(cosets) == mask.bit_count() * image.order(),

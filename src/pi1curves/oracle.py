@@ -30,7 +30,7 @@ ENUMERATION_BOUND = 10 ** 7
 
 def _check_rational(config):
     require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE")
+    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
     require(is_connected(config), "NOT_CONNECTED")
     bad = [c.id for c in config.components if c.genus != 0]
     require(not bad, "GENUS_NONZERO",

@@ -63,7 +63,7 @@ def pro_p_rank(config: CurveConfiguration) -> int:
     """Rank of the maximal pro-p quotient: sum of component p-ranks plus
     delta."""
     require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE")
+    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
     require(is_connected(config), "NOT_CONNECTED")
     require(config.characteristic > 0, "BAD_CHARACTERISTIC",
             "pro-p rank needs p > 0")
@@ -76,7 +76,7 @@ def hasse_witt_check(group: PermutationGroup, p: int,
     _check_char(p)
     require(p > 0, "BAD_CHARACTERISTIC", "Hasse-Witt needs p > 0")
     require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE")
+    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
     require(is_connected(config), "NOT_CONNECTED")
     sigma = abelianization_p_rank(group, p)
     bound = sum(c.genus for c in config.components) + delta(config)
@@ -94,7 +94,7 @@ def nakajima_check(group: PermutationGroup, p: int,
     _check_char(p)
     require(p > 0, "BAD_CHARACTERISTIC", "Nakajima condition needs p > 0")
     require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE")
+    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
     require(is_connected(config), "NOT_CONNECTED")
     bound = sum(c.genus for c in config.components) + delta(config)
     t = nakajima_tG(group, p)
@@ -121,7 +121,7 @@ def projective_realizable(group: PermutationGroup, p: int,
     """
     _check_char(p)
     require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE")
+    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
     require(is_connected(config), "NOT_CONNECTED")
     d = min_generators(group)
     delta_ = delta(config)

@@ -178,7 +178,14 @@ def test_malformed_config_is_bad_config_file(capsys, tmp_path, name):
         assert err.startswith("error: BAD_CONFIG_FILE: ")
 
 
-# cover and script files of the wrong shape that used to end in a traceback
+def _nodal_cover_with_class_index(class_index):
+    data = cover_to_json(build_descriptor(nodal_curve(5), catalog_group("C3")))
+    data["gluings"][0]["class_index"] = class_index
+    return data
+
+
+# cover and script files of the wrong shape that used to end in a traceback,
+# or (class_index_*) to reach build_descriptor and exit with POINT_NOT_FOUND
 MALFORMED_COVER_INPUTS = {
     "monodromy_list": ("export-dot", "BAD_COVER_FILE", lambda: {
         **cover_to_json(build_descriptor(nodal_curve(5), catalog_group("S3"))),
@@ -186,6 +193,9 @@ MALFORMED_COVER_INPUTS = {
     "bare_number": ("export-dot", "BAD_CONFIG_FILE", lambda: 5),
     "step_not_object": ("glue", "BAD_COVER_FILE",
                         lambda: {"covers": {}, "steps": [5]}),
+    **{f"class_index_{i}": ("export-dot", "BAD_COVER_FILE",
+                            lambda i=i: _nodal_cover_with_class_index(i))
+       for i in ("x", "0", True)},
 }
 
 
@@ -198,6 +208,15 @@ def test_malformed_cover_input_exits_1(capsys, tmp_path, name):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {error_code}: ")
+
+
+def test_realizable_projective_on_affine_says_why(capsys, tmp_path):
+    path = tmp_path / "nodal_affine.json"
+    path.write_text(json.dumps(nodal_affine_curve(5).to_json()))
+    code, out, err = run(capsys, "realizable", str(path), "--group", "C3",
+                         "--mode", "projective")
+    assert code == 1 and out == ""
+    assert err == "error: NOT_PROJECTIVE: removed points present\n"
 
 
 def test_realizable_big_group_is_too_large_fast(capsys, tmp_path, nodal_file):

@@ -366,14 +366,36 @@ def test_chain_matches_sympy_on_random_groups(sympy_groups):
         assert _agrees_with_sympy(sympy_groups, G, queries), gens
 
 
-def test_chain_interns_no_perm():
+def test_no_perm_product_in_chain_or_index(monkeypatch):
+    # the chain and the element index compose image tuples; a Perm product
+    # anywhere below would raise here
+    def refuse(a, b):
+        raise AssertionError("Perm.__mul__ called")
+
     order, gens = _standard_generators()["S12"]
-    G = PermutationGroup.from_generators(
-        _padded_conjugate(random.Random(0), gens))
-    query = Perm(tuple(reversed(range(12))))
-    interned = len(perms._INTERNED)
-    assert G.order() == order and G.contains(query)
-    assert len(perms._INTERNED) == interned
+    padded = _padded_conjugate(random.Random(0), gens)
+    monkeypatch.setattr(Perm, "__mul__", refuse)
+    G = PermutationGroup.from_generators(padded)
+    assert G.order() == order and G.contains(Perm(tuple(reversed(range(12)))))
+    # (name, p, |p(G)|, |G/p(G)|, phi_2(G))
+    for name, p, normal, image, phi2 in (("S4", 3, 12, 2, 216),
+                                         ("SL23", 2, 8, 3, 384)):
+        G = catalog_group(name)
+        elements, index = G.elements(), G.index()
+        n = len(elements)
+        assert [index[x.images] for x in elements] == list(range(n))
+        for i in range(n):
+            for row in (G.left_row(i), G.right_row(i)):
+                assert row[0] == i and sorted(row) == list(range(n))
+        assert G.span(range(n)) == (1 << n) - 1
+        assert len(G.coset_map([1])[1]) * G.span([1]).bit_count() == n
+        assert min_generators(G) == 2 and eulerian(G, 2) == phi2
+        N = quasi_p_part(G, p)
+        hom = quotient(G, N)
+        assert N.order() == normal and hom.image.order() == image
+        assert {hom.map_element(x) for x in elements} \
+            == set(hom.image.elements())
+    assert perms._INTERNED == {}
 
 
 def test_chain_degree_mismatch():

@@ -15,3 +15,59 @@ def test_no_assert_in_package_code():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _module_level(tree):
+    """The statements that run at import: the module body and the blocks of
+    its if/try/with statements, but no function or class body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        yield node
+        for block in ("body", "orelse", "finalbody", "handlers"):
+            stack.extend(getattr(node, block, []))
+
+
+def _is_mutable_container(value) -> bool:
+    if isinstance(value, ast.Call):
+        return isinstance(value.func, ast.Name) \
+            and value.func.id in ("dict", "list", "set")
+    return isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                              ast.ListComp, ast.SetComp))
+
+
+def test_no_module_level_mutable_state():
+    # no unbounded global state: the one module-level container left is the
+    # always-empty perms._INTERNED, whose size the benchmark still reports
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _module_level(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) \
+                    and node.value is not None \
+                    and _is_mutable_container(node.value):
+                targets = getattr(node, "targets", None) or [node.target]
+                found += [f"{path.stem}.{ast.unparse(t)}" for t in targets]
+    assert found == ["perms._INTERNED"]
+
+
+def test_caches_decorate_only_zero_argument_functions():
+    # a cache on a function with arguments grows with every new argument
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            takes_arguments = (args.posonlyargs or args.args or args.vararg
+                               or args.kwonlyargs or args.kwarg)
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                name = ast.unparse(decorator).rsplit(".", 1)[-1]
+                if name in ("cache", "lru_cache") and takes_arguments:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
