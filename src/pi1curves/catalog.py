@@ -323,13 +323,9 @@ def group_from_json(data: dict) -> PermutationGroup:
     return PermutationGroup.from_generators(gens, degree)
 
 
-def _catalog_path():
-    return os.environ.get("PI1_CATALOG_PATH")
-
-
 @lru_cache(maxsize=None)
 def _load_catalog_data():
-    path = _catalog_path()
+    path = os.environ.get("PI1_CATALOG_PATH")
     if path:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -341,16 +337,23 @@ def catalog_names() -> list:
     return list(_load_catalog_data())
 
 
-def catalog_group(name: str) -> PermutationGroup:
+@lru_cache(maxsize=None)
+def _catalog_groups() -> dict:
+    """name -> group, built once per process: each keeps its own index."""
     data = _load_catalog_data()
-    if name not in data:
+    require(isinstance(data, dict), "BAD_GROUP_FILE", "not a JSON object")
+    return {n: group_from_json(e) for n, e in data.items()}
+
+
+def catalog_group(name: str) -> PermutationGroup:
+    groups = _catalog_groups()
+    if name not in groups:
         raise DomainError("UNKNOWN_GROUP", f"no catalog group named {name!r}")
-    return group_from_json(data[name])
+    return groups[name]
 
 
 def catalog_groups(max_order=None):
     """(name, group) pairs, optionally capped by order, in catalog order."""
-    for name in catalog_names():
-        group = catalog_group(name)
+    for name, group in _catalog_groups().items():
         if max_order is None or group.order() <= max_order:
             yield name, group

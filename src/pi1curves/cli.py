@@ -123,10 +123,12 @@ def cmd_glue(args):
     try:
         covers = {name: cover_from_json(data)
                   for name, data in script.get("covers", {}).items()}
-        steps = script["steps"]
-        output = script.get("output")
+        steps, output = script["steps"], script.get("output")
     except (KeyError, TypeError, AttributeError) as exc:
         raise DomainError("BAD_COVER_FILE", f"malformed script: {exc!r}")
+    if not isinstance(steps, list) or isinstance(output, (list, dict)):
+        raise DomainError("BAD_COVER_FILE",
+                          "steps must be a list and output a name")
     for step in steps:
         try:
             op = step["op"]

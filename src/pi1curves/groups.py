@@ -2,13 +2,14 @@
 
 Group elements are plain image tuples everywhere inside the engine;
 composition is perms.compose, and Perm appears only at the API boundary
-(generators in, elements() out).  Order and membership go through a
-stabilizer chain, built by deterministic Schreier-Sims with sifting: every
-Schreier generator is sifted through the deeper levels, only a residue
-that fails to sift becomes a new strong generator, and a new level takes
-the smallest point that residue moves.  The order is the product of the
-orbit sizes and membership is a sift.  Everything that enumerates runs on
-the element index of a group small enough to list (|G| <= ENUM_BOUND):
+(generators in, elements() out).  Order and membership, and only they, go
+through a stabilizer chain, built by deterministic Schreier-Sims with
+sifting: every Schreier generator is sifted through the deeper levels, only
+a residue that fails to sift becomes a new strong generator, and a new
+level takes the smallest point that residue moves.  The order is the
+product of the orbit sizes and membership is a sift.  Everything that
+enumerates runs on the element index of a group small enough to list
+(|G| <= ENUM_BOUND, checked by counting while listing, without a chain):
 elements are numbered by their position in elements(), index() maps each
 image tuple to its position, multiplication is a lookup in cached rows,
 and a subgroup is an int bitmask over those positions (span), so the
@@ -145,10 +146,9 @@ class PermutationGroup:
         return self.contains(perm)
 
     def elements(self) -> tuple:
-        """All elements in a deterministic (sorted) order."""
+        """All elements in a deterministic (sorted) order.  The bound is
+        checked by counting them, so listing builds no chain."""
         if "elements" not in self._memo:
-            require(self.order() <= ENUM_BOUND, "GROUP_TOO_LARGE",
-                    f"|G| = {self.order()} > {ENUM_BOUND}")
             gens = [g.images for g in self.generators]
             queue = [tuple(range(self.degree))]
             seen = set(queue)
@@ -158,6 +158,9 @@ class PermutationGroup:
                     if y not in seen:
                         seen.add(y)
                         queue.append(y)
+                if len(queue) > ENUM_BOUND:
+                    raise DomainError("GROUP_TOO_LARGE",
+                                      f"|G| = {self.order()} > {ENUM_BOUND}")
             queue.sort()
             self._memo["index"] = {x: i for i, x in enumerate(queue)}
             self._memo["elements"] = tuple(map(Perm.trusted, queue))

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from pi1curves.catalog import (
     build_catalog,
     catalog_group,
@@ -11,6 +13,7 @@ from pi1curves.catalog import (
     group_from_json,
     group_to_json,
 )
+from pi1curves.errors import DomainError
 from pi1curves.groups import abelianization, derived_subgroup, min_generators
 
 # number of isomorphism classes of groups of each order 1..24
@@ -79,6 +82,37 @@ def test_some_known_structure():
     assert derived_subgroup(catalog_group("SL23")).order() == 8  # Q8
     assert catalog_group("F20").order() == 20
     assert derived_subgroup(catalog_group("F20")).order() == 5
+
+
+def test_catalog_groups_are_shared():
+    # one instance per process, so its chain, elements and rows are kept
+    assert catalog_group("S4") is catalog_group("S4")
+    assert dict(catalog_groups(4))["C4"] is catalog_group("C4")
+    with pytest.raises(DomainError) as err:
+        catalog_group("NOPE")
+    assert err.value.code == "UNKNOWN_GROUP"
+
+
+@pytest.mark.parametrize("data", [
+    {"C5only": group_to_json(catalog_group("C5")),
+     "bad": {"degree": "3", "generators": [[2, 3, 1]]}},
+    ["C5only"]], ids=["bad_entry", "not_an_object"])
+def test_catalog_path_malformed_entry_fails_every_lookup(tmp_path, data):
+    # every entry is validated at the first lookup, not only the one named
+    path = tmp_path / "alt.json"
+    path.write_text(json.dumps(data))
+    code = (
+        "from pi1curves.catalog import catalog_group;"
+        "from pi1curves.errors import DomainError\n"
+        "try:\n"
+        "    catalog_group('C5only')\n"
+        "except DomainError as exc:\n"
+        "    assert exc.code == 'BAD_GROUP_FILE', exc\n"
+        "else:\n"
+        "    raise SystemExit('no error')"
+    )
+    env = dict(os.environ, PI1_CATALOG_PATH=str(path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_catalog_path_override(tmp_path):

@@ -193,6 +193,10 @@ MALFORMED_COVER_INPUTS = {
     "bare_number": ("export-dot", "BAD_CONFIG_FILE", lambda: 5),
     "step_not_object": ("glue", "BAD_COVER_FILE",
                         lambda: {"covers": {}, "steps": [5]}),
+    "steps_not_list": ("glue", "BAD_COVER_FILE",
+                       lambda: {"covers": {}, "steps": 5}),
+    "output_not_name": ("glue", "BAD_COVER_FILE",
+                        lambda: {"covers": {}, "steps": [], "output": ["x"]}),
     **{f"class_index_{i}": ("export-dot", "BAD_COVER_FILE",
                             lambda i=i: _nodal_cover_with_class_index(i))
        for i in ("x", "0", True)},

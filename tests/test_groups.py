@@ -257,6 +257,32 @@ def test_quotient_layer_builds_no_chain(monkeypatch):
     assert all(c is image for c in chained)
 
 
+def test_enumeration_builds_no_chain(monkeypatch):
+    # listing checks ENUM_BOUND by counting; the chain is for order and
+    # membership only
+    chained = []
+    chain = PermutationGroup._chain
+
+    def recording(self):
+        chained.append(self)
+        return chain(self)
+
+    monkeypatch.setattr(PermutationGroup, "_chain", recording)
+    G = PermutationGroup.from_generators(symmetric(5).generators)
+    assert len(G.elements()) == 120 and len(G.index()) == 120
+    assert G.span([1]).bit_count() == G.elements()[1].order()
+    H = subgroup_generated(G, [G.elements()[7], G.elements()[30]])
+    n = len(H.elements())
+    assert len(H.index()) == n and H.span(range(n)) == (1 << n) - 1
+    assert chained == []
+
+
+def test_elements_above_enum_bound_names_the_order():
+    with pytest.raises(DomainError) as err:
+        symmetric(8).elements()
+    assert str(err.value) == "GROUP_TOO_LARGE: |G| = 40320 > 10000"
+
+
 def test_quotient_layer_needs_an_enumerable_group():
     S8 = symmetric(8)  # 40,320 elements, above ENUM_BOUND
     calls = [lambda: normal_closure(S8, []), lambda: derived_subgroup(S8),
@@ -380,7 +406,8 @@ def test_no_perm_product_in_chain_or_index(monkeypatch):
     # (name, p, |p(G)|, |G/p(G)|, phi_2(G))
     for name, p, normal, image, phi2 in (("S4", 3, 12, 2, 216),
                                          ("SL23", 2, 8, 3, 384)):
-        G = catalog_group(name)
+        # a fresh copy: the shared catalog group may be indexed already
+        G = PermutationGroup.from_generators(catalog_group(name).generators)
         elements, index = G.elements(), G.index()
         n = len(elements)
         assert [index[x.images] for x in elements] == list(range(n))
