@@ -327,8 +327,12 @@ def group_from_json(data: dict) -> PermutationGroup:
 def _load_catalog_data():
     path = os.environ.get("PI1_CATALOG_PATH")
     if path:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON/UTF-8
+            raise DomainError("BAD_GROUP_FILE",
+                              f"PI1_CATALOG_PATH {path}: {exc}")
     ref = resources.files(__package__) / "data" / "catalog.json"
     return json.loads(ref.read_text(encoding="utf-8"))
 

@@ -4,14 +4,16 @@ A cover of a configuration is stored as: the Galois group G, one
 monodromy subgroup per component (the sheets over that component are the
 orbits of left multiplication by the subgroup on the label set G), and
 one gluing per non-base branch of every identification class.  Fibers
-over identified points are G-torsors; the Galois action is RIGHT
-multiplication on labels, gluing maps are LEFT multiplications, so the
-two commute and gluing is automatically equivariant.
+over identified points are G-torsors and the Galois action is RIGHT
+multiplication on labels.  A gluing f commutes with it, f(x*g) = f(x)*g,
+iff f is the LEFT translation x -> f(1)*x: an equivariant gluing is a
+left translation, and that one test (_is_translation) decides every
+Galois question here.
 
 A gluing is stored as a map base-fiber label -> branch-fiber label.
-Constant gluings (left translation by c: lambda -> c*lambda) are the
-Galois case; raw dict maps appear only from descend() and hand-built
-descriptors and are what is_galois() rejects when not equivariant.
+Left translations are stored as their constant c (lambda -> c*lambda);
+raw maps appear only from descend() and hand-built descriptors, and
+is_galois() rejects those that are not left translations.
 
 Every check runs on element positions (PermutationGroup.index, its
 multiplication rows and span masks), not on Perm products: membership
@@ -61,7 +63,7 @@ class Gluing:
         position of the image of element i)."""
         row = tuple(row)
         elements = group.elements()
-        if row == group.left_row(row[0]):
+        if _is_translation(group, row):
             return Gluing(constant=elements[row[0]])
         return Gluing(mapping=tuple((elements[i], elements[j])
                                     for i, j in enumerate(row)))
@@ -88,6 +90,13 @@ def _bijection_row(items, index):
     if None in row or len(set(row)) != len(row):
         return None
     return tuple(row)
+
+
+def _is_translation(group: PermutationGroup, row: tuple) -> bool:
+    """Whether a bijection of element positions commutes with the right
+    action.  f(x*g) = f(x)*g for all x, g forces f(x) = f(1)*x, so this
+    holds iff row is the left row of f(1) (position 0 is the identity)."""
+    return row == group.left_row(row[0])
 
 
 @dataclass(frozen=True)
@@ -165,45 +174,46 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
 
 # -- verdicts ---------------------------------------------------------------
 
-def _sheet_ids(group: PermutationGroup, sub: PermutationGroup):
-    """The sheets over a component with monodromy sub: the cosets sub*x,
-    as (sheet of each label position, number of sheets)."""
-    positions = subgroup_positions(group, sub)
-    if positions is None:
-        raise DomainError("NOT_A_MEMBER", "monodromy is not a subgroup of G")
-    ids, reps = group.coset_map(positions)
-    return ids, len(reps)
-
-
-def _gluing_row(cover: CoverDescriptor, ci: int, branch: PointRef):
-    row = cover.gluings[ci][branch].row(cover.group)
-    if row is None:
-        raise DomainError("FIBER_NOT_TORSOR",
-                          f"gluing at {branch} is not a bijection of G")
-    return row
-
-
-def is_connected(cover: CoverDescriptor) -> bool:
-    """Union-find over (component, sheet) nodes through all gluings."""
-    sheets = {}  # component id -> node of each label position
-    total = 0
+def _sheet_graph(cover: CoverDescriptor):
+    """The sheet graph: (number of sheets over each component, in
+    component order; set of int edges between sheets).  Sheets are
+    numbered consecutively in that order; over a component with
+    monodromy H they are the cosets H*x."""
+    group = cover.group
+    counts = []
+    sheets = {}  # component id -> sheet number of each label position
     for comp in cover.base.components:
-        ids, count = _sheet_ids(cover.group, cover.monodromy_of(comp.id))
+        positions = subgroup_positions(group, cover.monodromy_of(comp.id))
+        if positions is None:
+            raise DomainError("NOT_A_MEMBER",
+                              "monodromy is not a subgroup of G")
+        ids, reps = group.coset_map(positions)
+        total = sum(counts)
         sheets[comp.id] = [total + i for i in ids]
-        total += count
+        counts.append(len(reps))
     edges = set()
     for ci, cls in enumerate(cover.base.identification_classes):
         base = sheets[cls.base_branch.component_id]
         for branch in cls.members[1:]:
-            row = _gluing_row(cover, ci, branch)
+            row = cover.gluings[ci][branch].row(group)
+            if row is None:
+                raise DomainError(
+                    "FIBER_NOT_TORSOR",
+                    f"gluing at {branch} is not a bijection of G")
             edges.update(zip(base, map(sheets[branch.component_id].__getitem__,
                                        row)))
-    return len(set(union_find(total, edges))) == 1
+    return counts, edges
+
+
+def is_connected(cover: CoverDescriptor) -> bool:
+    """Union-find over the sheet graph."""
+    counts, edges = _sheet_graph(cover)
+    return len(set(union_find(sum(counts), edges))) == 1
 
 
 def is_galois(cover: CoverDescriptor) -> bool:
-    """Right G-action must commute with every gluing map, and the gluing
-    must be a bijection of full fibers (torsors)."""
+    """Every gluing must be a bijection of full fibers (torsors) that
+    commutes with the right G-action: a left translation."""
     group = cover.group
     if any(subgroup_positions(group, sub) is None
            for sub in cover.monodromy.values()):
@@ -211,18 +221,8 @@ def is_galois(cover: CoverDescriptor) -> bool:
     for branches in cover.gluings.values():
         for gluing in branches.values():
             row = gluing.row(group)
-            if row is None or not _equivariant(group, row):
+            if row is None or not _is_translation(group, row):
                 return False
-    return True
-
-
-def _equivariant(group: PermutationGroup, row) -> bool:
-    """row(x*g) == row(x)*g for every label x and every generator g."""
-    index = group.index()
-    for g in group.generators:
-        r = group.right_row(index[g.images])
-        if list(map(row.__getitem__, r)) != list(map(r.__getitem__, row)):
-            return False
     return True
 
 
@@ -297,6 +297,20 @@ def _same_subgroup(group: PermutationGroup, a: PermutationGroup,
         and group.span(pa) == group.span(pb)
 
 
+def _join(cover: CoverDescriptor, relation, glue) -> CoverDescriptor:
+    """The cover with each point set of relation identified into a new
+    class (the sets must not touch existing classes, so those keep their
+    indices); glue(branch) is the gluing at each new non-base branch."""
+    config = identify(cover.base, relation)
+    classes = config.identification_classes
+    gluings = {ci: dict(b) for ci, b in cover.gluings.items()}
+    for ci in range(len(cover.base.identification_classes), len(classes)):
+        gluings[ci] = {branch: glue(branch)
+                       for branch in classes[ci].members[1:]}
+    return CoverDescriptor(config, cover.group, dict(cover.monodromy),
+                           gluings, dict(cover.ramification))
+
+
 def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
                         gamma: Perm, base_cover: CoverDescriptor,
                         y1: PointRef, y2: PointRef) -> CoverDescriptor:
@@ -324,17 +338,10 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
         _check_smooth_fiber_point(config, ref)
     require(y1 != y2, "FIBER_NOT_TORSOR", "points must be distinct")
 
-    # the induced ambient-group cover keeps the monodromy and gluings
-    new_config = identify(config, [{y1, y2}])
-    new_index = len(new_config.identification_classes) - 1
-    branch = new_config.identification_classes[new_index].members[1]
     # label x over y1 is matched with label gamma*x over y2; the new class
     # is {y1, y2}, so its base branch is min(y1, y2)
-    constant = gamma if y1 < y2 else gamma.inverse
-    gluings = {ci: dict(b) for ci, b in base_cover.gluings.items()}
-    gluings[new_index] = {branch: Gluing(constant)}
-    return CoverDescriptor(new_config, ambient, dict(base_cover.monodromy),
-                           gluings, dict(base_cover.ramification))
+    gluing = Gluing(gamma if y1 < y2 else gamma.inverse)
+    return _join(induce(base_cover, ambient), [{y1, y2}], lambda _: gluing)
 
 
 def glue_two_components(group: PermutationGroup,
@@ -374,17 +381,13 @@ def glue_two_components(group: PermutationGroup,
         c1.identification_classes + c2.identification_classes,
         c1.removed_points | c2.removed_points)
     shift = len(c1.identification_classes)
-    gluings = {ci: dict(b) for ci, b in cover1.gluings.items()}
-    for ci, b in cover2.gluings.items():
-        gluings[ci + shift] = dict(b)
-    new_config = identify(merged, [{y1, y2}])
-    new_index = len(new_config.identification_classes) - 1
-    new_class = new_config.identification_classes[new_index]
-    gluings[new_index] = {
-        new_class.members[1]: Gluing(Perm.identity(group.degree))}
-    monodromy = {**cover1.monodromy, **cover2.monodromy}
-    ramification = {**cover1.ramification, **cover2.ramification}
-    return CoverDescriptor(new_config, group, monodromy, gluings, ramification)
+    gluings = {**cover1.gluings,
+               **{ci + shift: b for ci, b in cover2.gluings.items()}}
+    disjoint = CoverDescriptor(
+        merged, group, {**cover1.monodromy, **cover2.monodromy}, gluings,
+        {**cover1.ramification, **cover2.ramification})
+    gluing = Gluing(Perm.identity(group.degree))
+    return _join(disjoint, [{y1, y2}], lambda _: gluing)
 
 
 # -- descent ----------------------------------------------------------------
@@ -401,7 +404,7 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
     G-action permutes the cover classes.
     """
     config = cover.base
-    base_classes = [frozenset(c) for c in base_relation]
+    base_classes = [sorted(set(c)) for c in base_relation]
     cover_relation = list(cover_relation)
     require(base_classes and cover_relation, "BAD_PARTITION",
             "both relations must have nontrivial classes")
@@ -409,95 +412,71 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
         require(len(cls) >= 2, "BAD_PARTITION", "base class of size < 2")
         for ref in cls:
             _check_smooth_fiber_point(config, ref)
-    # every base point gets a slot; a cover point (ref, label) is the int
-    # label position * n_slots + slot, with labels outside G numbered
-    # from |G| upwards so that they never lie in a fiber
-    slot = {}     # ref -> (base class index, slot)
+    # a cover point (ref, label) is the pair (slot of ref, label position):
+    # slot[ref] = (base class index, place of ref in its sorted class)
+    slot = {}
     for i, cls in enumerate(base_classes):
-        for ref in cls:
+        for k, ref in enumerate(cls):
             if ref in slot:
                 raise DomainError("BAD_PARTITION",
                                   f"{ref} in two base classes")
-            slot[ref] = (i, len(slot))
-    n_slots = len(slot)
+            slot[ref] = (i, k)
     group = cover.group
     index = group.index()
     n = len(index)
-    outside: dict = {}
 
-    # condition (1): the relation downstairs is preserved
-    by_base = [[] for _ in base_classes]  # (points, slot -> label) per class
+    # condition (1): the relation downstairs is preserved.  Each cover
+    # class becomes a map place -> label position, or None unless it has
+    # one label in G on each place it touches.
+    by_base = [[] for _ in base_classes]
     for c in cover_relation:
-        points = set()
-        labels = {}
         base_indices = set()
+        labels = {}
+        one_each = True
         for ref, x in c:
-            i, s = slot.get(ref, (None, 0))
+            i, k = slot.get(ref, (None, 0))
             base_indices.add(i)
             label = index.get(x.images)
-            if label is None:
-                label = outside.setdefault(x, n + len(outside))
-            points.add(label * n_slots + s)
-            labels[s] = label
+            if label is None or labels.setdefault(k, label) != label:
+                one_each = False
         require(None not in base_indices and len(base_indices) == 1,
                 "RELATION_NOT_PRESERVED",
                 "a cover class does not lie over a single base class")
-        by_base[base_indices.pop()].append((frozenset(points), labels))
+        by_base[base_indices.pop()].append(labels if one_each else None)
 
-    # condition (2): fibers are partitioned by classes of matching size,
-    # one point per branch.  The classes over a base class are then the
-    # graphs of bijections between its fibers: the label over a non-base
-    # branch is row[label over the base branch].
-    rows = {}
-    for base_cls, classes in zip(base_classes, by_base):
-        size = len(base_cls)
-        covered = set()
-        for points, labels in classes:
-            require(len(points) == size, "BAD_PARTITION",
-                    f"cover class size {len(points)} != |C| = {size}")
-            require(len(labels) == size, "BAD_PARTITION",
-                    "cover class misses a branch or repeats one")
-            require(covered.isdisjoint(points), "BAD_PARTITION",
+    # condition (2): each fiber is partitioned by n classes with one point
+    # per branch; with distinct labels on every branch they are the graphs
+    # of bijections of the fibers: the label over a non-base branch is
+    # row[label over the base branch].
+    gluings = {}
+    for cls, classes in zip(base_classes, by_base):
+        require(all(c is not None and len(c) == len(cls) for c in classes),
+                "BAD_PARTITION",
+                "a cover class does not have one point in G on each branch")
+        require(len(classes) == n, "BAD_PARTITION",
+                f"{len(classes)} cover classes over a base class, "
+                f"not |G| = {n}")
+        base = [c[0] for c in classes]
+        require(len(set(base)) == n, "BAD_PARTITION", "cover classes overlap")
+        for k, branch in enumerate(cls[1:], 1):
+            row = [0] * n
+            for x, c in zip(base, classes):
+                row[x] = c[k]
+            require(len(set(row)) == n, "BAD_PARTITION",
                     "cover classes overlap")
-            covered |= points
-        refs = sorted(base_cls)
-        slots = [slot[ref][1] for ref in refs]
-        fiber = {x * n_slots + s for s in slots for x in range(n)}
-        require(covered == fiber, "BAD_PARTITION",
-                "cover classes do not cover the whole fiber")
-        for branch, s in zip(refs[1:], slots[1:]):
-            rows[branch] = row = [0] * n
-            for _, labels in classes:
-                row[labels[slots[0]]] = labels[s]
+            gluings[branch] = Gluing.of_row(row, group)
 
     # the right action moves the class through base label x to the class
-    # through x*g, so it permutes the classes iff every row is equivariant
+    # through x*g, so it permutes the classes iff every row is a left
+    # translation
     require(not require_galois
-            or all(_equivariant(group, row) for row in rows.values()),
+            or all(g.constant is not None for g in gluings.values()),
             "ACTION_NOT_EQUIVARIANT",
             "right action does not permute the cover classes")
-
-    new_config = identify(config, [set(c) for c in base_classes])
-    n_old = len(config.identification_classes)
-    gluings = {ci: dict(b) for ci, b in cover.gluings.items()}
-    for ci in range(n_old, n_old + len(base_classes)):
-        gluings[ci] = {branch: Gluing.of_row(rows[branch], group)
-                       for branch in
-                       new_config.identification_classes[ci].members[1:]}
-    return CoverDescriptor(new_config, group, dict(cover.monodromy),
-                           gluings, dict(cover.ramification))
+    return _join(cover, base_classes, gluings.__getitem__)
 
 
 # -- spanning-tree normal form ---------------------------------------------
-
-def _edge_list(config):
-    """(class_index, branch) edges of the dual graph in deterministic order."""
-    edges = []
-    for ci, cls in enumerate(config.identification_classes):
-        for branch in cls.members[1:]:
-            edges.append((ci, branch))
-    return edges
-
 
 def spanning_tree(config):
     """BFS spanning tree of the dual graph from the smallest component id.
@@ -505,7 +484,10 @@ def spanning_tree(config):
     Returns (tree_edges, non_tree_edges) as (class_index, branch) pairs;
     self-loop edges are never tree edges.
     """
-    edges = _edge_list(config)
+    # (class_index, branch) edges of the dual graph in deterministic order
+    edges = [(ci, branch)
+             for ci, cls in enumerate(config.identification_classes)
+             for branch in cls.members[1:]]
     adjacency: dict = {c.id: [] for c in config.components}
     for ci, branch in edges:
         a = config.identification_classes[ci].base_branch.component_id
@@ -606,27 +588,15 @@ def connectivity_criterion(cover: CoverDescriptor) -> bool:
 def sheet_graph_dot(cover: CoverDescriptor) -> str:
     """Sheet-connectivity graph: nodes (component, sheet), edges from
     gluing identifications, with deterministic ordering."""
-    nodes = []
-    names = {}  # component id -> sheet name of each label position
-    for comp in cover.base.components:
-        ids, count = _sheet_ids(cover.group, cover.monodromy_of(comp.id))
-        sheet_names = [f"{comp.id}_s{i}" for i in range(count)]
-        nodes.extend(sheet_names)
-        names[comp.id] = [sheet_names[i] for i in ids]
-
-    edges = set()
-    for ci, cls in enumerate(cover.base.identification_classes):
-        base_names = names[cls.base_branch.component_id]
-        for branch in cls.members[1:]:
-            row = _gluing_row(cover, ci, branch)
-            branch_names = names[branch.component_id]
-            for x, y in enumerate(row):
-                a, b = base_names[x], branch_names[y]
-                edges.add((min(a, b), max(a, b)))
+    counts, edges = _sheet_graph(cover)
+    names = [f"{comp.id}_s{i}"
+             for comp, count in zip(cover.base.components, counts)
+             for i in range(count)]
+    named = {tuple(sorted((names[a], names[b]))) for a, b in edges}
     lines = ["graph sheets {"]
-    for name in sorted(nodes):
+    for name in sorted(names):
         lines.append(f'  "{name}";')
-    for a, b in sorted(edges):
+    for a, b in sorted(named):
         lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -279,11 +279,18 @@ def is_connected(config: CurveConfiguration) -> bool:
     return dual_graph(config).is_connected()
 
 
-def delta(config: CurveConfiguration) -> int:
-    """δ = 1 - n + Σ (|class| - 1); first Betti number of the dual graph."""
+def require_projective(config: CurveConfiguration) -> None:
+    """The guard of every projective invariant: a valid configuration
+    with no removed points (NOT_PROJECTIVE) and a connected dual graph
+    (NOT_CONNECTED), checked in that order."""
     require_valid(config)
     require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
     require(is_connected(config), "NOT_CONNECTED")
+
+
+def delta(config: CurveConfiguration) -> int:
+    """δ = 1 - n + Σ (|class| - 1); first Betti number of the dual graph."""
+    require_projective(config)
     n = len(config.components)
     return 1 - n + sum(len(cls) - 1 for cls in config.identification_classes)
 
@@ -377,9 +384,7 @@ def factorize(config: CurveConfiguration):
     Steps are ordered class-by-class (input order), within a class by
     point order.  The number of same-component steps equals delta.
     """
-    require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
-    require(is_connected(config), "NOT_CONNECTED")
+    require_projective(config)
     steps = []
     current = strip_identifications(config)
     for cls in config.identification_classes:

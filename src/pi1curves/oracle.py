@@ -16,11 +16,11 @@ import itertools
 from dataclasses import dataclass
 
 from .catalog import catalog_group, catalog_names
-from .covers import (Gluing, build_descriptor, cover_to_json, descend,
+from .covers import (build_descriptor, cover_to_json, descend,
                      is_connected as cover_connected, is_galois,
                      spanning_tree)
-from .curves import (CurveConfiguration, PointRef, delta, is_connected,
-                     require_valid, strip_identifications)
+from .curves import (CurveConfiguration, PointRef, delta,
+                     require_projective, strip_identifications)
 from .errors import DomainError, require
 from .groups import PermutationGroup
 from .perms import Perm
@@ -29,9 +29,7 @@ ENUMERATION_BOUND = 10 ** 7
 
 
 def _check_rational(config):
-    require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
-    require(is_connected(config), "NOT_CONNECTED")
+    require_projective(config)
     bad = [c.id for c in config.components if c.genus != 0]
     require(not bad, "GENUS_NONZERO",
             f"components of positive genus: {bad}")

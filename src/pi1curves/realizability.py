@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import (CurveConfiguration, affine_delta, delta,
-                     is_connected, require_valid)
+from .curves import CurveConfiguration, delta, require_projective
 from .errors import require
 from .groups import (PermutationGroup, abelianization_p_rank, is_p_group,
                      is_prime, min_generators, nakajima_tG, quasi_p_part,
@@ -62,9 +61,7 @@ def affine_realizable(group: PermutationGroup, p: int, g: int, r: int,
 def pro_p_rank(config: CurveConfiguration) -> int:
     """Rank of the maximal pro-p quotient: sum of component p-ranks plus
     delta."""
-    require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
-    require(is_connected(config), "NOT_CONNECTED")
+    require_projective(config)
     require(config.characteristic > 0, "BAD_CHARACTERISTIC",
             "pro-p rank needs p > 0")
     return sum(c.effective_p_rank for c in config.components) + delta(config)
@@ -75,9 +72,7 @@ def hasse_witt_check(group: PermutationGroup, p: int,
     """Necessary condition sigma(G) <= sum g_i + delta; never says Yes."""
     _check_char(p)
     require(p > 0, "BAD_CHARACTERISTIC", "Hasse-Witt needs p > 0")
-    require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
-    require(is_connected(config), "NOT_CONNECTED")
+    require_projective(config)
     sigma = abelianization_p_rank(group, p)
     bound = sum(c.genus for c in config.components) + delta(config)
     evidence = {"sigma": sigma, "bound": bound}
@@ -93,9 +88,7 @@ def nakajima_check(group: PermutationGroup, p: int,
     for p-groups (where it equals d(G))."""
     _check_char(p)
     require(p > 0, "BAD_CHARACTERISTIC", "Nakajima condition needs p > 0")
-    require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
-    require(is_connected(config), "NOT_CONNECTED")
+    require_projective(config)
     bound = sum(c.genus for c in config.components) + delta(config)
     t = nakajima_tG(group, p)
     if t is None:
@@ -120,9 +113,7 @@ def projective_realizable(group: PermutationGroup, p: int,
     Unknown (smooth positive-genus quotients are not decided here).
     """
     _check_char(p)
-    require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
-    require(is_connected(config), "NOT_CONNECTED")
+    require_projective(config)
     d = min_generators(group)
     delta_ = delta(config)
     genera = [c.genus for c in config.components]
@@ -142,10 +133,9 @@ def projective_realizable(group: PermutationGroup, p: int,
         hw = hasse_witt_check(group, p, config)
         if hw.verdict == "No":
             return hw
+        # Hasse-Witt subsumes nakajima_check: for a p-group
+        # t_G = d(G) = sigma(G) (Burnside's basis theorem), same bound
         if is_p_group(group, p):
-            nk = nakajima_check(group, p, config)
-            if nk.verdict == "No":
-                return nk
             rank = pro_p_rank(config)
             if d > rank:
                 return RealizabilityVerdict("No", "pro-p-rank",

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from pi1curves import catalog
 from pi1curves.cli import main
 from pi1curves.covers import build_descriptor, cover_to_json
 from pi1curves.curves import CurveConfiguration
@@ -136,6 +137,34 @@ def test_missing_file_is_domain_error(capsys):
     code, _, err = run(capsys, "invariants", "/tmp/definitely-missing.json")
     assert code == 1
     assert "BAD_CONFIG_FILE" in err
+
+
+@pytest.fixture
+def fresh_catalog():
+    """Empty the catalog loader caches before and after the test, so that
+    a PI1_CATALOG_PATH it sets is read and then forgotten."""
+    for loader in (catalog._load_catalog_data, catalog._catalog_groups):
+        loader.cache_clear()
+    yield
+    for loader in (catalog._load_catalog_data, catalog._catalog_groups):
+        loader.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_json",
+                                  "not_utf8"])
+def test_bad_catalog_path_is_bad_group_file(capsys, monkeypatch, tmp_path,
+                                            nodal_file, fresh_catalog, kind):
+    path = tmp_path / "catalog.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_json":
+        path.write_text("{not json")
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    monkeypatch.setenv("PI1_CATALOG_PATH", str(path))
+    code, out, err = run(capsys, "realizable", nodal_file, "--group", "C5")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: BAD_GROUP_FILE: PI1_CATALOG_PATH {path}")
 
 
 def test_selftest_deterministic(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pi1curves.catalog import catalog_group, cyclic, symmetric
+from pi1curves.catalog import catalog_group, catalog_groups, cyclic, symmetric
 from pi1curves.covers import (
     Gluing,
     build_descriptor,
@@ -261,6 +261,45 @@ def test_cover_calculus_never_sifts(monkeypatch, name):
     relation = [{(P("C1", "a"), x), (P("C1", "b"), a * x)}
                 for x in H.elements()]
     assert is_galois(descend(cover, [{P("C1", "a"), P("C1", "b")}], relation))
+
+
+# -- hand-built gluings -----------------------------------------------------
+
+def glued_by(group, gluing):
+    return build_descriptor(nodal(), group,
+                            gluings={0: {P("C1", "1"): gluing}})
+
+
+def test_hand_built_left_translation_is_galois():
+    for _, G in catalog_groups(12):
+        elements = G.elements()
+        for c in elements:
+            pairs = tuple((x, c * x) for x in elements)
+            assert is_galois(glued_by(G, Gluing(mapping=pairs)))
+            assert Gluing.of_mapping(pairs, G) == Gluing(c)
+
+
+def test_hand_built_non_translation_is_not_galois():
+    # x -> f(x) commutes with the right action only if f(x) = f(1)*x; a
+    # right translation by a non-central element is the simplest failure
+    S3 = catalog_group("S3")
+    c = next(g for g in S3.elements() if g.order() == 2)
+    right = Gluing(mapping=tuple((x, x * c) for x in S3.elements()))
+    assert not is_galois(glued_by(S3, right))
+    rng = random.Random(12)
+    checked = 0
+    for _, G in catalog_groups(12):
+        elements = G.elements()
+        translations = {tuple(c * x for x in elements) for c in elements}
+        for _ in range(6):
+            images = tuple(rng.sample(elements, len(elements)))
+            if images in translations:
+                continue
+            pairs = tuple(zip(elements, images))
+            assert not is_galois(glued_by(G, Gluing(mapping=pairs)))
+            assert Gluing.of_mapping(pairs, G).constant is None
+            checked += 1
+    assert checked > 100
 
 
 # -- descent ----------------------------------------------------------------

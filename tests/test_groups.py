@@ -17,6 +17,7 @@ from pi1curves.groups import (
     derived_subgroup,
     eulerian,
     is_p_group,
+    is_prime,
     min_generators,
     moebius,
     nakajima_tG,
@@ -127,6 +128,17 @@ def test_hasse_witt_sigma():
     assert abelianization_p_rank(dihedral(4), 2) == 2
     assert abelianization_p_rank(catalog_group("C2xC2xC2"), 2) == 3
     assert abelianization_p_rank(cyclic(15), 5) == 1
+
+
+def test_p_group_sigma_equals_d():
+    # Burnside's basis theorem: d(G) is the F_p-dimension of G/[G,G]G^p,
+    # which is sigma; so for p-groups the Nakajima bound t_G = d(G) is the
+    # Hasse-Witt bound, and projective_realizable needs only the latter
+    pairs = [(G, p) for _, G in catalog_groups() for p in range(2, 25)
+             if G.order() > 1 and is_prime(p) and is_p_group(G, p)]
+    assert len(pairs) == 32  # every catalog group of prime-power order
+    for G, p in pairs:
+        assert abelianization_p_rank(G, p) == min_generators(G)
 
 
 # number of subgroups and μ(1, G)

@@ -1,9 +1,12 @@
 """Source hygiene checks on the package code."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pi1curves"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pi1curves"
 
 
 def test_no_assert_in_package_code():
@@ -71,3 +74,25 @@ def test_caches_decorate_only_zero_argument_functions():
                 if name in ("cache", "lru_cache") and takes_arguments:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_tracing_spans_resolve():
+    # the benchmark's tracer (perfbench/tracing.py) wraps these entry points
+    # by name, methods through their class __dict__; one renamed or deleted
+    # here would break traced runs, so the file is loaded by path and read
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for targets in tracing.SPANS.values():
+        for target in targets:
+            module_name, attr = target.split(":")
+            owner = importlib.import_module(f"pi1curves.{module_name}")
+            *classes, name = attr.split(".")
+            for cls in classes:
+                owner = vars(owner).get(cls)
+            if owner is None or not callable(vars(owner).get(name)):
+                missing.append(target)
+    assert sum(map(len, tracing.SPANS.values())) > 40
+    assert missing == []

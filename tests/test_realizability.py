@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
-from pi1curves.catalog import catalog_group, catalog_names, cyclic
-from pi1curves.curves import CurveConfiguration, PointRef
+from pi1curves.catalog import (catalog_group, catalog_groups, catalog_names,
+                               cyclic)
+from pi1curves.curves import (CurveConfiguration, PointRef, delta, factorize,
+                              require_projective)
 from pi1curves.errors import DomainError
 from pi1curves.groups import min_generators, quasi_p_part, quotient
+from pi1curves.oracle import enumerate_connected_covers
 from pi1curves.realizability import (
     RealizabilityVerdict,
     affine_realizable,
@@ -139,6 +144,53 @@ def test_nakajima():
     v = nakajima_check(catalog_group("S3"), 3, nodal(3))
     assert v.verdict == "Unknown"
     assert "unsupported" in v.evidence["reason"]
+
+
+def test_hasse_witt_says_no_wherever_nakajima_does():
+    # why projective_realizable has no Nakajima step: for p-groups
+    # t_G = d(G) = sigma(G), and both checks use the bound sum g_i + delta
+    elliptic_node = CurveConfiguration.build(
+        0, [("E", 1)], {"E": ["x", "y"]}, [[P("E", "x"), P("E", "y")]])
+    nakajima_no = 0
+    for p in (2, 3, 5):
+        configs = (nodal(p), two_node(p),
+                   replace(elliptic_node, characteristic=p))
+        for _, G in catalog_groups(24):
+            for config in configs:
+                if nakajima_check(G, p, config).verdict == "No":
+                    nakajima_no += 1
+                    assert hasse_witt_check(G, p, config).verdict == "No"
+                assert projective_realizable(G, p, config).rule != "nakajima"
+    assert nakajima_no > 10
+
+
+AFFINE_INVALID = CurveConfiguration.build(
+    5, [("C1", -1)], {"C1": ["x"]}, [], removed=[P("C1", "x")])
+AFFINE_DISCONNECTED = CurveConfiguration.build(
+    5, [("C1", 0), ("C2", 0)], {"C1": ["x"], "C2": []}, [],
+    removed=[P("C1", "x")])
+DISCONNECTED = CurveConfiguration.build(
+    5, [("C1", 0), ("C2", 0)], {"C1": [], "C2": []}, [])
+
+
+@pytest.mark.parametrize("guarded", [
+    require_projective, delta, factorize, pro_p_rank,
+    lambda config: enumerate_connected_covers(cyclic(2), config),
+    lambda config: hasse_witt_check(cyclic(5), 5, config),
+    lambda config: nakajima_check(cyclic(5), 5, config),
+    lambda config: projective_realizable(cyclic(5), 5, config),
+], ids=["require_projective", "delta", "factorize", "pro_p_rank",
+        "enumerate", "hasse_witt", "nakajima", "projective_realizable"])
+def test_projective_guard_order(guarded):
+    # validity first, then removed points, then connectedness
+    for config, code in ((AFFINE_INVALID, "INVALID_CONFIG"),
+                         (AFFINE_DISCONNECTED, "NOT_PROJECTIVE"),
+                         (DISCONNECTED, "NOT_CONNECTED")):
+        with pytest.raises(DomainError) as err:
+            guarded(config)
+        assert err.value.code == code
+        if code == "NOT_PROJECTIVE":
+            assert str(err.value) == "NOT_PROJECTIVE: removed points present"
 
 
 def test_tame():
