@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import DomainError, require
 from .groups import is_prime
@@ -102,6 +103,11 @@ class CurveConfiguration:
 
     def has_point(self, ref: PointRef) -> bool:
         return ref.point_label in self.points.get(ref.component_id, ())
+
+    @cached_property
+    def _violations(self) -> tuple:
+        """The violations of the invariants, scanned once per object."""
+        return tuple(_scan_violations(self))
 
     def class_of(self, ref: PointRef):
         """Index of the identification class containing ref, or None."""
@@ -219,6 +225,10 @@ class DualGraph:
 
 def validate(config: CurveConfiguration) -> list:
     """All invariant violations as (code, detail) pairs; [] when valid."""
+    return list(config._violations)
+
+
+def _scan_violations(config: CurveConfiguration) -> list:
     violations = []
     if not config.components:
         violations.append(("NO_COMPONENTS", "at least one component required"))

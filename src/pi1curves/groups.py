@@ -11,9 +11,11 @@ product of the orbit sizes and membership is a sift.  Everything that
 enumerates runs on the element index of a group small enough to list
 (|G| <= ENUM_BOUND, checked by counting while listing, without a chain):
 elements are numbered by their position in elements(), index() maps each
-image tuple to its position, multiplication is a lookup in cached rows,
-and a subgroup is an int bitmask over those positions (span), so the
-subset test is a & ~b == 0 and the order is a.bit_count().  On the index
+image tuple to its position, multiplication is a lookup in cached rows
+(each composed from its parent's row along the search tree of elements(),
+one tuple map in C per row), and a subgroup is an int bitmask over those
+positions (span), so the subset test is a & ~b == 0 and the order is
+a.bit_count().  On the index
 run the cover calculus, subgroup lattices, Moebius/Eulerian counting,
 minimal generator counts, Sylow subgroups, normal closures, quotients and
 sigma(G); they raise GROUP_TOO_LARGE above ENUM_BOUND and build no chain
@@ -147,23 +149,39 @@ class PermutationGroup:
 
     def elements(self) -> tuple:
         """All elements in a deterministic (sorted) order.  The bound is
-        checked by counting them, so listing builds no chain."""
+        checked by counting them, so listing builds no chain.  The search
+        keeps its tree and the generators' left rows for _row."""
         if "elements" not in self._memo:
             gens = [g.images for g in self.generators]
             queue = [tuple(range(self.degree))]
-            seen = set(queue)
-            for x in queue:  # breadth first: the queue grows as we go
-                for g in gens:
+            found = {queue[0]: 0}            # image tuple -> queue position
+            via, parent = [0], [0]           # x = gens[via[x]] * parent[x]
+            left = [[] for _ in gens]        # queue position of g * x
+            for b, x in enumerate(queue):  # the queue grows as we go
+                for k, g in enumerate(gens):
                     y = compose(g, x)
-                    if y not in seen:
-                        seen.add(y)
+                    j = found.get(y)
+                    if j is None:
+                        j = found[y] = len(queue)
                         queue.append(y)
+                        via.append(k)
+                        parent.append(b)
+                    left[k].append(j)
                 if len(queue) > ENUM_BOUND:
                     raise DomainError("GROUP_TOO_LARGE",
                                       f"|G| = {self.order()} > {ENUM_BOUND}")
-            queue.sort()
-            self._memo["index"] = {x: i for i, x in enumerate(queue)}
-            self._memo["elements"] = tuple(map(Perm.trusted, queue))
+            order = sorted(range(len(queue)), key=queue.__getitem__)
+            index = {queue[b]: i for i, b in enumerate(order)}
+            rank = list(map(index.__getitem__, queue))
+
+            def ranked(values):  # positions over the queue -> sorted
+                return tuple(map(rank.__getitem__, map(values.__getitem__,
+                                                       order)))
+
+            self._memo["tree"] = (tuple(map(via.__getitem__, order)),
+                                  ranked(parent), [ranked(row) for row in left])
+            self._memo["index"] = index
+            self._memo["elements"] = tuple(map(Perm.trusted, index))
         return self._memo["elements"]
 
     # -- element index ------------------------------------------------------
@@ -186,19 +204,37 @@ class PermutationGroup:
         return self._row("right", i)
 
     def _row(self, side: str, i: int) -> tuple:
-        rows = self._memo.get(side)
-        if rows is None:
-            rows = self._memo[side] = [None] * len(self.elements())
+        """Row i composed along the search tree: for x = g * y, left(x) =
+        left(g) o left(y) and right(x) = right(y) o right(g).  The tree can
+        be |G|-1 deep: after 32 steps up without a known row, the walk
+        takes the row it stands on from products."""
+        if side not in self._memo:
+            n = len(self.elements())
+            gens = self._memo["tree"][2]
+            if side == "right":
+                gens = [self._product_row(side, g.images)
+                        for g in self.generators]
+            self._memo[side] = gens, [tuple(range(n))] + [None] * (n - 1)
+        gens, rows = self._memo[side]
+        via, parent, _ = self._memo["tree"]
+        path = []
+        while rows[i] is None and len(path) < 32:
+            path.append(i)
+            i = parent[i]
         row = rows[i]
         if row is None:
-            index = self.index()
-            g = self.elements()[i].images
-            if side == "left":
-                row = tuple(index[compose(g, x)] for x in index)
-            else:
-                row = tuple(index[compose(x, g)] for x in index)
-            rows[i] = row
+            row = rows[i] = self._product_row(side, self.elements()[i].images)
+        for j in reversed(path):
+            g = gens[via[j]]
+            row = rows[j] = (tuple(map(g.__getitem__, row)) if side == "left"
+                             else tuple(map(row.__getitem__, g)))
         return row
+
+    def _product_row(self, side: str, g: tuple) -> tuple:
+        """The row of the image tuple g, from |G| products."""
+        index = self.index()
+        return tuple(index[compose(g, x) if side == "left" else compose(x, g)]
+                     for x in index)
 
     def span(self, positions) -> int:
         """The subgroup generated by the elements at these positions, as a
@@ -383,8 +419,16 @@ def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
 # -- minimal generators -----------------------------------------------------
 
 def min_generators(group: PermutationGroup, seed: int = 0) -> int:
-    """d(G): the minimal number of generators, by exhaustive search over
-    element positions; raises GROUP_TOO_LARGE above MIN_GEN_BOUND."""
+    """d(G): the minimal number of generators, by a level search over
+    distinct subgroups; raises GROUP_TOO_LARGE above MIN_GEN_BOUND.
+
+    Level k maps each subgroup H with d(H) = k to k generators of it; it
+    joins each entry of level k-1 with every cyclic subgroup not inside
+    it and keeps the masks not seen before.  This is exact: <h_1..h_k> is
+    the join of <h_1..h_k-1>, found at a level j < k, with <h_k>, so it is
+    found by level j+1.  So G first appears at level d(G), and a seeded
+    probe that generates G with k elements is conclusive once level k-1
+    is exhausted."""
     order = group.order()
     if order == 1:
         return 0
@@ -396,24 +440,27 @@ def min_generators(group: PermutationGroup, seed: int = 0) -> int:
     cyclic: dict = {}
     for i in nontrivial:
         cyclic.setdefault(group.span([i]), i)
-    reps = list(cyclic.values())
+    if full in cyclic:
+        return 1
+    level = {mask: (i,) for mask, i in cyclic.items()}
+    seen = set(level)
     rng = Random(seed)
-    k = 1
-    while True:
-        # 64 randomized probes first; a hit at level k is conclusive
-        # because every level below k was already exhausted
+    for k in itertools.count(2):
         for _ in range(64):
-            candidate = [rng.choice(nontrivial) for _ in range(k)]
-            if group.span(candidate) == full:
+            if group.span([rng.choice(nontrivial) for _ in range(k)]) == full:
                 return k
-        # exhaustive: first slot runs over cyclic-subgroup representatives
-        # (replacing the first entry by another generator of the same cyclic
-        # subgroup never changes the generated subgroup)
-        for first in reps:
-            for rest in itertools.product(nontrivial, repeat=k - 1):
-                if group.span((first,) + rest) == full:
+        joins: dict = {}
+        for mask, gens in level.items():
+            for i in cyclic.values():
+                if mask >> i & 1:
+                    continue
+                join = group.span(gens + (i,))
+                if join == full:
                     return k
-        k += 1
+                if join not in seen:
+                    seen.add(join)
+                    joins[join] = gens + (i,)
+        level = joins
 
 
 # -- abelianization ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from functools import reduce
 from math import factorial
 from operator import mul
@@ -114,6 +115,59 @@ def test_min_generators():
     klein_cubed = catalog_group("C2xC2xC2")
     assert min_generators(klein_cubed) == 3
     assert min_generators(alternating(5)) == 2
+
+
+def _fresh(G):
+    # a fresh copy: the shared catalog group may be indexed already
+    return PermutationGroup.from_generators(G.generators, G.degree)
+
+
+def test_min_generators_is_exact_whatever_the_seed():
+    for name, G in catalog_groups():
+        assert len({min_generators(_fresh(G), seed)
+                    for seed in range(5)}) == 1, name
+
+
+def test_min_generators_on_elementary_abelian_groups():
+    c2_5 = PermutationGroup.from_generators(
+        [Perm.from_cycles(10, [(2 * i + 1, 2 * i + 2)]) for i in range(5)])
+    started = time.perf_counter()
+    assert min_generators(c2_5) == 5
+    assert time.perf_counter() - started < 2
+    c3_3 = PermutationGroup.from_generators(
+        [Perm.from_cycles(9, [(3 * i + 1, 3 * i + 2, 3 * i + 3)])
+         for i in range(3)])
+    assert min_generators(c3_3) == 3
+
+
+def _product_rows(G, i):
+    index, g = G.index(), G.elements()[i].images
+    return (tuple(index[perms.compose(g, x)] for x in index),
+            tuple(index[perms.compose(x, g)] for x in index))
+
+
+def test_rows_match_products():
+    for name, G in catalog_groups():
+        G = _fresh(G)
+        for i in range(len(G.elements())):
+            assert (G.left_row(i), G.right_row(i)) == _product_rows(G, i), \
+                (name, i)
+
+
+def test_rows_of_a_deep_search_tree():
+    # one generator of order lcm(7, 8, 9, 11) = 5544: the search finds g^k
+    # from g^(k-1), so the tree is a path and g^-1 is 5543 steps deep
+    cycles, start = [], 1
+    for length in (7, 8, 9, 11):
+        cycles.append(tuple(range(start, start + length)))
+        start += length
+    g = Perm.from_cycles(35, cycles)
+    G = PermutationGroup.from_generators([g])
+    assert len(G.elements()) == 5544
+    index = G.index()
+    for power in (g.inverse, g.inverse * g.inverse, g * g):
+        i = index[power.images]
+        assert (G.left_row(i), G.right_row(i)) == _product_rows(G, i)
 
 
 def test_abelianization():

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from pi1curves import curves
 from pi1curves.catalog import (catalog_group, catalog_groups, catalog_names,
                                cyclic)
 from pi1curves.curves import (CurveConfiguration, PointRef, delta, factorize,
@@ -191,6 +192,25 @@ def test_projective_guard_order(guarded):
         assert err.value.code == code
         if code == "NOT_PROJECTIVE":
             assert str(err.value) == "NOT_PROJECTIVE: removed points present"
+
+
+def test_one_violation_scan_per_verdict(monkeypatch):
+    # the guards of projective_realizable, delta and hasse_witt_check all
+    # read the violations that one scan left on the configuration
+    scans = []
+    scan = curves._scan_violations
+    monkeypatch.setattr(curves, "_scan_violations",
+                        lambda config: scans.append(config) or scan(config))
+    for name, verdict, rule in (("C2xC2xC2", "No", "hasse-witt"),
+                                ("C4", "Yes", "free-factor")):
+        elliptic_node = CurveConfiguration.build(
+            2, [("E", 1)], {"E": ["x", "y"]}, [[P("E", "x"), P("E", "y")]])
+        v = projective_realizable(catalog_group(name), 2, elliptic_node)
+        assert (v.verdict, v.rule) == (verdict, rule)
+        assert scans == [elliptic_node]
+        curves.validate(elliptic_node).append(("X", "a caller's own list"))
+        assert curves.validate(elliptic_node) == [] and len(scans) == 1
+        scans.clear()
 
 
 def test_tame():
