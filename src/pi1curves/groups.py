@@ -178,8 +178,9 @@ class PermutationGroup:
                 return tuple(map(rank.__getitem__, map(values.__getitem__,
                                                        order)))
 
-            self._memo["tree"] = (tuple(map(via.__getitem__, order)),
-                                  ranked(parent), [ranked(row) for row in left])
+            self._memo["tree"] = tuple(map(via.__getitem__, order)), \
+                ranked(parent)
+            self._memo["left gens"] = [ranked(row) for row in left]
             self._memo["index"] = index
             self._memo["elements"] = tuple(map(Perm.trusted, index))
         return self._memo["elements"]
@@ -204,19 +205,22 @@ class PermutationGroup:
         return self._row("right", i)
 
     def _row(self, side: str, i: int) -> tuple:
+        rows = self._memo.get(side)
+        if rows is None:
+            n = len(self.elements())
+            rows = self._memo[side] = [tuple(range(n))] + [None] * (n - 1)
+            if side == "right":
+                self._memo["right gens"] = [self._product_row(side, g.images)
+                                            for g in self.generators]
+        row = rows[i]
+        return self._tree_row(side, rows, i) if row is None else row
+
+    def _tree_row(self, side: str, rows: list, i: int) -> tuple:
         """Row i composed along the search tree: for x = g * y, left(x) =
         left(g) o left(y) and right(x) = right(y) o right(g).  The tree can
         be |G|-1 deep: after 32 steps up without a known row, the walk
         takes the row it stands on from products."""
-        if side not in self._memo:
-            n = len(self.elements())
-            gens = self._memo["tree"][2]
-            if side == "right":
-                gens = [self._product_row(side, g.images)
-                        for g in self.generators]
-            self._memo[side] = gens, [tuple(range(n))] + [None] * (n - 1)
-        gens, rows = self._memo[side]
-        via, parent, _ = self._memo["tree"]
+        (via, parent), gens = self._memo["tree"], self._memo[side + " gens"]
         path = []
         while rows[i] is None and len(path) < 32:
             path.append(i)
