@@ -15,11 +15,10 @@ image tuple to its position, multiplication is a lookup in cached rows
 (each composed from its parent's row along the search tree of elements(),
 one tuple map in C per row), and a subgroup is an int bitmask over those
 positions (span), so the subset test is a & ~b == 0 and the order is
-a.bit_count().  On the index
-run the cover calculus, subgroup lattices, Moebius/Eulerian counting,
-minimal generator counts, Sylow subgroups, normal closures, quotients and
-sigma(G); they raise GROUP_TOO_LARGE above ENUM_BOUND and build no chain
-for the subgroups they pass through.
+a.bit_count().  On the index run the cover calculus, subgroup lattices,
+Moebius/Eulerian counting, minimal generator counts, Sylow subgroups,
+normal closures, quotients and sigma(G); they raise GROUP_TOO_LARGE above
+ENUM_BOUND and build no chain for the subgroups they pass through.
 """
 
 from __future__ import annotations
