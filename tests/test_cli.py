@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -173,6 +174,15 @@ def test_selftest_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip().endswith("failures=0")
+
+
+def test_selftest_output_is_pinned(capsys):
+    # the SHA-256 of the seed-7 selftest up to order 24; any change to an
+    # answer the selftest reports changes it
+    code, out, _ = run(capsys, "--seed", "7", "selftest", "--max-order", "24")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6295fdf22938c2c97a02ed8d65f42353a6d31b99ff599b1e33b9633d7f240656"
 
 
 def test_pretty_flag(capsys, nodal_file):
