@@ -665,6 +665,11 @@ def cover_from_json(data: dict) -> CoverDescriptor:
             if "constant" in entry:
                 g = Gluing(Perm.from_one_indexed(entry["constant"]))
             else:
+                for pair in entry["mapping"]:
+                    if type(pair) is not list or len(pair) != 2:
+                        raise DomainError(
+                            "BAD_COVER_FILE",
+                            f"mapping entry {pair!r} is not [label, image]")
                 g = Gluing.of_mapping(
                     {Perm.from_one_indexed(a): Perm.from_one_indexed(b)
                      for a, b in entry["mapping"]}, group)

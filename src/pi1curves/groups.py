@@ -11,14 +11,15 @@ product of the orbit sizes and membership is a sift.  Everything that
 enumerates runs on the element index of a group small enough to list
 (|G| <= ENUM_BOUND, checked by counting while listing, without a chain):
 elements are numbered by their position in elements(), index() maps each
-image tuple to its position, multiplication is a lookup in cached rows
-(each composed from its parent's row along the search tree of elements(),
-one tuple map in C per row), and a subgroup is an int bitmask over those
-positions (span), so the subset test is a & ~b == 0 and the order is
-a.bit_count().  On the index run the cover calculus, subgroup lattices,
-Moebius/Eulerian counting, minimal generator counts, Sylow subgroups,
-normal closures, quotients and sigma(G); they raise GROUP_TOO_LARGE above
-ENUM_BOUND and build no chain for the subgroups they pass through.
+image tuple to its position, there is one multiplication table, of cached
+left rows (each composed from its parent's row along the search tree of
+elements(), one tuple map in C per row), and a subgroup is an int bitmask
+over those positions (span), so the subset test is a & ~b == 0 and the
+order is a.bit_count().  On the index run the cover calculus, subgroup
+lattices, Moebius/Eulerian counting, minimal generator counts, Sylow
+subgroups, normal closures, quotients and sigma(G); they raise
+GROUP_TOO_LARGE above ENUM_BOUND and build no chain for the subgroups they
+pass through.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class PermutationGroup:
     def elements(self) -> tuple:
         """All elements in a deterministic (sorted) order.  The bound is
         checked by counting them, so listing builds no chain.  The search
-        keeps its tree and the generators' left rows for _row."""
+        keeps its tree and the generators' left rows for _tree_row."""
         if "elements" not in self._memo:
             gens = [g.images for g in self.generators]
             queue = [tuple(range(self.degree))]
@@ -197,47 +198,29 @@ class PermutationGroup:
 
     def left_row(self, i: int) -> tuple:
         """Left multiplication by element i: position of g*x for each x."""
-        return self._row("left", i)
-
-    def right_row(self, i: int) -> tuple:
-        """Right multiplication by element i: position of x*g for each x."""
-        return self._row("right", i)
-
-    def _row(self, side: str, i: int) -> tuple:
-        rows = self._memo.get(side)
+        rows = self._memo.get("left")
         if rows is None:
             n = len(self.elements())
-            rows = self._memo[side] = [tuple(range(n))] + [None] * (n - 1)
-            if side == "right":
-                self._memo["right gens"] = [self._product_row(side, g.images)
-                                            for g in self.generators]
-        row = rows[i]
-        return self._tree_row(side, rows, i) if row is None else row
+            rows = self._memo["left"] = [tuple(range(n))] + [None] * (n - 1)
+        return rows[i] or self._tree_row(rows, i)
 
-    def _tree_row(self, side: str, rows: list, i: int) -> tuple:
+    def _tree_row(self, rows: list, i: int) -> tuple:
         """Row i composed along the search tree: for x = g * y, left(x) =
-        left(g) o left(y) and right(x) = right(y) o right(g).  The tree can
-        be |G|-1 deep: after 32 steps up without a known row, the walk
-        takes the row it stands on from products."""
-        (via, parent), gens = self._memo["tree"], self._memo[side + " gens"]
+        left(g) o left(y).  The tree can be |G|-1 deep: after 32 steps up
+        without a known row, the walk takes the row it stands on from
+        products."""
+        (via, parent), gens = self._memo["tree"], self._memo["left gens"]
         path = []
         while rows[i] is None and len(path) < 32:
             path.append(i)
             i = parent[i]
         row = rows[i]
         if row is None:
-            row = rows[i] = self._product_row(side, self.elements()[i].images)
+            index, g = self.index(), self.elements()[i].images
+            row = rows[i] = tuple(index[compose(g, x)] for x in index)
         for j in reversed(path):
-            g = gens[via[j]]
-            row = rows[j] = (tuple(map(g.__getitem__, row)) if side == "left"
-                             else tuple(map(row.__getitem__, g)))
+            row = rows[j] = tuple(map(gens[via[j]].__getitem__, row))
         return row
-
-    def _product_row(self, side: str, g: tuple) -> tuple:
-        """The row of the image tuple g, from |G| products."""
-        index = self.index()
-        return tuple(index[compose(g, x) if side == "left" else compose(x, g)]
-                     for x in index)
 
     def span(self, positions) -> int:
         """The subgroup generated by the elements at these positions, as a
@@ -282,14 +265,6 @@ class PermutationGroup:
             reps.append(x)
         return ids, reps
 
-    def is_subgroup_of(self, other: "PermutationGroup") -> bool:
-        return (self.degree == other.degree
-                and all(g in other for g in self.generators))
-
-    def same_group(self, other: "PermutationGroup") -> bool:
-        return (self.is_subgroup_of(other)
-                and self.order() == other.order())
-
     def conjugate(self, t) -> "PermutationGroup":
         return PermutationGroup.from_generators(
             [t * g * t.inverse for g in self.generators], self.degree)
@@ -325,14 +300,12 @@ def _normal_closure(group: PermutationGroup, perms):
             raise DomainError("NOT_A_MEMBER", f"{s} not in group")
         if index[s.images]:
             gens.append(index[s.images])
-    mask = group.span(gens)
-    # g*x*g^-1 is right[left[x]] for the rows of each generator g of group
-    conjugators = [(group.left_row(index[g.images]),
-                    group.right_row(index[g.inverse.images]))
-                   for g in group.generators]
+    mask, elements = group.span(gens), group.elements()
+    conjugators = [(g.images, g.inverse.images) for g in group.generators]
     for n in gens:  # conjugates only the generators, as they are added
-        for left, right in conjugators:
-            c = right[left[n]]
+        x = elements[n].images
+        for g, g_inv in conjugators:
+            c = index[compose(compose(g, x), g_inv)]
             if not mask >> c & 1:
                 gens.append(c)
                 mask = group.span(gens)
@@ -421,6 +394,15 @@ def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
 
 # -- minimal generators -----------------------------------------------------
 
+def _cyclic_subgroups(group: PermutationGroup) -> dict:
+    """The nontrivial cyclic subgroups, as {mask: position of the smallest
+    element in element order that generates it}."""
+    cyclic: dict = {}
+    for i in range(1, len(group.elements())):  # the identity is position 0
+        cyclic.setdefault(group.span([i]), i)
+    return cyclic
+
+
 def min_generators(group: PermutationGroup, seed: int = 0) -> int:
     """d(G): the minimal number of generators, by a level search over
     distinct subgroups; raises GROUP_TOO_LARGE above MIN_GEN_BOUND.
@@ -439,10 +421,7 @@ def min_generators(group: PermutationGroup, seed: int = 0) -> int:
             f"|G| = {order} > {MIN_GEN_BOUND}")
     full = (1 << order) - 1
     nontrivial = range(1, order)  # the identity is position 0
-    # one generator per cyclic subgroup, the smallest in element order
-    cyclic: dict = {}
-    for i in nontrivial:
-        cyclic.setdefault(group.span([i]), i)
+    cyclic = _cyclic_subgroups(group)
     if full in cyclic:
         return 1
     level = {mask: (i,) for mask, i in cyclic.items()}
@@ -507,8 +486,7 @@ def _lattice_masks(group: PermutationGroup) -> list:
     # close the cyclic subgroups under pairwise joins; each subgroup keeps
     # the generators it was first found with, and a join spans those
     gens = {1: ()}
-    for i in range(1, group.order()):
-        gens.setdefault(group.span([i]), (i,))
+    gens.update((mask, (i,)) for mask, i in _cyclic_subgroups(group).items())
     known = list(gens)
     fresh = known
     while fresh:

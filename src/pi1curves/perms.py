@@ -47,6 +47,11 @@ class Perm:
 
     @staticmethod
     def from_one_indexed(images) -> "Perm":
+        """From a JSON image array.  Every image must be an int: a float or
+        bool would compare equal to one and pass as a permutation."""
+        if not all(type(i) is int for i in images):
+            raise DomainError("NOT_A_PERMUTATION",
+                              f"non-integer image in {images!r}")
         return Perm(tuple(i - 1 for i in images))
 
     def to_one_indexed(self) -> list[int]:

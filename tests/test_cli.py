@@ -217,14 +217,18 @@ def test_malformed_config_is_bad_config_file(capsys, tmp_path, name):
         assert err.startswith("error: BAD_CONFIG_FILE: ")
 
 
-def _nodal_cover_with_class_index(class_index):
-    data = cover_to_json(build_descriptor(nodal_curve(5), catalog_group("C3")))
-    data["gluings"][0]["class_index"] = class_index
+def _nodal_cover_with_gluing(**gluing):
+    data = cover_to_json(build_descriptor(nodal_curve(5), catalog_group("S3")))
+    data["gluings"][0].update(gluing)
+    if "mapping" in gluing:
+        del data["gluings"][0]["constant"]
     return data
 
 
-# cover and script files of the wrong shape that used to end in a traceback,
-# or (class_index_*) to reach build_descriptor and exit with POINT_NOT_FOUND
+# cover and script files of the wrong shape that used to end in a traceback
+# (mapping_pair_short among them), or to be read wrongly: class_index_* used
+# to reach build_descriptor and exit with POINT_NOT_FOUND, and constant_* to
+# be read as the transposition (1 2) and exit 0
 MALFORMED_COVER_INPUTS = {
     "monodromy_list": ("export-dot", "BAD_COVER_FILE", lambda: {
         **cover_to_json(build_descriptor(nodal_curve(5), catalog_group("S3"))),
@@ -237,8 +241,15 @@ MALFORMED_COVER_INPUTS = {
     "output_not_name": ("glue", "BAD_COVER_FILE",
                         lambda: {"covers": {}, "steps": [], "output": ["x"]}),
     **{f"class_index_{i}": ("export-dot", "BAD_COVER_FILE",
-                            lambda i=i: _nodal_cover_with_class_index(i))
+                            lambda i=i: _nodal_cover_with_gluing(
+                                class_index=i))
        for i in ("x", "0", True)},
+    **{f"constant_{kind}": ("export-dot", "NOT_A_PERMUTATION",
+                            lambda c=c: _nodal_cover_with_gluing(constant=c))
+       for kind, c in (("float", [2.0, 1.0, 3.0]), ("bool", [2, True, 3]))},
+    "mapping_pair_short": ("export-dot", "BAD_COVER_FILE",
+                           lambda: _nodal_cover_with_gluing(
+                               mapping=[[[1, 2, 3, 4, 5, 6]]])),
 }
 
 
@@ -284,3 +295,15 @@ def test_group_file_degree_must_be_positive_int(capsys, tmp_path, nodal_file,
     code, out, err = run(capsys, "realizable", nodal_file, "--group", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: BAD_GROUP_FILE: degree must be")
+
+
+# a float image used to end in a traceback, and [2, true] to be read as [2, 1]
+@pytest.mark.parametrize("degree, generators", [
+    (3, [[2.0, 1.0, 3.0], [2, 3, 1]]), (2, [[2, True]])])
+def test_group_file_images_must_be_ints(capsys, tmp_path, nodal_file, degree,
+                                        generators):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": degree, "generators": generators}))
+    code, out, err = run(capsys, "realizable", nodal_file, "--group", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: NOT_A_PERMUTATION: non-integer image")

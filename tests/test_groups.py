@@ -140,18 +140,16 @@ def test_min_generators_on_elementary_abelian_groups():
     assert min_generators(c3_3) == 3
 
 
-def _product_rows(G, i):
+def _product_row(G, i):
     index, g = G.index(), G.elements()[i].images
-    return (tuple(index[perms.compose(g, x)] for x in index),
-            tuple(index[perms.compose(x, g)] for x in index))
+    return tuple(index[perms.compose(g, x)] for x in index)
 
 
 def test_rows_match_products():
     for name, G in catalog_groups():
         G = _fresh(G)
         for i in range(len(G.elements())):
-            assert (G.left_row(i), G.right_row(i)) == _product_rows(G, i), \
-                (name, i)
+            assert G.left_row(i) == _product_row(G, i), (name, i)
 
 
 def test_rows_of_a_deep_search_tree():
@@ -167,7 +165,7 @@ def test_rows_of_a_deep_search_tree():
     index = G.index()
     for power in (g.inverse, g.inverse * g.inverse, g * g):
         i = index[power.images]
-        assert (G.left_row(i), G.right_row(i)) == _product_rows(G, i)
+        assert G.left_row(i) == _product_row(G, i)
 
 
 def test_abelianization():
@@ -234,6 +232,29 @@ def test_span_matches_perm_closure():
             expected = _perm_closure(G.degree, [elements[i] for i in positions])
             assert {elements[i] for i in range(len(elements))
                     if mask >> i & 1} == expected, (name, positions)
+
+
+def test_coset_map_gives_the_right_cosets():
+    # the trivial subgroup and every cyclic subgroup of each group, against
+    # the right cosets Hx taken with Perm products
+    for name, G in catalog_groups(24):
+        elements = G.elements()
+        n = len(elements)
+        quotients = {(x, y): elements[y] * elements[x].inverse
+                     for x in range(n) for y in range(n)}
+        subgroups = {frozenset([elements[0]]): []}
+        for i in range(1, n):
+            subgroups.setdefault(
+                frozenset(_perm_closure(G.degree, [elements[i]])), [i])
+        for H, positions in subgroups.items():
+            ids, reps = G.coset_map(positions)
+            classes = [[x for x in range(n) if ids[x] == c]
+                       for c in range(len(reps))]
+            assert len(classes) == n // len(H), (name, positions)
+            assert all(len(c) == len(H) for c in classes), (name, positions)
+            assert list(reps) == [c[0] for c in classes], (name, positions)
+            for (x, y), q in quotients.items():
+                assert (ids[x] == ids[y]) == (q in H), (name, positions, x, y)
 
 
 def test_eulerian_vs_exhaustive():
@@ -478,8 +499,8 @@ def test_no_perm_product_in_chain_or_index(monkeypatch):
         n = len(elements)
         assert [index[x.images] for x in elements] == list(range(n))
         for i in range(n):
-            for row in (G.left_row(i), G.right_row(i)):
-                assert row[0] == i and sorted(row) == list(range(n))
+            row = G.left_row(i)
+            assert row[0] == i and sorted(row) == list(range(n))
         assert G.span(range(n)) == (1 << n) - 1
         assert len(G.coset_map([1])[1]) * G.span([1]).bit_count() == n
         assert min_generators(G) == 2 and eulerian(G, 2) == phi2
