@@ -18,9 +18,11 @@ is_galois() rejects those that are not left translations.
 Every check runs on element positions (PermutationGroup.index, its
 multiplication rows and span masks), not on Perm products: membership
 of a label, an inertia generator or a subgroup is read off the element
-index.  Only connectivity_criterion, the independent oracle for
-is_connected, asks the stabilizer chain.  Perm stays the type of labels
-at the API and JSON boundary.
+index, and connectivity is one span (is_connected): by the free-product
+structure of pi_1, the relabelled monodromy and the non-tree gluing
+constants must generate G.  The test suite checks it against union-find
+over the sheet graph.  Perm stays the type of labels at the API and JSON
+boundary.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .curves import (CurveConfiguration, PointRef, dual_graph, identify,
                      is_connected as config_connected, require_valid,
                      union_find)
 from .errors import DomainError, require
-from .groups import (PermutationGroup, subgroup_generated,
-                     subgroup_positions)
+from .groups import PermutationGroup, subgroup_positions
 from .perms import Perm
 
 
@@ -205,10 +206,79 @@ def _sheet_graph(cover: CoverDescriptor):
     return counts, edges
 
 
+def _all_constants(cover: CoverDescriptor) -> bool:
+    return all(g.constant is not None for branches in cover.gluings.values()
+               for g in branches.values())
+
+
 def is_connected(cover: CoverDescriptor) -> bool:
-    """Union-find over the sheet graph."""
-    counts, edges = _sheet_graph(cover)
-    return len(set(union_find(sum(counts), edges))) == 1
+    """Whether the cover is connected.  When every gluing is a constant,
+    by the free-product structure of pi_1: the monodromy and the non-tree
+    gluing constants, relabelled along the spanning tree (_transport),
+    must generate G; a disconnected base gives False.  A mapping gluing
+    falls back to union-find over the sheet graph."""
+    if not _all_constants(cover):
+        counts, edges = _sheet_graph(cover)
+        return len(set(union_find(sum(counts), edges))) == 1
+    moved = _transport(cover)
+    if moved is None:
+        return False
+    gens = [h for positions in moved[0].values() for h in positions]
+    gens += [c for _, _, c in moved[1] if c]
+    return cover.group.span(gens).bit_count() == len(cover.group.index())
+
+
+def _moved(group: PermutationGroup, a: int, x: int, b: int) -> int:
+    """The position of a * x * b^-1 for element positions a, x and b; an
+    identity factor (position 0) costs nothing."""
+    if b:
+        x = group.left_row(x)[group.left_row(b).index(0)]
+    return group.left_row(a)[x] if a else x
+
+
+def _transport(cover: CoverDescriptor):
+    """Relabel the fibers over each component C by x -> t_C*x, with t_C
+    read along the spanning tree in BFS order so that every tree gluing
+    becomes the identity; all on element positions, for a cover whose
+    gluings are all constants.  Returns (component id -> relabelled
+    monodromy generators, [(class index, branch, relabelled constant)] in
+    class order), or None on a disconnected base.  Raises NOT_A_MEMBER and
+    FIBER_NOT_TORSOR as _sheet_graph does, in the same order."""
+    config, group = cover.base, cover.group
+    index, classes = group.index(), config.identification_classes
+    monodromy = {}
+    for comp in config.components:
+        sub = cover.monodromy.get(comp.id)
+        monodromy[comp.id] = [] if sub is None \
+            else subgroup_positions(group, sub)
+        require(monodromy[comp.id] is not None, "NOT_A_MEMBER",
+                "monodromy is not a subgroup of G")
+    constants = []
+    for ci, cls in enumerate(classes):
+        for branch in cls.members[1:]:
+            c = index.get(cover.gluings[ci][branch].constant.images)
+            if c is None:
+                raise DomainError(
+                    "FIBER_NOT_TORSOR",
+                    f"gluing at {branch} is not a bijection of G")
+            constants.append((ci, branch, c))
+    if len(monodromy) == 1:  # one component needs no tree: t = 1
+        return monodromy, constants
+    t = {min(monodromy): 0}  # the tree's root
+    given = {(ci, branch): c for ci, branch, c in constants}
+    for ci, branch in config.spanning_tree[0]:
+        a, b = classes[ci].base_branch.component_id, branch.component_id
+        if a in t:  # t_b * c * t_a^-1 = 1
+            t[b] = _moved(group, t[a], 0, given[ci, branch])
+        else:
+            t[a] = _moved(group, t[b], given[ci, branch], 0)
+    if len(t) < len(monodromy):
+        return None
+    return ({comp: [_moved(group, t[comp], h, t[comp]) for h in positions]
+             for comp, positions in monodromy.items()},
+            [(ci, branch, _moved(group, t[branch.component_id], c,
+                                 t[classes[ci].base_branch.component_id]))
+             for ci, branch, c in constants])
 
 
 def is_galois(cover: CoverDescriptor) -> bool:
@@ -224,43 +294,6 @@ def is_galois(cover: CoverDescriptor) -> bool:
             if row is None or not _is_translation(group, row):
                 return False
     return True
-
-
-# -- torsor labelings -------------------------------------------------------
-
-@dataclass(frozen=True)
-class TorsorLabeling:
-    fiber: tuple
-    base_point: object
-    to_group: dict    # fiber point -> Perm, base -> identity
-    from_group: dict  # inverse map
-
-
-def torsor_labeling(group: PermutationGroup, fiber, action,
-                    base_point) -> TorsorLabeling:
-    """The bijection of a simply transitive action with G itself.
-
-    action(g, s) applies g in G to a fiber point s.  The label of s is the
-    unique g with action(g, s) == base_point; the base point gets the
-    identity.
-    """
-    fiber = tuple(fiber)
-    require(base_point in fiber, "NOT_SIMPLY_TRANSITIVE",
-            "base point not in the fiber")
-    elements = group.elements()
-    require(len(fiber) == len(set(fiber)) == len(elements),
-            "NOT_SIMPLY_TRANSITIVE",
-            f"fiber size {len(fiber)} != |G| = {len(elements)}")
-    to_group = {}
-    for s in fiber:
-        labels = [g for g in elements if action(g, s) == base_point]
-        require(len(labels) == 1, "NOT_SIMPLY_TRANSITIVE",
-                f"{len(labels)} group elements move {s!r} to the base point")
-        to_group[s] = labels[0]
-    from_group = {g: s for s, g in to_group.items()}
-    require(len(from_group) == len(elements), "NOT_SIMPLY_TRANSITIVE",
-            "labels are not distinct")
-    return TorsorLabeling(fiber, base_point, to_group, from_group)
 
 
 # -- induction and gluing ---------------------------------------------------
@@ -479,108 +512,32 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
 # -- spanning-tree normal form ---------------------------------------------
 
 def spanning_tree(config):
-    """BFS spanning tree of the dual graph from the smallest component id.
-
-    Returns (tree_edges, non_tree_edges) as (class_index, branch) pairs;
-    self-loop edges are never tree edges.
-    """
-    # (class_index, branch) edges of the dual graph in deterministic order
-    edges = [(ci, branch)
-             for ci, cls in enumerate(config.identification_classes)
-             for branch in cls.members[1:]]
-    adjacency: dict = {c.id: [] for c in config.components}
-    for ci, branch in edges:
-        a = config.identification_classes[ci].base_branch.component_id
-        b = branch.component_id
-        if a != b:
-            adjacency[a].append(((ci, branch), b))
-            adjacency[b].append(((ci, branch), a))
-    for comp in adjacency.values():
-        comp.sort(key=lambda e: (e[0][0], e[0][1], e[1]))
-    tree = []
-    visited = set()
-    start = min(c.id for c in config.components)
-    queue = [start]
-    visited.add(start)
-    while queue:
-        node = queue.pop(0)
-        for edge, other in adjacency[node]:
-            if other not in visited:
-                visited.add(other)
-                tree.append(edge)
-                queue.append(other)
-    tree_set = set(tree)
-    non_tree = [e for e in edges if e not in tree_set]
-    return tree, non_tree
+    """CurveConfiguration.spanning_tree: (tree edges, non-tree edges)."""
+    return config.spanning_tree
 
 
 def normalize_spanning_tree(cover: CoverDescriptor) -> CoverDescriptor:
     """Relabel fibers component-by-component so every spanning-tree gluing
-    constant becomes the identity.
+    constant becomes the identity (_transport).
 
     The surviving constants, one per non-tree edge, number exactly delta.
     All gluings must be constants (left translations); raises
     ACTION_NOT_EQUIVARIANT otherwise.
     """
-    config = cover.base
-    require(config_connected(config), "BASE_NOT_CONNECTED")
-    for branches in cover.gluings.values():
-        for gluing in branches.values():
-            require(gluing.constant is not None, "ACTION_NOT_EQUIVARIANT",
-                    "non-translation gluing cannot be tree-normalized")
-    tree, _ = spanning_tree(config)
-    identity = Perm.identity(cover.group.degree)
-    translation = {min(c.id for c in config.components): identity}
-    # the tree edges come in BFS order from that component, so one end of
-    # each edge already has its translation; want t_b * c * t_a^-1 = 1
-    for ci, branch in tree:
-        c = cover.gluings[ci][branch].constant
-        a = config.identification_classes[ci].base_branch.component_id
-        b = branch.component_id
-        if a in translation:
-            translation[b] = translation[a] * c.inverse
-        else:
-            translation[a] = translation[b] * c
-
-    gluings = {}
-    for ci, branches in cover.gluings.items():
-        base = config.identification_classes[ci].base_branch
-        t_base = translation[base.component_id]
-        gluings[ci] = {}
-        for branch, gluing in branches.items():
-            t_branch = translation[branch.component_id]
-            new_c = t_branch * gluing.constant * t_base.inverse
-            gluings[ci][branch] = Gluing(new_c)
-    monodromy = {comp_id: sub.conjugate(translation[comp_id])
-                 for comp_id, sub in cover.monodromy.items()}
-    return CoverDescriptor(config, cover.group, monodromy, gluings,
-                           dict(cover.ramification))
-
-
-def connectivity_criterion(cover: CoverDescriptor) -> bool:
-    """Connectedness via the free-product structure: the monodromy
-    subgroups together with the non-tree gluing constants must generate G.
-
-    Requires a tree-normalized descriptor (NOT_TREE_NORMALIZED otherwise);
-    agrees with is_connected on every input.
-    """
-    config = cover.base
-    require(config_connected(config), "BASE_NOT_CONNECTED")
-    tree, non_tree = spanning_tree(config)
-    gens = []
-    for ci, branch in tree:
-        gluing = cover.gluings[ci][branch]
-        require(gluing.constant is not None and gluing.constant.is_identity(),
-                "NOT_TREE_NORMALIZED",
-                f"tree edge {(ci, branch)} has a nontrivial constant")
-    for ci, branch in non_tree:
-        gluing = cover.gluings[ci][branch]
-        require(gluing.constant is not None, "NOT_TREE_NORMALIZED",
-                "non-translation gluing")
-        gens.append(gluing.constant)
-    for comp in config.components:
-        gens.extend(cover.monodromy_of(comp.id).generators)
-    return subgroup_generated(cover.group, gens).order() == cover.group.order()
+    require(config_connected(cover.base), "BASE_NOT_CONNECTED")
+    require(_all_constants(cover), "ACTION_NOT_EQUIVARIANT",
+            "non-translation gluing cannot be tree-normalized")
+    monodromy, constants = _transport(cover)
+    group, elements = cover.group, cover.group.elements()
+    gluings = {ci: {} for ci in cover.gluings}
+    for ci, branch, c in constants:
+        gluings[ci][branch] = Gluing(elements[c])
+    return CoverDescriptor(
+        cover.base, group,
+        {comp_id: PermutationGroup.from_generators(
+            [elements[h] for h in monodromy[comp_id]], group.degree)
+         for comp_id in cover.monodromy},
+        gluings, dict(cover.ramification))
 
 
 # -- DOT export -------------------------------------------------------------

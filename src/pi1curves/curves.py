@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainError, require
 from .groups import is_prime
@@ -26,8 +27,8 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-@dataclass(frozen=True, order=True)
-class PointRef:
+class PointRef(NamedTuple):
+    """A marked point; a tuple, so it hashes, compares and sorts in C."""
     component_id: str
     point_label: str
 
@@ -108,6 +109,33 @@ class CurveConfiguration:
     def _violations(self) -> tuple:
         """The violations of the invariants, scanned once per object."""
         return tuple(_scan_violations(self))
+
+    @cached_property
+    def spanning_tree(self) -> tuple:
+        """BFS spanning tree of the dual graph from the smallest component
+        id, built once per object: (tree edges in BFS order, non-tree
+        edges) as tuples of (class index, branch) pairs in class order;
+        self-loop edges are never tree edges."""
+        classes = self.identification_classes
+        edges = [(ci, branch) for ci, cls in enumerate(classes)
+                 for branch in cls.members[1:]]
+        adjacency: dict = {c.id: [] for c in self.components}
+        for ci, branch in edges:  # in (class index, branch) order
+            a, b = classes[ci].base_branch.component_id, branch.component_id
+            if a != b:
+                adjacency[a].append(((ci, branch), b))
+                adjacency[b].append(((ci, branch), a))
+        tree = []
+        queue = [min(adjacency)]
+        visited = set(queue)
+        for node in queue:  # breadth first: the queue grows as we go
+            for edge, other in adjacency[node]:
+                if other not in visited:
+                    visited.add(other)
+                    tree.append(edge)
+                    queue.append(other)
+        tree_set = set(tree)
+        return tuple(tree), tuple(e for e in edges if e not in tree_set)
 
     def class_of(self, ref: PointRef):
         """Index of the identification class containing ref, or None."""

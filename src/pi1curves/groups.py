@@ -28,7 +28,6 @@ import itertools
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import prod
-from operator import mul
 from random import Random
 
 from .errors import DomainError, require
@@ -266,8 +265,10 @@ class PermutationGroup:
         return ids, reps
 
     def conjugate(self, t) -> "PermutationGroup":
+        t, t_inv = t.images, invert(t.images)
         return PermutationGroup.from_generators(
-            [t * g * t.inverse for g in self.generators], self.degree)
+            [Perm.trusted(compose(compose(t, g.images), t_inv))
+             for g in self.generators], self.degree)
 
 
 # -- basic constructions ----------------------------------------------------
@@ -448,8 +449,9 @@ def min_generators(group: PermutationGroup, seed: int = 0) -> int:
 # -- abelianization ---------------------------------------------------------
 
 def _commutators(group: PermutationGroup) -> list:
-    return [a * b * a.inverse * b.inverse
-            for a in group.generators for b in group.generators]
+    gens = [(g.images, invert(g.images)) for g in group.generators]
+    return [Perm.trusted(compose(compose(a, b), compose(a_inv, b_inv)))
+            for a, a_inv in gens for b, b_inv in gens]
 
 
 def derived_subgroup(group: PermutationGroup) -> PermutationGroup:
@@ -465,7 +467,8 @@ def abelianization_p_rank(group: PermutationGroup, p: int) -> int:
     where G'G^p is the normal closure of the generators' commutators and
     p-th powers."""
     require(is_prime(p), "NOT_PRIME", f"p = {p}")
-    powers = [reduce(mul, [g] * p) for g in group.generators]
+    powers = [Perm.trusted(reduce(compose, [g.images] * p))
+              for g in group.generators]
     _, mask = _normal_closure(group, _commutators(group) + powers)
     order = len(group.elements()) // mask.bit_count()
     rank = 0
@@ -544,16 +547,6 @@ def eulerian(group: PermutationGroup, k: int) -> int:
     """φ_k(G): the number of generating k-tuples, via Moebius inversion."""
     return sum(m * h.bit_count() ** k
                for h, m in _moebius_masks(group).items())
-
-
-def count_generating_tuples(group: PermutationGroup, k: int) -> int:
-    """Independent oracle for φ_k(G): plain exhaustive enumeration."""
-    order = group.order()
-    require(order ** k <= 10 ** 7, "GROUP_TOO_LARGE",
-            f"|G|^k = {order ** k} too large")
-    elements = group.elements()
-    return sum(1 for tup in itertools.product(elements, repeat=k)
-               if subgroup_generated(group, tup).order() == order)
 
 
 def is_p_group(group: PermutationGroup, p: int) -> bool:

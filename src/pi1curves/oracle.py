@@ -5,9 +5,11 @@ connected G-cover is (after tree normalization) exactly a choice of one
 gluing constant per non-tree edge of the dual graph such that the
 constants generate G.  Enumerating those tuples therefore counts
 generating tuples, and the count must equal the Eulerian function
-phi_delta(G).  This module does the enumeration with the independent
-union-find connectivity test and compares both against the
-Moebius-inversion count and against the descent construction.
+phi_delta(G).  This module does the enumeration, deciding connectivity
+with covers.is_connected (a span of the monodromy and non-tree gluing
+constants, the same criterion), so the independent check on the count is
+the Moebius-inversion eulerian; it also rebuilds every enumerated cover
+through the descent construction and compares it with direct gluing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .curves import (CurveConfiguration, PointRef, delta,
                      require_projective, strip_identifications)
 from .errors import DomainError, require
 from .groups import PermutationGroup
-from .perms import Perm
 
 ENUMERATION_BOUND = 10 ** 7
 
@@ -36,13 +37,11 @@ def _check_rational(config):
 
 
 def _descriptor_for(config, group, free_edges, constants):
+    """The descriptor with these constants on the free edges and the
+    identity (build_descriptor's default) on the tree edges."""
     gluings: dict = {}
-    assignment = dict(zip(free_edges, constants))
-    for ci, cls in enumerate(config.identification_classes):
-        gluings[ci] = {}
-        for branch in cls.members[1:]:
-            c = assignment.get((ci, branch), Perm.identity(group.degree))
-            gluings[ci][branch] = c
+    for (ci, branch), c in zip(free_edges, constants):
+        gluings.setdefault(ci, {})[branch] = c
     return build_descriptor(config, group, gluings=gluings)
 
 

@@ -13,15 +13,16 @@ import time
 import pytest
 
 from pi1curves.catalog import catalog_group, catalog_groups, catalog_names
-from pi1curves.covers import (build_descriptor, glue_same_component,
-                              glue_two_components, is_connected as
-                              cover_connected, is_galois)
+from pi1curves.covers import (build_descriptor, descend,
+                              glue_same_component, glue_two_components,
+                              is_connected as cover_connected, is_galois,
+                              spanning_tree)
 from pi1curves.curves import (CurveConfiguration, PointRef, delta, dual_graph,
                               factorize, replay, strip_identifications,
                               validate)
 from pi1curves.errors import DomainError
 from pi1curves.groups import (PermutationGroup, abelianization,
-                              count_generating_tuples, eulerian,
+                              eulerian,
                               min_generators, quasi_p_part, quotient,
                               subgroup_lattice)
 from pi1curves.oracle import (cross_check_descent, enumerate_connected_covers,
@@ -29,6 +30,8 @@ from pi1curves.oracle import (cross_check_descent, enumerate_connected_covers,
 from pi1curves.perms import Perm
 from pi1curves.realizability import (affine_realizable, hasse_witt_check,
                                      nakajima_check, pro_p_rank)
+
+from oracles import count_generating_tuples, sheet_graph_connected
 
 P = PointRef
 
@@ -196,6 +199,62 @@ def test_criterion_5_descent_equivalence(capsys):
         if exc.code not in ("ACTION_NOT_EQUIVARIANT", "BAD_PARTITION"):
             failures.append(("wrong code", exc.code))
     report(capsys, 5, "descent = direct gluing", started, failures, 60)
+
+
+def test_connectivity_oracle_on_criteria_3_to_5(capsys):
+    # is_connected against union-find over the sheet graph on every cover
+    # that criteria 3-5 build: one constant per free edge of the nodal and
+    # two-node curves, directly and through descent, and the gluings of
+    # criterion 4 with their ramified bases
+    started = time.time()
+    failures = []
+    checked = 0
+
+    def check(cover, what):
+        nonlocal checked
+        checked += 1
+        if cover_connected(cover) != sheet_graph_connected(cover):
+            failures.append(what)
+
+    nodal, theta = nodal_curve(5), two_node_curve(5)
+    for name, G in catalog_groups(24):
+        for config in (nodal, theta):
+            base_cover = build_descriptor(strip_identifications(config), G)
+            _, free = spanning_tree(config)
+            for constants in itertools.product(G.elements(),
+                                               repeat=len(free)):
+                gluings = {ci: {branch: c}
+                           for (ci, branch), c in zip(free, constants)}
+                check(build_descriptor(config, G, gluings=gluings),
+                      (name, "direct", constants))
+                base_rel = [set(cls.members)
+                            for cls in config.identification_classes]
+                cover_rel = [{(cls.base_branch, x), (branch, c * x)}
+                             for (ci, branch), c in zip(free, constants)
+                             for cls in [config.identification_classes[ci]]
+                             for x in G.elements()]
+                check(descend(base_cover, base_rel, cover_rel),
+                      (name, "descended", constants))
+        subs, generates = _subgroups_with_generation_test(G)
+        for S, H in subs:
+            cover = _ramified_base("C1", H)
+            check(cover, (name, "base"))
+            for gamma in G.elements():
+                if generates(S | {gamma}):
+                    check(glue_same_component(G, H, gamma, cover,
+                                              P("C1", "a"), P("C1", "b")),
+                          (name, "prop1", gamma))
+        for S1, H1 in subs:
+            cover1 = _ramified_base("C1", H1)
+            for S2, H2 in subs:
+                if generates(S1 | S2):
+                    check(glue_two_components(G, H1, H2, cover1,
+                                              _ramified_base("D1", H2),
+                                              P("C1", "a"), P("D1", "a")),
+                          (name, "prop2"))
+    assert checked > 50_000
+    report(capsys, "3-5", "is_connected = sheet-graph oracle", started,
+           failures, 60)
 
 
 def test_criterion_6_abhyankar_regression(capsys):

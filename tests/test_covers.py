@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,7 +7,6 @@ from pi1curves.catalog import catalog_group, catalog_groups, cyclic, symmetric
 from pi1curves.covers import (
     Gluing,
     build_descriptor,
-    connectivity_criterion,
     cover_from_json,
     cover_to_json,
     descend,
@@ -19,12 +19,13 @@ from pi1curves.covers import (
     normalize_spanning_tree,
     sheet_graph_dot,
     spanning_tree,
-    torsor_labeling,
 )
 from pi1curves.curves import CurveConfiguration, PointRef
 from pi1curves.errors import DomainError
 from pi1curves.groups import PermutationGroup, subgroup_generated
 from pi1curves.perms import Perm
+
+from oracles import sheet_graph_connected, torsor_labeling
 
 P = PointRef
 
@@ -353,7 +354,7 @@ def test_descend_rejects_unrelated_base():
     assert err.value.code == "RELATION_NOT_PRESERVED"
 
 
-# -- normal form and connectivity criterion ---------------------------------
+# -- normal form and connectivity ---------------------------------------------
 
 def random_cyclic_descriptor(rng, group, config):
     _, free = spanning_tree(config)
@@ -385,18 +386,142 @@ def test_normalize_spanning_tree():
             assert norm.gluings[ci][branch].constant.is_identity()
         assert len(free) == 1
         assert is_connected(norm) == is_connected(cover)
-        assert connectivity_criterion(norm) == is_connected(cover)
+        assert sheet_graph_connected(norm) == is_connected(cover)
 
 
-def test_connectivity_criterion_requires_normal_form():
-    G = cyclic(2)
-    flip = G.generators[0]
-    config = chain_config()
-    gluings = {0: {config.identification_classes[0].members[1]: flip}}
-    cover = build_descriptor(config, G, gluings=gluings)
-    with pytest.raises(DomainError) as err:
-        connectivity_criterion(cover)
-    assert err.value.code == "NOT_TREE_NORMALIZED"
+# the sheet graph and dual graph of dot_fixture(), as printed before
+# PointRef became a tuple
+SHEET_DOT = (
+    'graph sheets {\n  "C1_s0";\n  "C1_s1";\n  "C2_s0";\n  "C2_s1";\n'
+    '  "C2_s2";\n  "C2_s3";\n  "C2_s4";\n  "C2_s5";\n  "C3_s0";\n'
+    '  "C3_s1";\n  "C3_s2";\n  "C1_s0" -- "C1_s0";\n  "C1_s0" -- "C2_s0";\n'
+    '  "C1_s0" -- "C2_s3";\n  "C1_s0" -- "C2_s4";\n  "C1_s0" -- "C3_s0";\n'
+    '  "C1_s0" -- "C3_s1";\n  "C1_s0" -- "C3_s2";\n  "C1_s1" -- "C1_s1";\n'
+    '  "C1_s1" -- "C2_s1";\n  "C1_s1" -- "C2_s2";\n  "C1_s1" -- "C2_s5";\n'
+    '  "C1_s1" -- "C3_s0";\n  "C1_s1" -- "C3_s1";\n  "C1_s1" -- "C3_s2";\n'
+    '  "C2_s0" -- "C3_s0";\n  "C2_s1" -- "C3_s0";\n  "C2_s2" -- "C3_s1";\n'
+    '  "C2_s3" -- "C3_s2";\n  "C2_s4" -- "C3_s1";\n  "C2_s5" -- "C3_s2";\n'
+    '}\n')
+DUAL_DOT = ('graph dual {\n  "C1";\n  "C2";\n  "C3";\n  "C1" -- "C2";\n'
+            '  "C2" -- "C3";\n  "C1" -- "C3";\n  "C1" -- "C1";\n}\n')
+
+
+def dot_fixture():
+    S3 = catalog_group("S3")
+    rotation = next(g for g in S3.elements() if g.order() == 3)
+    flip = next(g for g in S3.elements() if g.order() == 2)
+    config = CurveConfiguration.build(
+        5, [("C1", 1), ("C2", 0), ("C3", 1)],
+        {"C1": ["a", "b", "c", "d"], "C2": ["a", "b"], "C3": ["a", "b"]},
+        [[P("C1", "b"), P("C2", "a")], [P("C2", "b"), P("C3", "a")],
+         [P("C3", "b"), P("C1", "a")], [P("C1", "c"), P("C1", "d")]])
+    return build_descriptor(
+        config, S3,
+        monodromy={"C1": subgroup_generated(S3, [rotation]),
+                   "C3": subgroup_generated(S3, [flip])},
+        gluings={0: {P("C2", "a"): rotation},
+                 2: {P("C3", "b"): flip * rotation},
+                 3: {P("C1", "d"): rotation}})
+
+
+def test_dot_outputs_pinned():
+    cover = dot_fixture()
+    assert sheet_graph_dot(cover) == SHEET_DOT
+    assert dual_graph_dot(cover.base) == DUAL_DOT
+
+
+def _random_subgroup(rng, G):
+    return subgroup_generated(G, rng.sample(G.elements(), rng.randint(0, 2)))
+
+
+def test_is_connected_matches_oracle_on_constant_covers():
+    # three- and two-component bases with nontrivial monodromy off the
+    # root component C1, and bases that are disconnected
+    rng = random.Random(12)
+    two = CurveConfiguration.build(
+        5, [("C1", 1), ("C2", 1)], {"C1": ["a", "b"], "C2": ["a", "b"]},
+        [[P("C1", "a"), P("C2", "a")], [P("C1", "b"), P("C2", "b")]])
+    apart = CurveConfiguration.build(
+        5, [("C1", 1), ("C2", 1), ("C3", 1)],
+        {"C1": ["a", "b", "c"], "C2": ["a"], "C3": ["a", "b"]},
+        [[P("C1", "a"), P("C2", "a")], [P("C1", "b"), P("C1", "c")],
+         [P("C3", "a"), P("C3", "b")]])
+    seen = set()
+    for name in ("C2xC2", "S3", "D4", "A4"):
+        G = catalog_group(name)
+        for config in (chain_config(), two, apart):
+            for _ in range(40):
+                cover = random_cyclic_descriptor(rng, G, config)
+                cover = replace(cover, monodromy={
+                    comp.id: _random_subgroup(rng, G)
+                    for comp in config.components if rng.random() < 0.7})
+                connected = is_connected(cover)
+                assert connected == sheet_graph_connected(cover)
+                assert not connected or config is not apart
+                seen.add(connected)
+    assert seen == {False, True}
+
+
+def test_is_connected_matches_oracle_on_mapping_covers():
+    # descend(require_galois=False) leaves raw mappings where a class is
+    # glued by a bijection that is not a left translation
+    rng = random.Random(4)
+    base = CurveConfiguration.build(
+        5, [("C1", 1), ("C2", 1), ("C3", 1)],
+        {"C1": ["a", "b", "c"], "C2": ["a", "b"], "C3": ["a"]}, [])
+    pairs = [[P("C1", "a"), P("C1", "b")], [P("C1", "c"), P("C2", "a")],
+             [P("C2", "b"), P("C3", "a")]]
+    seen = set()
+    for name in ("C3", "C2xC2", "S3", "D4"):
+        G = catalog_group(name)
+        elements = G.elements()
+        for _ in range(40):
+            cover = build_descriptor(base, G, monodromy={
+                "C1": _random_subgroup(rng, G), "C2": _random_subgroup(rng, G),
+                "C3": _random_subgroup(rng, G)})
+            chosen = rng.sample(pairs, rng.randint(1, 3))
+            relation = []
+            for lo, hi in chosen:
+                images = list(elements)
+                if rng.random() < 0.5:
+                    rng.shuffle(images)
+                else:
+                    c = rng.choice(elements)
+                    images = [c * x for x in elements]
+                relation += [{(lo, x), (hi, y)}
+                             for x, y in zip(elements, images)]
+            out = descend(cover, [set(p) for p in chosen], relation,
+                          require_galois=False)
+            connected = is_connected(out)
+            assert connected == sheet_graph_connected(out)
+            seen.add((connected, is_galois(out)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_is_connected_error_codes_match_sheet_graph():
+    S3, A3, flip = s3_and_a3()
+    for config in (nodal(), chain_config()):
+        cover = build_descriptor(config, A3)
+        ci, cls = 0, config.identification_classes[0]
+        bad_constant = replace(cover, gluings={
+            **cover.gluings, ci: {cls.members[1]: Gluing(flip)}})
+        bad_monodromy = replace(cover, monodromy={
+            config.components[-1].id: subgroup_generated(S3, [flip])})
+        both = replace(bad_constant, monodromy=bad_monodromy.monodromy)
+        # a mapping gluing sends the cover to the sheet graph
+        bad_mapping = replace(cover, gluings={**cover.gluings, ci: {
+            cls.members[1]: Gluing(mapping=((flip, flip),))}})
+        for bad, code in ((bad_constant, "FIBER_NOT_TORSOR"),
+                          (bad_monodromy, "NOT_A_MEMBER"),
+                          (both, "NOT_A_MEMBER"),
+                          (bad_mapping, "FIBER_NOT_TORSOR"),
+                          (replace(bad_mapping,
+                                   monodromy=bad_monodromy.monodromy),
+                           "NOT_A_MEMBER")):
+            for check in (is_connected, sheet_graph_dot):
+                with pytest.raises(DomainError) as err:
+                    check(bad)
+                assert err.value.code == code, (check, code, config)
 
 
 def test_relabeling_invariance():

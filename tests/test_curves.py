@@ -152,6 +152,23 @@ def test_json_round_trip():
         assert CurveConfiguration.from_json(data) == config
 
 
+def test_point_ref_behaviour():
+    # a tuple with the two fields: repr, order and hash are the tuple's
+    refs = [P("C2", "a"), P("C10", "b"), P("C1", "z"), P("C1", "a")]
+    assert repr(refs[0]) == str(refs[0]) \
+        == "PointRef(component_id='C2', point_label='a')"
+    assert sorted(refs) == [P("C1", "a"), P("C1", "z"), P("C10", "b"),
+                            P("C2", "a")]
+    assert all(hash(r) == hash((r.component_id, r.point_label))
+               for r in refs)
+    assert [PointRef.from_json(json.loads(json.dumps(r.to_json())))
+            for r in refs] == refs
+    assert refs[0].to_json() == ["C2", "a"]
+    with pytest.raises(DomainError) as err:
+        PointRef.from_json(["C1"])
+    assert err.value.code == "BAD_CONFIG_FILE"
+
+
 def test_from_json_rejects_unknown_fields():
     data = nodal().to_json()
     data["surprise"] = 1

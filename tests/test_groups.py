@@ -9,12 +9,14 @@ import pytest
 from pi1curves import groups, perms
 from pi1curves.catalog import (alternating, catalog_group, catalog_groups,
                                cyclic, dihedral, symmetric)
+from pi1curves.covers import (build_descriptor, is_connected,
+                              normalize_spanning_tree, spanning_tree)
+from pi1curves.curves import CurveConfiguration, PointRef
 from pi1curves.errors import DomainError
 from pi1curves.groups import (
     PermutationGroup,
     abelianization,
     abelianization_p_rank,
-    count_generating_tuples,
     derived_subgroup,
     eulerian,
     is_p_group,
@@ -30,6 +32,8 @@ from pi1curves.groups import (
     sylow_subgroup,
 )
 from pi1curves.perms import Perm
+
+from oracles import count_generating_tuples
 
 
 def test_orders():
@@ -490,9 +494,10 @@ def test_no_perm_product_in_chain_or_index(monkeypatch):
     monkeypatch.setattr(Perm, "__mul__", refuse)
     G = PermutationGroup.from_generators(padded)
     assert G.order() == order and G.contains(Perm(tuple(reversed(range(12)))))
-    # (name, p, |p(G)|, |G/p(G)|, phi_2(G))
-    for name, p, normal, image, phi2 in (("S4", 3, 12, 2, 216),
-                                         ("SL23", 2, 8, 3, 384)):
+    # (name, p, |p(G)|, |G/p(G)|, phi_2(G), |G'|, [sigma_2(G), sigma_3(G)])
+    for name, p, normal, image, phi2, derived, sigmas in (
+            ("S4", 3, 12, 2, 216, 12, [1, 0]),
+            ("SL23", 2, 8, 3, 384, 8, [0, 1])):
         # a fresh copy: the shared catalog group may be indexed already
         G = PermutationGroup.from_generators(catalog_group(name).generators)
         elements, index = G.elements(), G.index()
@@ -509,6 +514,30 @@ def test_no_perm_product_in_chain_or_index(monkeypatch):
         assert N.order() == normal and hom.image.order() == image
         assert {hom.map_element(x) for x in elements} \
             == set(hom.image.elements())
+        assert derived_subgroup(G).order() == derived
+        assert [abelianization_p_rank(G, q) for q in (2, 3)] == sigmas
+        assert G.conjugate(elements[-1]).order() == n
+    # the transport along the spanning tree runs on element positions
+    G = PermutationGroup.from_generators(catalog_group("S3").generators)
+    flip = next(x for x in G.elements() if x.order() == 2)
+    P = PointRef
+    config = CurveConfiguration.build(
+        5, [("C1", 1), ("C2", 1), ("C3", 1)],
+        {"C1": ["a", "b"], "C2": ["a", "b"], "C3": ["a", "b"]},
+        [[P("C1", "b"), P("C2", "a")], [P("C2", "b"), P("C3", "a")],
+         [P("C3", "b"), P("C1", "a")]])
+    rng = random.Random(3)
+    for _ in range(10):
+        gluings = {ci: {cls.members[1]: rng.choice(G.elements())}
+                   for ci, cls in enumerate(config.identification_classes)}
+        cover = build_descriptor(
+            config, G, monodromy={"C2": subgroup_generated(G, [flip])},
+            gluings=gluings)
+        norm = normalize_spanning_tree(cover)
+        tree, _ = spanning_tree(config)
+        assert all(norm.gluings[ci][branch].constant.is_identity()
+                   for ci, branch in tree)
+        assert is_connected(norm) == is_connected(cover)
     assert perms._INTERNED == {}
 
 
