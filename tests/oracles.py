@@ -1,8 +1,8 @@
 """Independent oracles and test-only helpers for the test suite.
 
 The oracles recompute an engine answer by the plainest construction at
-hand, on image tuples and stabilizer chains, and share no code path with
-the engine they check.
+hand, on image tuples and stabilizer chains, and avoid the engine paths
+they check (the element index, its rows and span masks).
 """
 
 import itertools
@@ -22,7 +22,9 @@ def count_generating_tuples(group, k: int) -> int:
                if subgroup_generated(group, tup).order() == order)
 
 
-_TABLES: dict = {}  # group -> {label: [number of label * x for x in G]}
+# group -> {label: [number of label * x for x in G]}; one entry per group
+# the tests build a cover on, each at most |G|^2 ints
+_TABLES: dict = {}
 
 
 def _left_table(group) -> dict:
