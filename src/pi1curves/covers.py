@@ -18,10 +18,12 @@ is_galois() rejects those that are not left translations.
 Every check runs on element positions (PermutationGroup.index, its
 multiplication rows and span masks), not on Perm products: membership
 of a label, an inertia generator or a subgroup is read off the element
-index, and connectivity is one span (is_connected): by the free-product
-structure of pi_1, the relabelled monodromy and the non-tree gluing
-constants must generate G.  The test suite checks it against union-find
-over the sheet graph.  Perm stays the type of labels at the API and JSON
+index, descend() decodes a cover relation into positions, and
+connectivity is one span (is_connected): by the free-product structure
+of pi_1, the relabelled monodromy and the non-tree gluing constants must
+generate G.  The test suite checks it against union-find over the sheet
+graph, and the bases that gluing and descent build against
+curves.identify.  Perm stays the type of labels at the API and JSON
 boundary.
 """
 
@@ -29,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .curves import (CurveConfiguration, PointRef, dual_graph, identify,
-                     is_connected as config_connected, require_valid,
-                     union_find)
+from .curves import (CurveConfiguration, IdentificationClass, PointRef,
+                     dual_graph, is_connected as config_connected,
+                     require_valid, union_find)
 from .errors import DomainError, require
 from .groups import PermutationGroup, subgroup_positions
 from .perms import Perm
@@ -331,17 +333,20 @@ def _same_subgroup(group: PermutationGroup, a: PermutationGroup,
 
 
 def _join(cover: CoverDescriptor, relation, glue) -> CoverDescriptor:
-    """The cover with each point set of relation identified into a new
-    class (the sets must not touch existing classes, so those keep their
-    indices); glue(branch) is the gluing at each new non-base branch."""
-    config = identify(cover.base, relation)
-    classes = config.identification_classes
+    """The cover with each point set of relation appended as a new class,
+    in relation order; glue(branch) is the gluing at each new non-base
+    branch.  Callers guarantee each set has at least two points, each a
+    marked, smooth, not removed point of the base in no class, and that
+    the sets are pairwise disjoint; only the base is validated here."""
+    require_valid(cover.base)
+    old = cover.base.identification_classes
+    added = tuple(IdentificationClass.of(s) for s in relation)
     gluings = {ci: dict(b) for ci, b in cover.gluings.items()}
-    for ci in range(len(cover.base.identification_classes), len(classes)):
-        gluings[ci] = {branch: glue(branch)
-                       for branch in classes[ci].members[1:]}
-    return CoverDescriptor(config, cover.group, dict(cover.monodromy),
-                           gluings, dict(cover.ramification))
+    for ci, cls in enumerate(added, len(old)):
+        gluings[ci] = {branch: glue(branch) for branch in cls.members[1:]}
+    return CoverDescriptor(
+        replace(cover.base, identification_classes=old + added), cover.group,
+        dict(cover.monodromy), gluings, dict(cover.ramification))
 
 
 def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
@@ -363,7 +368,6 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
     positions = subgroup_positions(ambient, sub)
     require(ambient.span(positions + [g]).bit_count() == len(ambient.index()),
             "NOT_GENERATING", "<subgroup, gamma> is a proper subgroup")
-    require(config_connected(base_cover.base), "BASE_NOT_CONNECTED")
     require(is_connected(base_cover), "BASE_NOT_CONNECTED",
             "base cover is disconnected")
     config = base_cover.base
@@ -395,7 +399,6 @@ def glue_two_components(group: PermutationGroup,
     require(group.span(positions).bit_count() == len(group.index()),
             "NOT_GENERATING", "<G1, G2> is a proper subgroup")
     for cover, y in ((cover1, y1), (cover2, y2)):
-        require(config_connected(cover.base), "BASE_NOT_CONNECTED")
         require(is_connected(cover), "BASE_NOT_CONNECTED",
                 "input cover is disconnected")
         _check_smooth_fiber_point(cover.base, y)
@@ -435,6 +438,9 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
     base class's full fiber is partitioned into classes of the same size
     with exactly one point per branch; and (when require_galois) the right
     G-action permutes the cover classes.
+    One pass decodes every cover class into label positions (condition
+    (1)); then each base class is checked once and its gluing rows read
+    off (condition (2)).  New classes follow the base's, in relation order.
     """
     config = cover.base
     base_classes = [sorted(set(c)) for c in base_relation]
@@ -459,23 +465,24 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
     n = len(index)
 
     # condition (1): the relation downstairs is preserved.  Each cover
-    # class becomes a map place -> label position, or None unless it has
-    # one label in G on each place it touches.
+    # class becomes a map place -> label position, filed under its base
+    # class i (None with no pairs, -1 off one base class), or {} unless it
+    # has one label in G on each place it touches.
     by_base = [[] for _ in base_classes]
     for c in cover_relation:
-        base_indices = set()
-        labels = {}
-        one_each = True
+        i, labels, one_each = None, {}, True
         for ref, x in c:
-            i, k = slot.get(ref, (None, 0))
-            base_indices.add(i)
+            j, k = slot.get(ref, (-1, 0))
+            if j != i:
+                i = j if i is None else -1
             label = index.get(x.images)
             if label is None or labels.setdefault(k, label) != label:
                 one_each = False
-        require(None not in base_indices and len(base_indices) == 1,
+        if i is None or i < 0:
+            raise DomainError(
                 "RELATION_NOT_PRESERVED",
                 "a cover class does not lie over a single base class")
-        by_base[base_indices.pop()].append(labels if one_each else None)
+        by_base[i].append(labels if one_each else {})
 
     # condition (2): each fiber is partitioned by n classes with one point
     # per branch; with distinct labels on every branch they are the graphs
@@ -483,12 +490,12 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
     # row[label over the base branch].
     gluings = {}
     for cls, classes in zip(base_classes, by_base):
-        require(all(c is not None and len(c) == len(cls) for c in classes),
-                "BAD_PARTITION",
+        require(set(map(len, classes)) <= {len(cls)}, "BAD_PARTITION",
                 "a cover class does not have one point in G on each branch")
-        require(len(classes) == n, "BAD_PARTITION",
-                f"{len(classes)} cover classes over a base class, "
-                f"not |G| = {n}")
+        if len(classes) != n:  # the message is formatted only on failure
+            raise DomainError("BAD_PARTITION",
+                              f"{len(classes)} cover classes over a base "
+                              f"class, not |G| = {n}")
         base = [c[0] for c in classes]
         require(len(set(base)) == n, "BAD_PARTITION", "cover classes overlap")
         for k, branch in enumerate(cls[1:], 1):

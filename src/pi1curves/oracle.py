@@ -113,19 +113,20 @@ def census_report(entries) -> str:
 def _induced_relations(config, group):
     """The base and cover relations that rebuild config's classes from the
     stripped configuration, given per-branch constants already stored in a
-    descriptor built on config."""
+    descriptor built on config.  The n cover classes over a class are the
+    tuples of one column of (branch, label) pairs per branch, zipped."""
     elements = group.elements()
 
     def relations(gluings):
         base_rel, cover_rel = [], []
         for ci, cls in enumerate(config.identification_classes):
             base_rel.append(set(cls.members))
-            rows = [(branch, gluings[ci][branch].row(group))
-                    for branch in cls.members[1:]]
-            for x, label in enumerate(elements):
-                cover_rel.append([(cls.base_branch, label)]
-                                 + [(branch, elements[row[x]])
-                                    for branch, row in rows])
+            columns = [zip(itertools.repeat(cls.base_branch), elements)]
+            columns += [zip(itertools.repeat(branch),
+                            map(elements.__getitem__,
+                                gluings[ci][branch].row(group)))
+                        for branch in cls.members[1:]]
+            cover_rel.extend(zip(*columns))
         return base_rel, cover_rel
 
     return relations

@@ -20,7 +20,7 @@ from pi1curves.covers import (
     sheet_graph_dot,
     spanning_tree,
 )
-from pi1curves.curves import CurveConfiguration, PointRef
+from pi1curves.curves import CurveConfiguration, PointRef, identify
 from pi1curves.errors import DomainError
 from pi1curves.groups import PermutationGroup, subgroup_generated
 from pi1curves.perms import Perm
@@ -218,6 +218,32 @@ def test_glue_two_components_rejects_non_subgroup():
     assert err.value.code == "NOT_A_MEMBER"
 
 
+@pytest.mark.parametrize("gluing", ["constant", "mapping"])
+def test_glue_rejects_disconnected_base(gluing):
+    # C2 meets no class of C1, so neither base is connected; a mapping
+    # gluing sends is_connected to the sheet graph
+    S3, A3, flip = s3_and_a3()
+    apart = CurveConfiguration.build(
+        5, [("C1", 1), ("C2", 1)], {"C1": ["a", "b", "c", "d"], "C2": ["a"]},
+        [[P("C1", "c"), P("C1", "d")]])
+    cover = build_descriptor(apart, A3, monodromy={"C1": A3, "C2": A3})
+    if gluing == "mapping":
+        cover = replace(cover, gluings={0: {P("C1", "d"): Gluing(
+            mapping=tuple((x, x) for x in A3.elements()))}})
+    with pytest.raises(DomainError) as err:
+        glue_same_component(S3, A3, flip, cover, P("C1", "a"), P("C1", "b"))
+    assert err.value.code == "BASE_NOT_CONNECTED"
+    C2 = subgroup_generated(S3, [flip])
+    base2 = CurveConfiguration.build(5, [("D1", 1)], {"D1": ["a"]}, [])
+    cover2 = build_descriptor(base2, C2, monodromy={"D1": C2})
+    for first, second, y1, y2 in ((cover, cover2, P("C1", "a"), P("D1", "a")),
+                                  (cover2, cover, P("D1", "a"), P("C1", "a"))):
+        with pytest.raises(DomainError) as err:
+            glue_two_components(S3, first.group, second.group, first, second,
+                                y1, y2)
+        assert err.value.code == "BASE_NOT_CONNECTED"
+
+
 def test_glue_same_component_rejects_non_subgroup():
     # membership is checked before generation: <(1 2), rotation> is all
     # of S3, a proper overgroup of the ambient A3
@@ -352,6 +378,181 @@ def test_descend_rejects_unrelated_base():
     with pytest.raises(DomainError) as err:
         descend(cover, [{a, P("C1", "b")}], [{(a, e), (P("C1", "zzz"), e)}])
     assert err.value.code == "RELATION_NOT_PRESERVED"
+
+
+def test_new_classes_match_identify():
+    # curves.identify is the reference for the base that descend and the
+    # two gluings build: the input's classes, then the new ones in
+    # relation order
+    rng = random.Random(13)
+    labels = [str(i) for i in range(9)]
+    for name in ("S3", "D4", "A4", "SL23"):
+        G = catalog_group(name)
+        elements, (a, b) = G.elements(), G.generators
+        H1, H2 = subgroup_generated(G, [a]), subgroup_generated(G, [b])
+        for _ in range(6):
+            refs = [P("C1", s) for s in labels] + [P("C2", s) for s in "xyz"]
+            rng.shuffle(refs)
+            config = CurveConfiguration.build(
+                5, [("C1", 0), ("C2", 0)], {"C1": labels, "C2": list("xyz")},
+                [refs[:2], refs[2:5]])
+            free, base_rel = refs[5:], []
+            while len(free) >= 2:
+                size = min(len(free), rng.choice((2, 3)))
+                base_rel.append(set(free[:size]))
+                free = free[size:]
+            cover_rel = []
+            for cls in base_rel:
+                root, *branches = sorted(cls)
+                constants = [rng.choice(elements) for _ in branches]
+                cover_rel += [{(root, x)} | {(r, c * x) for r, c
+                                             in zip(branches, constants)}
+                              for x in elements]
+            rng.shuffle(cover_rel)
+            cover = build_descriptor(config, G)
+            out = descend(cover, base_rel, cover_rel)
+            assert out.base == identify(config, base_rel)
+
+            def one_component(comp, sub):
+                points = [P(comp, s) for s in labels]
+                rng.shuffle(points)
+                config = CurveConfiguration.build(
+                    5, [(comp, 1)], {comp: labels}, [points[:2], points[2:5]])
+                return build_descriptor(config, sub, monodromy={comp: sub}), \
+                    points[5:]
+
+            cover1, free1 = one_component("C1", H1)
+            cover2, free2 = one_component("D1", H2)
+            y1, y2 = rng.sample(free1, 2)
+            glued = glue_same_component(G, H1, b, cover1, y1, y2)
+            assert glued.base == identify(cover1.base, [{y1, y2}])
+            y1, y2 = rng.choice(free1), rng.choice(free2)
+            c1, c2 = cover1.base, cover2.base
+            merged = replace(
+                c1, components=c1.components + c2.components,
+                points={**c1.points, **c2.points},
+                identification_classes=c1.identification_classes
+                + c2.identification_classes)
+            joined = glue_two_components(G, H1, H2, cover1, cover2, y1, y2)
+            assert joined.base == identify(merged, [{y1, y2}])
+
+
+def _descent_case(name):
+    """(cover, base relation, cover relation, require_galois) for one row
+    of test_descend_failure_table: a C3-cover of a curve with points
+    a, b, c, d, descended along {a, b} (glued by x) and {c, d} (by 1)."""
+    C3 = cyclic(3)
+    base = CurveConfiguration.build(
+        7, [("C1", 1)], {"C1": ["a", "b", "c", "d", "r"]}, [],
+        removed=[P("C1", "r")])
+    cover = build_descriptor(base, C3, monodromy={"C1": C3})
+    a, b, c, d = (P("C1", s) for s in "abcd")
+    e, x, y = C3.elements()  # y = x*x
+    outside = Perm.from_cycles(3, [(1, 2)])
+    rel = [{(a, l), (b, x * l)} for l in (e, x, y)] \
+        + [{(c, l), (d, l)} for l in (e, x, y)]
+    base_rel, galois = [{a, b}, {c, d}], True
+    unknown = {(c, y), (P("C1", "zzz"), y)}
+    if name == "unknown_ref":
+        rel[5] = unknown
+    elif name == "two_base_classes":
+        rel[5] = {(c, y), (a, y)}
+    elif name == "empty_class":
+        rel.append(set())
+    elif name == "label_outside_G":
+        rel[0] = {(a, e), (b, outside)}
+    elif name == "two_labels_on_one_place":
+        rel[0] = rel[0] | {(b, y)}
+    elif name == "missing_branch":
+        rel[0] = {(a, e)}
+    elif name == "wrong_count":
+        del rel[0]
+    elif name == "repeated_base_label":
+        rel[0] = {(a, x), (b, e)}
+    elif name == "repeated_branch_label":
+        rel[0] = {(a, e), (b, y)}
+    elif name in ("non_translation", "non_translation_accepted"):
+        rel[:3] = [{(a, e), (b, e)}, {(a, x), (b, y)}, {(a, y), (b, x)}]
+        galois = name == "non_translation"
+    elif name == "non_perm_label":
+        rel[0] = {(a, e), (b, "x")}
+    elif name == "repeated_pair_in_list":
+        rel[0] = [(a, e), (b, x), (a, e)]
+    elif name == "missing_branch_then_unknown_ref":
+        rel[0], rel[5] = {(a, e)}, unknown
+    elif name == "count_then_label_outside_G":
+        del rel[0]
+        rel[3] = {(c, e), (d, outside)}
+    elif name == "count_and_missing_branch":
+        rel[0:2] = [{(a, e)}]
+    elif name == "overlapping_base_classes":
+        base_rel = [{a, b}, {b, c}]
+    elif name == "removed_base_point":
+        base_rel = [{a, b}, {c, P("C1", "r")}]
+    elif name == "empty_cover_relation":
+        rel = []
+    return cover, base_rel, rel, galois
+
+
+BAD_ONE_EACH = ("BAD_PARTITION",
+                "a cover class does not have one point in G on each branch")
+NOT_OVER_ONE = ("RELATION_NOT_PRESERVED",
+                "a cover class does not lie over a single base class")
+OVERLAP = ("BAD_PARTITION", "cover classes overlap")
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("unknown_ref", NOT_OVER_ONE),
+    ("two_base_classes", NOT_OVER_ONE),
+    ("empty_class", NOT_OVER_ONE),
+    ("label_outside_G", BAD_ONE_EACH),
+    ("two_labels_on_one_place", BAD_ONE_EACH),
+    ("missing_branch", BAD_ONE_EACH),
+    ("wrong_count", ("BAD_PARTITION",
+                     "2 cover classes over a base class, not |G| = 3")),
+    ("repeated_base_label", OVERLAP),
+    ("repeated_branch_label", OVERLAP),
+    ("non_translation", ("ACTION_NOT_EQUIVARIANT",
+                         "right action does not permute the cover classes")),
+    ("non_translation_accepted", "mapping"),
+    ("non_perm_label", AttributeError),
+    ("repeated_pair_in_list", "constant"),
+    # two defects: condition (1) runs over every cover class before
+    # condition (2), which runs base class by base class
+    ("missing_branch_then_unknown_ref", NOT_OVER_ONE),
+    ("count_then_label_outside_G", ("BAD_PARTITION",
+                                    "2 cover classes over a base class, "
+                                    "not |G| = 3")),
+    ("count_and_missing_branch", BAD_ONE_EACH),
+    ("overlapping_base_classes", ("BAD_PARTITION",
+                                  f"{P('C1', 'b')} in two base classes")),
+    ("removed_base_point", ("OVERLAP_WITH_REMOVED", str(P("C1", "r")))),
+    ("empty_cover_relation", ("BAD_PARTITION",
+                              "both relations must have nontrivial classes")),
+])
+def test_descend_failure_table(name, expected):
+    cover, base_rel, rel, galois = _descent_case(name)
+    if expected is AttributeError:
+        with pytest.raises(AttributeError):
+            descend(cover, base_rel, rel, require_galois=galois)
+        return
+    if isinstance(expected, tuple):
+        with pytest.raises(DomainError) as err:
+            descend(cover, base_rel, rel, require_galois=galois)
+        assert (err.value.code, str(err.value)) \
+            == (expected[0], ": ".join(expected))
+        return
+    out = descend(cover, base_rel, rel, require_galois=galois)
+    e, x, y = cover.group.elements()
+    a, b, c, d = (P("C1", s) for s in "abcd")
+    glued = out.gluings[0][b]
+    if expected == "constant":
+        assert glued == Gluing(x)
+    else:
+        assert glued == Gluing(mapping=((e, e), (x, y), (y, x)))
+    assert out.gluings[1] == {d: Gluing(e)}
+    assert [cls.members for cls in out.base.identification_classes] \
+        == [(a, b), (c, d)]
 
 
 # -- normal form and connectivity ---------------------------------------------
