@@ -386,6 +386,14 @@ def test_new_classes_match_identify():
     # relation order
     rng = random.Random(13)
     labels = [str(i) for i in range(9)]
+
+    def one_component(comp, sub):  # a cover with two classes, free points
+        points = [P(comp, s) for s in labels]
+        rng.shuffle(points)
+        config = CurveConfiguration.build(
+            5, [(comp, 1)], {comp: labels}, [points[:2], points[2:5]])
+        return build_descriptor(config, sub, monodromy={comp: sub}), points[5:]
+
     for name in ("S3", "D4", "A4", "SL23"):
         G = catalog_group(name)
         elements, (a, b) = G.elements(), G.generators
@@ -412,15 +420,6 @@ def test_new_classes_match_identify():
             cover = build_descriptor(config, G)
             out = descend(cover, base_rel, cover_rel)
             assert out.base == identify(config, base_rel)
-
-            def one_component(comp, sub):
-                points = [P(comp, s) for s in labels]
-                rng.shuffle(points)
-                config = CurveConfiguration.build(
-                    5, [(comp, 1)], {comp: labels}, [points[:2], points[2:5]])
-                return build_descriptor(config, sub, monodromy={comp: sub}), \
-                    points[5:]
-
             cover1, free1 = one_component("C1", H1)
             cover2, free2 = one_component("D1", H2)
             y1, y2 = rng.sample(free1, 2)
