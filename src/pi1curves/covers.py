@@ -244,8 +244,8 @@ def _transport(cover: CoverDescriptor):
     becomes the identity; all on element positions, for a cover whose
     gluings are all constants.  Returns (component id -> relabelled
     monodromy generators, [(class index, branch, relabelled constant)] in
-    class order), or None on a disconnected base.  Raises NOT_A_MEMBER and
-    FIBER_NOT_TORSOR as _sheet_graph does, in the same order."""
+    class order), or None on a disconnected or empty base.  Raises
+    NOT_A_MEMBER and FIBER_NOT_TORSOR as _sheet_graph does, in that order."""
     config, group = cover.base, cover.group
     index, classes = group.index(), config.identification_classes
     monodromy = {}
@@ -266,6 +266,8 @@ def _transport(cover: CoverDescriptor):
             constants.append((ci, branch, c))
     if len(monodromy) == 1:  # one component needs no tree: t = 1
         return monodromy, constants
+    if not monodromy:  # no component: no root, and nothing is connected
+        return None
     t = {min(monodromy): 0}  # the tree's root
     given = {(ci, branch): c for ci, branch, c in constants}
     for ci, branch in config.spanning_tree[0]:

@@ -420,20 +420,19 @@ def factorize(config: CurveConfiguration):
     """Elementary pairwise identifications whose replay rebuilds config.
 
     Steps are ordered class-by-class (input order), within a class by
-    point order.  The number of same-component steps equals delta.
+    point order.  A step is same-component when its two points already lie
+    in one connected part, tracked as a part label per component that
+    each step merges; the number of same-component steps equals delta.
     """
     require_projective(config)
     steps = []
-    current = strip_identifications(config)
+    part = {c: c for c in config.component_ids()}  # component -> its part
     for cls in config.identification_classes:
         root = cls.base_branch
         for other in cls.members[1:]:
-            graph = dual_graph(current)
-            comps = graph.connected_components()
-            same = any(root.component_id in part and other.component_id in part
-                       for part in comps)
-            steps.append(IdentificationStep(root, other, same))
-            current = identify(current, [{root, other}])
+            a, b = part[root.component_id], part[other.component_id]
+            steps.append(IdentificationStep(root, other, a == b))
+            part = {c: a if p == b else p for c, p in part.items()}
     return steps
 
 

@@ -15,9 +15,10 @@ image tuple to its position, there is one multiplication table, of cached
 left rows (each composed from its parent's row along the search tree of
 elements(), one tuple map in C per row), and a subgroup is an int bitmask
 over those positions (span), so the subset test is a & ~b == 0 and the
-order is a.bit_count().  On the index run the cover calculus, subgroup
-lattices, Moebius/Eulerian counting, minimal generator counts, Sylow
-subgroups, normal closures, quotients and sigma(G); they raise
+order is a.bit_count().  On the index run the cover calculus, Sylow
+subgroups, normal closures, quotients, sigma(G), and one level-by-level
+join search over subgroups (_subgroup_levels) that gives both d(G) and
+the subgroup lattice behind Moebius/Eulerian counting; they raise
 GROUP_TOO_LARGE above ENUM_BOUND and build no chain for the subgroups they
 pass through.
 """
@@ -393,28 +394,41 @@ def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
     return replace(hom, image=image)
 
 
-# -- minimal generators -----------------------------------------------------
+# -- subgroup search --------------------------------------------------------
 
-def _cyclic_subgroups(group: PermutationGroup) -> dict:
-    """The nontrivial cyclic subgroups, as {mask: position of the smallest
-    element in element order that generates it}."""
+def _subgroup_levels(group: PermutationGroup):
+    """The nontrivial subgroups, level by level, as {mask: positions that
+    generate it}.  Level 1 holds the cyclic subgroups, each with the
+    smallest position that generates it; level k+1 joins each entry of
+    level k with every cyclic subgroup not inside it and keeps the masks
+    not seen before; the search stops at the first empty level.
+
+    This is exact: <h_1..h_k> is the join of <h_1..h_k-1>, found at a
+    level j < k, with <h_k>, so it is found by level j+1.  So every
+    subgroup H is found, and it first appears at level d(H)."""
     cyclic: dict = {}
     for i in range(1, len(group.elements())):  # the identity is position 0
-        cyclic.setdefault(group.span([i]), i)
-    return cyclic
+        cyclic.setdefault(group.span([i]), (i,))
+    level, seen = cyclic, set(cyclic)
+    while level:
+        yield level
+        joins: dict = {}
+        for mask, gens in level.items():
+            for (i,) in cyclic.values():
+                if not mask >> i & 1:
+                    join = group.span(gens + (i,))
+                    if join not in seen:
+                        seen.add(join)
+                        joins[join] = gens + (i,)
+        level = joins
 
 
 def min_generators(group: PermutationGroup, seed: int = 0) -> int:
-    """d(G): the minimal number of generators, by a level search over
-    distinct subgroups; raises GROUP_TOO_LARGE above MIN_GEN_BOUND.
-
-    Level k maps each subgroup H with d(H) = k to k generators of it; it
-    joins each entry of level k-1 with every cyclic subgroup not inside
-    it and keeps the masks not seen before.  This is exact: <h_1..h_k> is
-    the join of <h_1..h_k-1>, found at a level j < k, with <h_k>, so it is
-    found by level j+1.  So G first appears at level d(G), and a seeded
-    probe that generates G with k elements is conclusive once level k-1
-    is exhausted."""
+    """d(G): the minimal number of generators, the first level of
+    _subgroup_levels that holds G; raises GROUP_TOO_LARGE above
+    MIN_GEN_BOUND.  Between levels, 64 seeded probes try k+1 random
+    elements: once level k is exhausted, a probe that generates G is
+    conclusive."""
     order = group.order()
     if order == 1:
         return 0
@@ -422,28 +436,14 @@ def min_generators(group: PermutationGroup, seed: int = 0) -> int:
             f"|G| = {order} > {MIN_GEN_BOUND}")
     full = (1 << order) - 1
     nontrivial = range(1, order)  # the identity is position 0
-    cyclic = _cyclic_subgroups(group)
-    if full in cyclic:
-        return 1
-    level = {mask: (i,) for mask, i in cyclic.items()}
-    seen = set(level)
     rng = Random(seed)
-    for k in itertools.count(2):
-        for _ in range(64):
-            if group.span([rng.choice(nontrivial) for _ in range(k)]) == full:
-                return k
-        joins: dict = {}
-        for mask, gens in level.items():
-            for i in cyclic.values():
-                if mask >> i & 1:
-                    continue
-                join = group.span(gens + (i,))
-                if join == full:
-                    return k
-                if join not in seen:
-                    seen.add(join)
-                    joins[join] = gens + (i,)
-        level = joins
+    for k, level in enumerate(_subgroup_levels(group), 1):
+        if full in level:
+            return k
+        probes = (group.span([rng.choice(nontrivial) for _ in range(k + 1)])
+                  for _ in range(64))
+        if full in probes:
+            return k + 1
 
 
 # -- abelianization ---------------------------------------------------------
@@ -482,31 +482,13 @@ def abelianization_p_rank(group: PermutationGroup, p: int) -> int:
 # -- subgroup lattice and counting ------------------------------------------
 
 def _lattice_masks(group: PermutationGroup) -> list:
-    """All subgroups as masks (PermutationGroup.span), sorted by order and
-    then by the sorted list of their element positions."""
+    """All subgroups as masks (PermutationGroup.span): the trivial one and
+    every level of _subgroup_levels, sorted by order and then by the
+    sorted list of their element positions."""
     require(group.order() <= LATTICE_BOUND, "GROUP_TOO_LARGE",
             f"|G| = {group.order()} > {LATTICE_BOUND}")
-    # close the cyclic subgroups under pairwise joins; each subgroup keeps
-    # the generators it was first found with, and a join spans those
-    gens = {1: ()}
-    gens.update((mask, (i,)) for mask, i in _cyclic_subgroups(group).items())
-    known = list(gens)
-    fresh = known
-    while fresh:
-        new: dict = {}
-        for a in fresh:
-            for b in known:
-                if not a & ~b or not b & ~a:
-                    continue
-                join_gens = gens[a] + tuple(g for g in gens[b]
-                                            if not a >> g & 1)
-                join = group.span(join_gens)
-                if join not in gens and join not in new:
-                    new[join] = join_gens
-        gens.update(new)
-        fresh = list(new)
-        known += fresh
-    return sorted(gens, key=lambda m: (m.bit_count(), _positions_of(m)))
+    masks = [1, *itertools.chain.from_iterable(_subgroup_levels(group))]
+    return sorted(masks, key=lambda m: (m.bit_count(), _positions_of(m)))
 
 
 def _positions_of(mask: int) -> list:
@@ -532,7 +514,7 @@ def subgroup_lattice(group: PermutationGroup):
     """All subgroups (up to equality) as frozensets of elements, sorted by
     order and then by their sorted elements.
 
-    Computed by closing the cyclic subgroups under pairwise joins.
+    Computed level by level from the cyclic subgroups (_subgroup_levels).
     """
     return [_frozenset_of(group, m) for m in _lattice_masks(group)]
 

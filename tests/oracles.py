@@ -22,6 +22,38 @@ def count_generating_tuples(group, k: int) -> int:
                if subgroup_generated(group, tup).order() == order)
 
 
+def _closure(generators, identity) -> frozenset:
+    """The group that image tuples generate, composed here."""
+    found, frontier = {identity}, [identity]
+    while frontier:
+        products = {tuple(map(g.__getitem__, x))
+                    for x in frontier for g in generators}
+        frontier = list(products - found)
+        found |= products
+    return frozenset(found)
+
+
+def subgroup_lattice_by_closure(group) -> list:
+    """Independent oracle for subgroup_lattice: every subgroup as a
+    frozenset of image tuples, sorted by order and then by its sorted
+    elements.  It starts from {1} and adjoins each element outside a
+    subgroup found to that subgroup's generators, closing by composition;
+    every subgroup is reached, one generator at a time."""
+    labels = [x.images for x in group.elements()]
+    found = {frozenset(labels[:1]): ()}  # subgroup -> its generators
+    queue = list(found)
+    for sub in queue:  # the queue grows as we go
+        for g in labels:
+            if g in sub:
+                continue
+            gens = found[sub] + (g,)
+            join = _closure(gens, labels[0])
+            if join not in found:
+                found[join] = gens
+                queue.append(join)
+    return sorted(found, key=lambda sub: (len(sub), sorted(sub)))
+
+
 # group -> {label: [number of label * x for x in G]}; one entry per group
 # the tests build a cover on, each at most |G|^2 ints
 _TABLES: dict = {}

@@ -5,6 +5,7 @@ import pytest
 
 from pi1curves.catalog import catalog_group, catalog_groups, cyclic, symmetric
 from pi1curves.covers import (
+    CoverDescriptor,
     Gluing,
     build_descriptor,
     cover_from_json,
@@ -242,6 +243,24 @@ def test_glue_rejects_disconnected_base(gluing):
             glue_two_components(S3, first.group, second.group, first, second,
                                 y1, y2)
         assert err.value.code == "BASE_NOT_CONNECTED"
+
+
+def test_empty_base_is_disconnected():
+    # a hand-built descriptor over no component: is_connected answers False
+    # and both gluings refuse it as a disconnected base
+    C2 = cyclic(2)
+    empty = CoverDescriptor(CurveConfiguration(5, (), {}, ()), C2, {}, {})
+    assert not is_connected(empty)
+    with pytest.raises(DomainError) as err:
+        glue_same_component(C2, C2, C2.elements()[1], empty,
+                            P("C1", "a"), P("C1", "b"))
+    assert err.value.code == "BASE_NOT_CONNECTED"
+    base2 = CurveConfiguration.build(5, [("D1", 1)], {"D1": ["a"]}, [])
+    cover2 = build_descriptor(base2, C2, monodromy={"D1": C2})
+    with pytest.raises(DomainError) as err:
+        glue_two_components(C2, C2, C2, empty, cover2,
+                            P("C1", "a"), P("D1", "a"))
+    assert err.value.code == "BASE_NOT_CONNECTED"
 
 
 def test_glue_same_component_rejects_non_subgroup():

@@ -207,6 +207,7 @@ def test_random_configs_delta_betti_and_replay():
         assert is_connected(config)
         assert delta(config) == dual_graph(config).betti_number()
         steps = factorize(config)
+        assert sum(s.same_component for s in steps) == delta(config)
         assert replay(strip_identifications(config), steps) == config
 
 

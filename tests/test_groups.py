@@ -14,6 +14,7 @@ from pi1curves.covers import (build_descriptor, is_connected,
 from pi1curves.curves import CurveConfiguration, PointRef
 from pi1curves.errors import DomainError
 from pi1curves.groups import (
+    LATTICE_BOUND,
     PermutationGroup,
     abelianization,
     abelianization_p_rank,
@@ -33,7 +34,7 @@ from pi1curves.groups import (
 )
 from pi1curves.perms import Perm
 
-from oracles import count_generating_tuples
+from oracles import count_generating_tuples, subgroup_lattice_by_closure
 
 
 def test_orders():
@@ -211,6 +212,21 @@ def test_subgroup_lattice(name):
     mu = moebius(G)
     assert mu[frozenset(G.elements())] == 1
     assert mu[frozenset([Perm.identity(G.degree)])] == mu_trivial
+
+
+def test_subgroup_lattice_matches_closure_oracle():
+    for name, G in catalog_groups(LATTICE_BOUND):
+        expected = subgroup_lattice_by_closure(G)
+        lattice = [frozenset(x.images for x in H) for H in subgroup_lattice(G)]
+        assert lattice == expected, name
+        # the defining recursion: the sum of mu(K, G) over H <= K <= G is 1
+        # for H = G and 0 otherwise
+        mu = {frozenset(x.images for x in H): m
+              for H, m in moebius(G).items()}
+        assert set(mu) == set(expected), name
+        whole = expected[-1]
+        for H in expected:
+            assert sum(mu[K] for K in expected if H <= K) == (H == whole)
 
 
 def _perm_closure(degree, gens):

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
+from pi1curves import oracle
 from pi1curves.catalog import catalog_group, catalog_groups, cyclic
+from pi1curves.covers import Gluing
 from pi1curves.curves import (CurveConfiguration, PointRef, delta, factorize,
                               replay, strip_identifications)
 from pi1curves.errors import DomainError
@@ -103,3 +107,28 @@ def test_cross_check_descent():
         assert report.negative_controls_rejected == 1
     report = cross_check_descent(catalog_group("S3"), two_node_curve(5))
     assert report.checked == 36 and report.ok
+
+
+@pytest.mark.parametrize("part", ["gluing", "monodromy"])
+def test_cross_check_descent_lists_mismatches(monkeypatch, part):
+    # descend changes one gluing constant, or the monodromy group, of the
+    # cover it builds for the tuple (target,); only that tuple mismatches
+    G = catalog_group("S3")
+    elements = G.elements()
+    target = elements[1]
+    real_descend = oracle.descend
+
+    def descend(*args):
+        cover = real_descend(*args)
+        (branch, gluing), = cover.gluings[0].items()
+        if gluing.constant != target:
+            return cover
+        if part == "gluing":
+            return replace(cover, gluings={0: {branch: Gluing(elements[2])}})
+        return replace(cover, monodromy={"C1": G})
+
+    monkeypatch.setattr(oracle, "descend", descend)
+    report = cross_check_descent(G, nodal_curve(5))
+    assert report.checked == 6
+    assert report.mismatches == ([target.to_one_indexed()],)
+    assert report.negative_controls_rejected == 1
