@@ -29,7 +29,8 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .curves import (CurveConfiguration, IdentificationClass, PointRef,
                      dual_graph, is_connected as config_connected,
@@ -41,8 +42,7 @@ from .perms import Perm
 
 # -- gluings ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(NamedTuple):
     """Identification of the branch fiber with the base fiber of a class.
 
     constant is set for left translations (base label x -> branch label
@@ -102,13 +102,13 @@ def _is_translation(group: PermutationGroup, row: tuple) -> bool:
     return row == group.left_row(row[0])
 
 
-@dataclass(frozen=True)
-class CoverDescriptor:
+class CoverDescriptor(NamedTuple):
     base: CurveConfiguration
     group: PermutationGroup
     monodromy: dict            # component id -> PermutationGroup (subgroup of G)
     gluings: dict              # class index -> {branch PointRef: Gluing}
-    ramification: dict = field(default_factory=dict)  # PointRef -> tuple of Perm
+    # PointRef -> tuple of Perm; the default is empty and read-only
+    ramification: dict = MappingProxyType({})
 
     def monodromy_of(self, component_id: str) -> PermutationGroup:
         return self.monodromy.get(component_id,
@@ -312,7 +312,7 @@ def induce(cover: CoverDescriptor,
     positions = subgroup_positions(ambient, cover.group)
     require(positions is not None, "NOT_A_MEMBER",
             "cover group is not a subgroup of the ambient group")
-    return replace(cover, group=ambient)
+    return cover._replace(group=ambient)
 
 
 def _check_smooth_fiber_point(config, ref):
@@ -347,7 +347,7 @@ def _join(cover: CoverDescriptor, relation, glue) -> CoverDescriptor:
     for ci, cls in enumerate(added, len(old)):
         gluings[ci] = {branch: glue(branch) for branch in cls.members[1:]}
     return CoverDescriptor(
-        replace(cover.base, identification_classes=old + added), cover.group,
+        cover.base._replace(identification_classes=old + added), cover.group,
         dict(cover.monodromy), gluings, dict(cover.ramification))
 
 

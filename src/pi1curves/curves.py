@@ -11,7 +11,7 @@ all live here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
 
@@ -43,8 +43,7 @@ class PointRef(NamedTuple):
         return PointRef(data[0], data[1])
 
 
-@dataclass(frozen=True)
-class ComponentData:
+class ComponentData(NamedTuple):
     id: str
     genus: int = 0
     p_rank: int | None = None  # defaults to the genus
@@ -54,9 +53,15 @@ class ComponentData:
         return self.genus if self.p_rank is None else self.p_rank
 
 
-@dataclass(frozen=True)
-class IdentificationClass:
-    members: tuple  # sorted tuple of PointRef
+class IdentificationClass(namedtuple("IdentificationClass", "members")):
+    """members: the sorted tuple of PointRef.  len() counts the members."""
+    __slots__ = ()
+
+    # namedtuple's own _make (and so _replace) compares len(), which is
+    # the member count here, with the number of fields
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @staticmethod
     def of(members) -> "IdentificationClass":
@@ -70,13 +75,15 @@ class IdentificationClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class CurveConfiguration:
-    characteristic: int
-    components: tuple            # tuple of ComponentData
-    points: dict                 # component id -> tuple of point labels
-    identification_classes: tuple  # tuple of IdentificationClass
-    removed_points: frozenset = field(default_factory=frozenset)
+class CurveConfiguration(namedtuple(
+        "CurveConfiguration", ["characteristic", "components", "points",
+                               "identification_classes", "removed_points"],
+        defaults=[frozenset()])):
+    """characteristic; components, a tuple of ComponentData; points, a
+    dict from component id to its tuple of point labels;
+    identification_classes, a tuple of IdentificationClass; removed_points,
+    a frozenset of PointRef.  No __slots__: the instance dict holds the
+    cached properties, and _replace builds an object with none cached."""
 
     @staticmethod
     def build(characteristic, components, points, classes, removed=()):
@@ -231,8 +238,7 @@ def equivalence_classes(pairs, items=()) -> list:
     return list(classes.values())
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Star expansion of the identification hyperedges: a class of size m
     contributes m-1 edges rooted at its lexicographically smallest member."""
     vertices: tuple   # component ids
@@ -339,8 +345,7 @@ def affine_delta(config: CurveConfiguration) -> int:
     return sum(len(cls) - 1 for cls in config.identification_classes)
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     delta: int
     pi1_rank_bound: int
     pro_p_rank: int
@@ -401,11 +406,10 @@ def identify(config: CurveConfiguration, relation) -> CurveConfiguration:
     untouched = tuple(cls for cls in config.identification_classes
                       if class_of[cls.members[0]] not in touched)
     merged = tuple(IdentificationClass.of(classes[i]) for i in touched)
-    return replace(config, identification_classes=untouched + merged)
+    return config._replace(identification_classes=untouched + merged)
 
 
-@dataclass(frozen=True)
-class IdentificationStep:
+class IdentificationStep(NamedTuple):
     first: PointRef
     second: PointRef
     same_component: bool  # of the intermediate curve, before this step
@@ -413,7 +417,7 @@ class IdentificationStep:
 
 def strip_identifications(config: CurveConfiguration) -> CurveConfiguration:
     """The disjoint normalization: same components/points, no classes."""
-    return replace(config, identification_classes=())
+    return config._replace(identification_classes=())
 
 
 def factorize(config: CurveConfiguration):

@@ -26,10 +26,10 @@ pass through.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import reduce
-from math import prod
+from math import gcd, prod
 from random import Random
+from typing import NamedTuple
 
 from .errors import DomainError, require
 from .perms import Perm, compose, invert
@@ -97,17 +97,31 @@ def _extend(chain: list, depth: int, g: tuple, identity: tuple) -> None:
         pairs = [(p, gen) for p in list(orbit)[seen:] for gen in gens]
 
 
-@dataclass(frozen=True)
 class PermutationGroup:
-    degree: int
-    generators: tuple
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    """A group given by its degree and generators, which alone decide
+    equality and the hash; _memo keeps what is computed from them (the
+    chain, the element index, its rows)."""
+    __slots__ = ("degree", "generators", "_memo")
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.degree != self.degree:
+    def __init__(self, degree: int, generators: tuple):
+        for g in generators:
+            if g.degree != degree:
                 raise DomainError("DEGREE_MISMATCH",
-                                  f"generator degree {g.degree} != {self.degree}")
+                                  f"generator degree {g.degree} != {degree}")
+        self.degree, self.generators, self._memo = degree, generators, {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.generators) == \
+            (other.degree, other.generators)
+
+    def __hash__(self):
+        return hash((self.degree, self.generators))
+
+    def __repr__(self):
+        return (f"PermutationGroup(degree={self.degree!r}, "
+                f"generators={self.generators!r})")
 
     @staticmethod
     def from_generators(generators, degree=None) -> "PermutationGroup":
@@ -364,19 +378,18 @@ def quasi_p_part(group: PermutationGroup, p: int) -> PermutationGroup:
     return normal_closure(group, sylow_subgroup(group, p).generators)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple):
     """Quotient presentation G -> G/N with image acting on the cosets of N,
     numbered in order of their smallest element."""
     source: PermutationGroup
     image: PermutationGroup
-    _cosets: list = field(compare=False, repr=False)  # coset of each position
-    _reps: tuple = field(compare=False, repr=False)   # smallest of each coset
+    cosets: list   # coset of each position
+    reps: tuple    # smallest position of each coset
 
     def map_element(self, g):
         """Image of g as a permutation of the cosets."""
         row = self.source.left_row(self.source.index()[g.images])
-        return Perm(tuple(self._cosets[row[r]] for r in self._reps))
+        return Perm(tuple(self.cosets[row[r]] for r in self.reps))
 
 
 def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
@@ -391,7 +404,7 @@ def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
         [hom.map_element(g) for g in group.generators], max(1, len(reps)))
     require(len(cosets) == mask.bit_count() * image.order(),
             "INTERNAL_INVARIANT", "|G| != |N| * |G/N|")
-    return replace(hom, image=image)
+    return hom._replace(image=image)
 
 
 # -- subgroup search --------------------------------------------------------
@@ -399,7 +412,9 @@ def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
 def _subgroup_levels(group: PermutationGroup):
     """The nontrivial subgroups, level by level, as {mask: positions that
     generate it}.  Level 1 holds the cyclic subgroups, each with the
-    smallest position that generates it; level k+1 joins each entry of
+    smallest position that generates it: the powers x^k of each position
+    x are read off its left row, and its generators, the x^k with k prime
+    to the order, are not visited again.  Level k+1 joins each entry of
     level k with every cyclic subgroup not inside it and keeps the masks
     not seen before; the search stops at the first empty level.
 
@@ -407,8 +422,17 @@ def _subgroup_levels(group: PermutationGroup):
     level j < k, with <h_k>, so it is found by level j+1.  So every
     subgroup H is found, and it first appears at level d(H)."""
     cyclic: dict = {}
-    for i in range(1, len(group.elements())):  # the identity is position 0
-        cyclic.setdefault(group.span([i]), (i,))
+    found = bytearray(len(group.elements()))  # generates a cyclic subgroup
+    for i in range(1, len(found)):  # the identity is position 0
+        if found[i]:
+            continue
+        row, powers = group.left_row(i), [0]
+        while row[powers[-1]]:
+            powers.append(row[powers[-1]])
+        for k, x in enumerate(powers):
+            if gcd(k, len(powers)) == 1:
+                found[x] = 1
+        cyclic[sum(1 << x for x in powers)] = (i,)
     level, seen = cyclic, set(cyclic)
     while level:
         yield level

@@ -15,7 +15,7 @@ through the descent construction and compares it with direct gluing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import catalog_group, catalog_names
 from .covers import (build_descriptor, descend,
@@ -71,8 +71,7 @@ def enumerate_connected_covers(group: PermutationGroup,
     return count, witnesses
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     name: str
     order: int
     realizable: bool
@@ -131,8 +130,7 @@ def _induced_relations(config, group):
     return relations
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(NamedTuple):
     checked: int
     mismatches: tuple
     negative_controls_rejected: int

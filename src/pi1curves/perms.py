@@ -6,20 +6,28 @@ The JSON wire format uses 1-indexed image arrays ([2,1,3] swaps 1 and 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 from math import lcm
 
 from .errors import DomainError
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Perm:
-    images: tuple[int, ...]  # images[i] = image of point i (0-indexed)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise DomainError("NOT_A_PERMUTATION", f"bad image array {self.images}")
+class Perm(namedtuple("Perm", "images")):
+    """A permutation as the one-field tuple (images,), where images[i] is
+    the image of point i (0-indexed); it hashes, compares and sorts in C,
+    as its images do."""
+    __slots__ = ()
+
+    def __new__(cls, images):
+        if sorted(images) != list(range(len(images))):
+            raise DomainError("NOT_A_PERMUTATION", f"bad image array {images}")
+        return _new(cls, (images,))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates as well
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:
@@ -32,9 +40,7 @@ class Perm:
     @staticmethod
     def trusted(images: tuple) -> "Perm":
         """A Perm on images known to be a permutation, unvalidated."""
-        p = object.__new__(Perm)
-        object.__setattr__(p, "images", images)
-        return p
+        return _new(Perm, (images,))
 
     @staticmethod
     def from_cycles(degree: int, cycles) -> "Perm":
@@ -65,11 +71,11 @@ class Perm:
         if len(a) != len(b):
             raise DomainError("DEGREE_MISMATCH",
                               f"{len(a)} != {len(b)}")
-        return Perm.trusted(compose(a, b))
+        return _new(Perm, (compose(a, b),))
 
-    @cached_property
+    @property
     def inverse(self) -> "Perm":
-        return Perm.trusted(invert(self.images))
+        return _new(Perm, (invert(self.images),))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -77,9 +83,6 @@ class Perm:
     def order(self) -> int:
         """The lcm of the cycle lengths."""
         return lcm(*map(len, self.cycles()))
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
 
     def cycles(self) -> list:
         """The cycles of length at least 2, 0-indexed, each starting at its

@@ -9,7 +9,7 @@ structure theorems do not settle return Unknown with the reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curves import CurveConfiguration, delta, require_projective
 from .errors import require
@@ -18,15 +18,20 @@ from .groups import (PermutationGroup, abelianization_p_rank, is_p_group,
                      quotient)
 
 
-@dataclass(frozen=True)
-class RealizabilityVerdict:
-    verdict: str               # "Yes" | "No" | "Unknown"
-    rule: str
-    evidence: dict
+class RealizabilityVerdict(namedtuple("RealizabilityVerdict",
+                                      "verdict rule evidence")):
+    """verdict is "Yes", "No" or "Unknown"; rule names the deciding rule
+    and evidence is a dict of what it compared."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        require(self.verdict in ("Yes", "No", "Unknown"), "INTERNAL_INVARIANT",
+    def __new__(cls, verdict: str, rule: str, evidence: dict):
+        require(verdict in ("Yes", "No", "Unknown"), "INTERNAL_INVARIANT",
                 "verdict must be Yes, No or Unknown")
+        return tuple.__new__(cls, (verdict, rule, evidence))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates as well
+        return cls(*iterable)
 
     @property
     def yes(self) -> bool:

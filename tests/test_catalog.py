@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from pi1curves.catalog import (
-    build_catalog,
     catalog_group,
     catalog_names,
     catalog_groups,
@@ -15,6 +14,8 @@ from pi1curves.catalog import (
 )
 from pi1curves.errors import DomainError
 from pi1curves.groups import abelianization, derived_subgroup, min_generators
+
+from catalog_builders import build_catalog
 
 # number of isomorphism classes of groups of each order 1..24
 CLASS_COUNTS = [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5,

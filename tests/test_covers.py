@@ -1,9 +1,8 @@
 import random
-from dataclasses import replace
 
 import pytest
 
-from pi1curves.catalog import catalog_group, catalog_groups, cyclic, symmetric
+from pi1curves.catalog import catalog_group, catalog_groups
 from pi1curves.covers import (
     CoverDescriptor,
     Gluing,
@@ -26,6 +25,7 @@ from pi1curves.errors import DomainError
 from pi1curves.groups import PermutationGroup, subgroup_generated
 from pi1curves.perms import Perm
 
+from catalog_builders import cyclic, symmetric
 from oracles import sheet_graph_connected, torsor_labeling
 
 P = PointRef
@@ -229,7 +229,7 @@ def test_glue_rejects_disconnected_base(gluing):
         [[P("C1", "c"), P("C1", "d")]])
     cover = build_descriptor(apart, A3, monodromy={"C1": A3, "C2": A3})
     if gluing == "mapping":
-        cover = replace(cover, gluings={0: {P("C1", "d"): Gluing(
+        cover = cover._replace(gluings={0: {P("C1", "d"): Gluing(
             mapping=tuple((x, x) for x in A3.elements()))}})
     with pytest.raises(DomainError) as err:
         glue_same_component(S3, A3, flip, cover, P("C1", "a"), P("C1", "b"))
@@ -243,6 +243,19 @@ def test_glue_rejects_disconnected_base(gluing):
             glue_two_components(S3, first.group, second.group, first, second,
                                 y1, y2)
         assert err.value.code == "BASE_NOT_CONNECTED"
+
+
+def test_four_argument_descriptor_has_read_only_ramification():
+    # the default is one empty mapping that no descriptor can change
+    S3, A3, _ = s3_and_a3()
+    base = CurveConfiguration.build(5, [("C1", 1)], {"C1": ["a"]}, [])
+    cover = CoverDescriptor(base, A3, {}, {})
+    assert len(cover.ramification) == 0
+    with pytest.raises(TypeError):
+        cover.ramification[P("C1", "a")] = (S3.elements()[1],)
+    assert CoverDescriptor(base, S3, {}, {}).ramification == {}
+    assert cover == build_descriptor(base, A3)
+    assert cover_to_json(cover)["ramification"] == []
 
 
 def test_empty_base_is_disconnected():
@@ -446,8 +459,8 @@ def test_new_classes_match_identify():
             assert glued.base == identify(cover1.base, [{y1, y2}])
             y1, y2 = rng.choice(free1), rng.choice(free2)
             c1, c2 = cover1.base, cover2.base
-            merged = replace(
-                c1, components=c1.components + c2.components,
+            merged = c1._replace(
+                components=c1.components + c2.components,
                 points={**c1.points, **c2.points},
                 identification_classes=c1.identification_classes
                 + c2.identification_classes)
@@ -671,7 +684,7 @@ def test_is_connected_matches_oracle_on_constant_covers():
         for config in (chain_config(), two, apart):
             for _ in range(40):
                 cover = random_cyclic_descriptor(rng, G, config)
-                cover = replace(cover, monodromy={
+                cover = cover._replace(monodromy={
                     comp.id: _random_subgroup(rng, G)
                     for comp in config.components if rng.random() < 0.7})
                 connected = is_connected(cover)
@@ -722,20 +735,20 @@ def test_is_connected_error_codes_match_sheet_graph():
     for config in (nodal(), chain_config()):
         cover = build_descriptor(config, A3)
         ci, cls = 0, config.identification_classes[0]
-        bad_constant = replace(cover, gluings={
+        bad_constant = cover._replace(gluings={
             **cover.gluings, ci: {cls.members[1]: Gluing(flip)}})
-        bad_monodromy = replace(cover, monodromy={
+        bad_monodromy = cover._replace(monodromy={
             config.components[-1].id: subgroup_generated(S3, [flip])})
-        both = replace(bad_constant, monodromy=bad_monodromy.monodromy)
+        both = bad_constant._replace(monodromy=bad_monodromy.monodromy)
         # a mapping gluing sends the cover to the sheet graph
-        bad_mapping = replace(cover, gluings={**cover.gluings, ci: {
+        bad_mapping = cover._replace(gluings={**cover.gluings, ci: {
             cls.members[1]: Gluing(mapping=((flip, flip),))}})
         for bad, code in ((bad_constant, "FIBER_NOT_TORSOR"),
                           (bad_monodromy, "NOT_A_MEMBER"),
                           (both, "NOT_A_MEMBER"),
                           (bad_mapping, "FIBER_NOT_TORSOR"),
-                          (replace(bad_mapping,
-                                   monodromy=bad_monodromy.monodromy),
+                          (bad_mapping._replace(
+                              monodromy=bad_monodromy.monodromy),
                            "NOT_A_MEMBER")):
             for check in (is_connected, sheet_graph_dot):
                 with pytest.raises(DomainError) as err:

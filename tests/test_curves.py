@@ -308,3 +308,24 @@ def test_schema_rejects_wrong_types(data, choices):
     with pytest.raises(DomainError) as err:
         CurveConfiguration.from_json(data)
     assert err.value.code == "BAD_CONFIG_FILE"
+
+
+def test_replace_carries_over_no_cached_property():
+    # the spanning tree and the violation scan are cached on the object;
+    # _replace builds a new one that computes its own
+    config = triangle()
+    assert validate(config) == []
+    classes = config.identification_classes
+    assert config.spanning_tree == (
+        ((0, P("C2", "a")), (2, P("C3", "b"))), ((1, P("C3", "a")),))
+    assert {"spanning_tree", "_violations"} <= set(vars(config))
+    fewer = config._replace(identification_classes=classes[:2])
+    assert vars(fewer) == {}
+    assert fewer.spanning_tree == (
+        ((0, P("C2", "a")), (1, P("C3", "a"))), ())
+    extra = classes[0]._replace(members=(P("C1", "a"), P("C2", "b")))
+    assert len(extra) == 2 and extra.base_branch == P("C1", "a")
+    overlap = config._replace(identification_classes=classes + (extra,))
+    assert [code for code, _ in validate(overlap)] == ["CLASSES_OVERLAP"] * 2
+    assert validate(config) == [] and config.spanning_tree[1] == (
+        (1, P("C3", "a")),)

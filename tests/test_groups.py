@@ -7,8 +7,7 @@ from operator import mul
 import pytest
 
 from pi1curves import groups, perms
-from pi1curves.catalog import (alternating, catalog_group, catalog_groups,
-                               cyclic, dihedral, symmetric)
+from pi1curves.catalog import catalog_group, catalog_groups
 from pi1curves.covers import (build_descriptor, is_connected,
                               normalize_spanning_tree, spanning_tree)
 from pi1curves.curves import CurveConfiguration, PointRef
@@ -34,6 +33,7 @@ from pi1curves.groups import (
 )
 from pi1curves.perms import Perm
 
+from catalog_builders import alternating, cyclic, dihedral, symmetric
 from oracles import count_generating_tuples, subgroup_lattice_by_closure
 
 
@@ -561,3 +561,28 @@ def test_chain_degree_mismatch():
     with pytest.raises(DomainError) as err:
         symmetric(4).contains(Perm.identity(5))
     assert err.value.code == "DEGREE_MISMATCH"
+
+
+def test_group_equality_and_hash_ignore_the_memo():
+    # degree and generators decide equality and the hash, as on the tuple
+    # (degree, generators); what elements() and order() cache does not
+    gens = symmetric(4).generators
+    G = PermutationGroup(4, gens)
+    for _ in range(2):
+        fresh = PermutationGroup(4, gens)
+        assert G == fresh and hash(G) == hash(fresh) == hash((4, gens))
+        assert {fresh: 1}[G] == 1
+        G.elements(), G.order()
+    assert G != PermutationGroup(4, gens[:1]) != PermutationGroup(5, ())
+    assert G != (4, gens)
+    assert repr(G) == f"PermutationGroup(degree=4, generators={gens!r})"
+    with pytest.raises(DomainError) as err:
+        PermutationGroup(5, gens)
+    assert err.value.code == "DEGREE_MISMATCH"
+
+
+def test_quotient_hom_fields():
+    G = symmetric(4)
+    hom = quotient(G, derived_subgroup(G))
+    assert hom.source is G and hom.image.order() == len(hom.reps) == 2
+    assert sorted(set(hom.cosets)) == [0, 1] and hom.reps[0] == 0

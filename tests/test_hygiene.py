@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,3 +99,34 @@ def test_tracing_spans_resolve():
                 missing.append(target)
     assert sum(map(len, tracing.SPANS.values())) > 40
     assert missing == []
+
+
+def test_no_package_module_imports_dataclasses():
+    # records are named tuples and PermutationGroup a __slots__ class:
+    # dataclasses imports inspect, ast, dis and tokenize, and decorating a
+    # class costs about a millisecond, at every process start
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_fresh_interpreter_imports_no_dataclasses():
+    code = ("import sys\n"
+            "before = 'dataclasses' in sys.modules\n"
+            "import pi1curves.cli, pi1curves.oracle\n"
+            "print(before, 'dataclasses' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.split() == ["False", "False"]

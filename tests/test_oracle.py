@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import pytest
 
 from pi1curves import oracle
-from pi1curves.catalog import catalog_group, catalog_groups, cyclic
+from pi1curves.catalog import catalog_group, catalog_groups
 from pi1curves.covers import Gluing
 from pi1curves.curves import (CurveConfiguration, PointRef, delta, factorize,
                               replay, strip_identifications)
@@ -17,6 +15,8 @@ from pi1curves.oracle import (
     census_report,
     two_node_curve,
 )
+
+from catalog_builders import cyclic
 
 
 def test_counts_match_spec_examples():
@@ -124,8 +124,8 @@ def test_cross_check_descent_lists_mismatches(monkeypatch, part):
         if gluing.constant != target:
             return cover
         if part == "gluing":
-            return replace(cover, gluings={0: {branch: Gluing(elements[2])}})
-        return replace(cover, monodromy={"C1": G})
+            return cover._replace(gluings={0: {branch: Gluing(elements[2])}})
+        return cover._replace(monodromy={"C1": G})
 
     monkeypatch.setattr(oracle, "descend", descend)
     report = cross_check_descent(G, nodal_curve(5))

@@ -62,3 +62,28 @@ def test_degree_mismatch():
 def test_cycle_string():
     assert Perm.from_cycles(4, [(1, 2), (3, 4)]).cycle_string() == "(1 2)(3 4)"
     assert Perm.identity(3).cycle_string() == "()"
+
+
+def test_perm_is_the_tuple_of_its_images():
+    # a one-field tuple: hash, equality and order are those of (images,)
+    rng = random.Random(5)
+    perms = []
+    for _ in range(30):
+        images = list(range(rng.randint(1, 6)))
+        rng.shuffle(images)
+        perms.append(Perm(tuple(images)))
+    assert all(hash(p) == hash((p.images,)) for p in perms)
+    assert all(p == (p.images,) and len(p) == 1 for p in perms)
+    assert sorted(perms) == sorted(perms, key=lambda p: p.images)
+    assert all(Perm.trusted(p.images) == p for p in perms)
+    assert repr(perms[0]) == f"Perm[{perms[0].cycle_string()}]"
+
+
+@pytest.mark.parametrize("images", [(0, 0), (1, 2), (0, 2, 1, 5), (-1, 0)])
+def test_not_a_permutation(images):
+    with pytest.raises(DomainError) as err:
+        Perm(images)
+    assert err.value.code == "NOT_A_PERMUTATION"
+    with pytest.raises(DomainError) as err:
+        Perm.identity(len(images))._replace(images=images)
+    assert err.value.code == "NOT_A_PERMUTATION"

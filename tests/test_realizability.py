@@ -1,10 +1,7 @@
-from dataclasses import replace
-
 import pytest
 
 from pi1curves import curves
-from pi1curves.catalog import (catalog_group, catalog_groups, catalog_names,
-                               cyclic)
+from pi1curves.catalog import catalog_group, catalog_groups, catalog_names
 from pi1curves.curves import (CurveConfiguration, PointRef, delta, factorize,
                               require_projective)
 from pi1curves.errors import DomainError
@@ -19,6 +16,8 @@ from pi1curves.realizability import (
     projective_realizable,
     tame_realizable,
 )
+
+from catalog_builders import cyclic
 
 P = PointRef
 
@@ -155,7 +154,7 @@ def test_hasse_witt_says_no_wherever_nakajima_does():
     nakajima_no = 0
     for p in (2, 3, 5):
         configs = (nodal(p), two_node(p),
-                   replace(elliptic_node, characteristic=p))
+                   elliptic_node._replace(characteristic=p))
         for _, G in catalog_groups(24):
             for config in configs:
                 if nakajima_check(G, p, config).verdict == "No":
@@ -233,4 +232,13 @@ def test_verdict_json_shape():
 def test_verdict_outside_three_values_is_domain_error():
     with pytest.raises(DomainError) as err:
         RealizabilityVerdict("Maybe", "none", {})
+    assert err.value.code == "INTERNAL_INVARIANT"
+
+
+def test_verdict_is_a_validated_tuple():
+    v = RealizabilityVerdict("Yes", "free-factor", {"d_G": 1, "delta": 1})
+    assert v == ("Yes", "free-factor", {"d_G": 1, "delta": 1}) and v.yes
+    assert v._replace(verdict="No") == ("No", "free-factor", v.evidence)
+    with pytest.raises(DomainError) as err:
+        v._replace(verdict="Maybe")
     assert err.value.code == "INTERNAL_INVARIANT"
