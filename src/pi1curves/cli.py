@@ -91,9 +91,12 @@ def cmd_enumerate(args):
     config = CurveConfiguration.from_json(_load_json(args.config))
     if args.group is not None:
         group = _resolve_group(args.group)
+        oracle.require_enumerable(group, config)
+        # GROUP_TOO_LARGE above LATTICE_BOUND, before the |G|^delta tuples
+        phi = eulerian(group, delta(config))
         count, witnesses = oracle.enumerate_connected_covers(group, config)
         payload = {"group": args.group, "delta": delta(config),
-                   "count": count, "eulerian": eulerian(group, delta(config)),
+                   "count": count, "eulerian": phi,
                    "witnesses": [[c.to_one_indexed() for c in w]
                                  for w in witnesses]}
         _emit(payload, args.pretty)

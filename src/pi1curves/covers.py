@@ -442,7 +442,10 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
     G-action permutes the cover classes.
     One pass decodes every cover class into label positions (condition
     (1)); then each base class is checked once and its gluing rows read
-    off (condition (2)).  New classes follow the base's, in relation order.
+    off (condition (2)).  A row equal to the left row of its first entry
+    is a translation, hence a bijection, and becomes a constant gluing at
+    once; only other rows run the overlap check and Gluing.of_row.  New
+    classes follow the base's, in relation order.
     """
     config = cover.base
     base_classes = [sorted(set(c)) for c in base_relation]
@@ -463,7 +466,7 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
                                   f"{ref} in two base classes")
             slot[ref] = (i, k)
     group = cover.group
-    index = group.index()
+    index, elements = group.index(), group.elements()
     n = len(index)
 
     # condition (1): the relation downstairs is preserved.  Each cover
@@ -504,9 +507,13 @@ def descend(cover: CoverDescriptor, base_relation, cover_relation,
             row = [0] * n
             for x, c in zip(base, classes):
                 row[x] = c[k]
-            require(len(set(row)) == n, "BAD_PARTITION",
-                    "cover classes overlap")
-            gluings[branch] = Gluing.of_row(row, group)
+            row = tuple(row)
+            if _is_translation(group, row):  # a left row is a bijection
+                gluings[branch] = Gluing(elements[row[0]])
+            else:
+                require(len(set(row)) == n, "BAD_PARTITION",
+                        "cover classes overlap")
+                gluings[branch] = Gluing.of_row(row, group)
 
     # the right action moves the class through base label x to the class
     # through x*g, so it permutes the classes iff every row is a left

@@ -279,12 +279,6 @@ class PermutationGroup:
             reps.append(x)
         return ids, reps
 
-    def conjugate(self, t) -> "PermutationGroup":
-        t, t_inv = t.images, invert(t.images)
-        return PermutationGroup.from_generators(
-            [Perm.trusted(compose(compose(t, g.images), t_inv))
-             for g in self.generators], self.degree)
-
 
 # -- basic constructions ----------------------------------------------------
 

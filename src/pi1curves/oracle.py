@@ -10,6 +10,13 @@ with covers.is_connected (a span of the monodromy and non-tree gluing
 constants, the same criterion), so the independent check on the count is
 the Moebius-inversion eulerian; it also rebuilds every enumerated cover
 through the descent construction and compares it with direct gluing.
+
+Both loops redo per tuple only what depends on the tuple.  Each builds
+one validated template, build_descriptor(config, group), and swaps the
+free-edge constants into a copy of its gluings (_descriptor_for); the
+descent check builds each branch's column of (branch, label) pairs once
+and reads each tuple's cover classes through the gluing rows
+(_induced_relations).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import itertools
 from typing import NamedTuple
 
 from .catalog import catalog_group, catalog_names
-from .covers import (build_descriptor, descend,
+from .covers import (Gluing, build_descriptor, descend,
                      is_connected as cover_connected, spanning_tree)
 from .curves import (CurveConfiguration, PointRef, delta,
                      require_projective, strip_identifications)
@@ -35,13 +42,32 @@ def _check_rational(config):
             f"components of positive genus: {bad}")
 
 
-def _descriptor_for(config, group, free_edges, constants):
-    """The descriptor with these constants on the free edges and the
-    identity (build_descriptor's default) on the tree edges."""
-    gluings: dict = {}
+def _descriptor_for(template, free_edges, constants):
+    """The template (build_descriptor(config, group): the identity on every
+    branch) with these constants on the free edges."""
+    gluings = {ci: dict(branches)
+               for ci, branches in template.gluings.items()}
     for (ci, branch), c in zip(free_edges, constants):
-        gluings.setdefault(ci, {})[branch] = c
-    return build_descriptor(config, group, gluings=gluings)
+        gluings[ci][branch] = Gluing(c)
+    return template._replace(gluings=gluings)
+
+
+def require_enumerable(group: PermutationGroup,
+                       config: CurveConfiguration):
+    """The checks enumerate_connected_covers runs before it enumerates:
+    a projective configuration of rational components, and |G|^delta
+    tuples within the bound over a group small enough to list.  Returns
+    the non-tree edges of spanning_tree()."""
+    _check_rational(config)
+    _, free_edges = spanning_tree(config)
+    d = len(free_edges)
+    require(d == delta(config), "INTERNAL_INVARIANT",
+            "non-tree edge count differs from delta")
+    order = group.order()
+    require(order ** d <= ENUMERATION_BOUND, "TOO_LARGE",
+            f"|G|^delta = {order}^{d} exceeds the enumeration bound")
+    group.elements()  # GROUP_TOO_LARGE above ENUM_BOUND
+    return free_edges
 
 
 def enumerate_connected_covers(group: PermutationGroup,
@@ -52,19 +78,13 @@ def enumerate_connected_covers(group: PermutationGroup,
     non-tree gluing constants of one connected descriptor, in the
     deterministic edge order of spanning_tree().
     """
-    _check_rational(config)
-    _, free_edges = spanning_tree(config)
-    d = len(free_edges)
-    require(d == delta(config), "INTERNAL_INVARIANT",
-            "non-tree edge count differs from delta")
-    order = group.order()
-    require(order ** d <= ENUMERATION_BOUND, "TOO_LARGE",
-            f"|G|^delta = {order}^{d} exceeds the enumeration bound")
-    elements = group.elements()
+    free_edges = require_enumerable(group, config)
+    template = build_descriptor(config, group)
     count = 0
     witnesses = []
-    for constants in itertools.product(elements, repeat=d):
-        descriptor = _descriptor_for(config, group, free_edges, constants)
+    for constants in itertools.product(group.elements(),
+                                       repeat=len(free_edges)):
+        descriptor = _descriptor_for(template, free_edges, constants)
         if cover_connected(descriptor):
             count += 1
             witnesses.append(constants)
@@ -111,20 +131,24 @@ def census_report(entries) -> str:
 def _induced_relations(config, group):
     """The base and cover relations that rebuild config's classes from the
     stripped configuration, given per-branch constants already stored in a
-    descriptor built on config.  The n cover classes over a class are the
-    tuples of one column of (branch, label) pairs per branch, zipped."""
+    descriptor built on config.  Each branch's column of (branch, label)
+    pairs, one per element, is built once; the n cover classes over a
+    class zip the base branch's column with each other branch's column
+    read through its gluing row."""
     elements = group.elements()
+    base_rel = [set(cls.members) for cls in config.identification_classes]
+    columns = [{branch: [(branch, x) for x in elements]
+                for branch in cls.members}
+               for cls in config.identification_classes]
 
     def relations(gluings):
-        base_rel, cover_rel = [], []
+        cover_rel = []
         for ci, cls in enumerate(config.identification_classes):
-            base_rel.append(set(cls.members))
-            columns = [zip(itertools.repeat(cls.base_branch), elements)]
-            columns += [zip(itertools.repeat(branch),
-                            map(elements.__getitem__,
-                                gluings[ci][branch].row(group)))
-                        for branch in cls.members[1:]]
-            cover_rel.extend(zip(*columns))
+            column = columns[ci]
+            cover_rel.extend(zip(column[cls.base_branch], *(
+                map(column[branch].__getitem__,
+                    gluings[ci][branch].row(group))
+                for branch in cls.members[1:])))
         return base_rel, cover_rel
 
     return relations
@@ -161,6 +185,7 @@ def cross_check_descent(group: PermutationGroup,
             f"|G|^delta = {order}^{len(free_edges)}")
     stripped = strip_identifications(config)
     base_cover = build_descriptor(stripped, group)
+    template = build_descriptor(config, group)
     relations_of = _induced_relations(config, group)
     elements = group.elements()
 
@@ -168,7 +193,7 @@ def cross_check_descent(group: PermutationGroup,
     mismatches = []
     rejected = 0
     for constants in itertools.product(elements, repeat=len(free_edges)):
-        direct = _descriptor_for(config, group, free_edges, constants)
+        direct = _descriptor_for(template, free_edges, constants)
         base_rel, cover_rel = relations_of(direct.gluings)
         descended = descend(base_cover, base_rel, cover_rel)
         checked += 1
@@ -177,7 +202,7 @@ def cross_check_descent(group: PermutationGroup,
 
     # negative control: corrupt one cover class and expect a rejection
     if order > 2:
-        direct = _descriptor_for(config, group, free_edges,
+        direct = _descriptor_for(template, free_edges,
                                  (elements[0],) * len(free_edges))
         base_rel, cover_rel = relations_of(direct.gluings)
         a, b = elements[1], elements[2]

@@ -9,7 +9,8 @@ import itertools
 from dataclasses import dataclass
 
 from pi1curves.errors import require
-from pi1curves.groups import subgroup_generated
+from pi1curves.groups import PermutationGroup, subgroup_generated
+from pi1curves.perms import Perm, compose, invert
 
 
 def count_generating_tuples(group, k: int) -> int:
@@ -20,6 +21,14 @@ def count_generating_tuples(group, k: int) -> int:
     elements = group.elements()
     return sum(1 for tup in itertools.product(elements, repeat=k)
                if subgroup_generated(group, tup).order() == order)
+
+
+def conjugate(group, t):
+    """t * group * t^-1, its generators composed on image tuples."""
+    t, t_inv = t.images, invert(t.images)
+    return PermutationGroup.from_generators(
+        [Perm.trusted(compose(compose(t, g.images), t_inv))
+         for g in group.generators], group.degree)
 
 
 def _closure(generators, identity) -> frozenset:

@@ -16,7 +16,7 @@ from pi1curves.catalog import catalog_group, catalog_groups, catalog_names
 from pi1curves.covers import (build_descriptor, descend,
                               glue_same_component, glue_two_components,
                               is_connected as cover_connected, is_galois,
-                              spanning_tree)
+                              normalize_spanning_tree, spanning_tree)
 from pi1curves.curves import (CurveConfiguration, PointRef, delta, dual_graph,
                               factorize, replay, strip_identifications,
                               validate)
@@ -254,6 +254,88 @@ def test_connectivity_oracle_on_criteria_3_to_5(capsys):
                           (name, "prop2"))
     assert checked > 50_000
     report(capsys, "3-5", "is_connected = sheet-graph oracle", started,
+           failures, 60)
+
+
+def random_rational_config(rng):
+    """A connected projective configuration of 1-4 rational components:
+    a random spanning tree of classes (each joining one earlier component
+    to one or two new ones), then extra classes of 2 or 3 branches on any
+    components, which raise delta to at most 2.  Returns (config, delta)."""
+    ids = [f"C{i + 1}" for i in range(rng.randint(1, 4))]
+    points = {c: [] for c in ids}
+
+    def point(comp):
+        points[comp].append(f"p{len(points[comp])}")
+        return P(comp, points[comp][-1])
+
+    order = rng.sample(ids, len(ids))
+    classes, joined = [], 1
+    while joined < len(order):
+        size = rng.choice((2, 3)) if joined + 1 < len(order) else 2
+        members = [rng.choice(order[:joined])]
+        members += order[joined:joined + size - 1]
+        classes.append([point(c) for c in members])
+        joined += size - 1
+    d = 0
+    while d < 2 and rng.random() < 0.8:
+        size = rng.choice((2, 3)) if d == 0 else 2
+        classes.append([point(rng.choice(ids)) for _ in range(size)])
+        d += size - 1
+    rng.shuffle(classes)
+    return CurveConfiguration.build(5, [(c, 0) for c in ids], points,
+                                    classes), d
+
+
+def test_free_product_on_rational_shapes(capsys):
+    # criteria 3 and 5 and the connectivity oracle on random dual-graph
+    # shapes: trees of components, 3-branch classes, delta 0-2
+    started = time.time()
+    failures = []
+    rng = random.Random(16)
+    shapes = set()
+    for i in range(40):
+        config, d = random_rational_config(rng)
+        shapes.add((len(config.components), d,
+                    max(map(len, config.identification_classes), default=0)))
+        if delta(config) != d:
+            failures.append((i, "delta", delta(config), d))
+            continue
+        tree, free = spanning_tree(config)
+        branches = [(ci, branch)
+                    for ci, cls in enumerate(config.identification_classes)
+                    for branch in cls.members[1:]]
+        for name, G in catalog_groups(12):
+            count, _ = enumerate_connected_covers(G, config)
+            if count != eulerian(G, d):
+                failures.append((i, name, "count", count))
+            if config.identification_classes:
+                rep = cross_check_descent(G, config)
+                if not rep.ok or rep.checked != G.order() ** d \
+                        or rep.negative_controls_rejected != 1:
+                    failures.append((i, name, "descent", rep.mismatches[:2]))
+            for _ in range(4):  # a random constant on every branch
+                gluings: dict = {}
+                for ci, branch in branches:
+                    gluings.setdefault(ci, {})[branch] = \
+                        rng.choice(G.elements())
+                cover = build_descriptor(config, G, gluings=gluings)
+                norm = normalize_spanning_tree(cover)
+                kept = [norm.gluings[ci][branch].constant
+                        for ci, branch in branches if (ci, branch) not in tree]
+                if len(kept) != d or not all(
+                        norm.gluings[ci][branch].constant.is_identity()
+                        for ci, branch in tree):
+                    failures.append((i, name, "normalize"))
+                connected = sheet_graph_connected(cover)
+                if not cover_connected(cover) == cover_connected(norm) \
+                        == sheet_graph_connected(norm) == connected:
+                    failures.append((i, name, "connected", connected))
+    # every component count and delta, and 3-branch classes on trees
+    assert {n for n, _, _ in shapes} == {1, 2, 3, 4}, shapes
+    assert {d for _, d, _ in shapes} == {0, 1, 2}, shapes
+    assert any(n > 1 and size == 3 for n, _, size in shapes), shapes
+    report(capsys, "3-5 shapes", "free product on rational shapes", started,
            failures, 60)
 
 

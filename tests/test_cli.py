@@ -287,6 +287,22 @@ def test_realizable_big_group_is_too_large_fast(capsys, tmp_path, nodal_file):
     assert elapsed < 5, f"{elapsed:.1f}s over the 5s budget"
 
 
+def test_enumerate_big_group_is_too_large_fast(capsys, tmp_path):
+    # S6 on the two-node curve: 720^2 tuples are within the enumeration
+    # bound, but eulerian needs the lattice, which stops at order 200
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(two_node_curve(5).to_json()))
+    group = tmp_path / "s6.json"
+    group.write_text(json.dumps(
+        {"degree": 6, "generators": [[2, 1, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]]}))
+    started = time.time()
+    code, out, err = run(capsys, "enumerate", str(theta), "--group", str(group))
+    elapsed = time.time() - started
+    assert code == 1 and out == ""
+    assert err == "error: GROUP_TOO_LARGE: |G| = 720 > 200\n"
+    assert elapsed < 2, f"{elapsed:.1f}s over the 2s budget"
+
+
 @pytest.mark.parametrize("degree", ["3", True, 0, None, 2.5])
 def test_group_file_degree_must_be_positive_int(capsys, tmp_path, nodal_file,
                                                 degree):

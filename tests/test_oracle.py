@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from pi1curves import oracle
 from pi1curves.catalog import catalog_group, catalog_groups
-from pi1curves.covers import Gluing
+from pi1curves.covers import Gluing, build_descriptor, spanning_tree
 from pi1curves.curves import (CurveConfiguration, PointRef, delta, factorize,
                               replay, strip_identifications)
 from pi1curves.errors import DomainError
@@ -132,3 +134,27 @@ def test_cross_check_descent_lists_mismatches(monkeypatch, part):
     assert report.checked == 6
     assert report.mismatches == ([target.to_one_indexed()],)
     assert report.negative_controls_rejected == 1
+
+
+def test_template_matches_validating_constructor():
+    # cross_check_descent derives its relation from the descriptor it is
+    # given, so only this comparison catches a wrong template
+    P = PointRef
+    # its first class holds the tree edge and a free edge
+    two_components = CurveConfiguration.build(
+        5, [("C1", 0), ("C2", 0)], {"C1": ["a", "b"], "C2": ["a", "b", "c"]},
+        [[P("C1", "a"), P("C2", "a"), P("C2", "b")],
+         [P("C1", "b"), P("C2", "c")]])
+    assert spanning_tree(two_components) == (
+        ((0, P("C2", "a")),), ((0, P("C2", "b")), (1, P("C2", "c"))))
+    G = catalog_group("S3")
+    for config in (two_components, two_node_curve(5)):
+        template = build_descriptor(config, G)
+        _, free = spanning_tree(config)
+        for constants in itertools.product(G.elements(), repeat=len(free)):
+            gluings: dict = {}
+            for (ci, branch), c in zip(free, constants):
+                gluings.setdefault(ci, {})[branch] = c
+            assert oracle._descriptor_for(template, free, constants) \
+                == build_descriptor(config, G, gluings=gluings)
+        assert template == build_descriptor(config, G)
