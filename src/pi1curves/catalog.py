@@ -16,7 +16,7 @@ import os
 from functools import lru_cache
 from importlib import resources
 
-from .errors import DomainError, require
+from .errors import DomainError, fields, read_json, typed
 from .groups import PermutationGroup
 from .perms import Perm
 
@@ -28,15 +28,19 @@ def group_to_json(group: PermutationGroup) -> dict:
             "generators": [g.to_one_indexed() for g in group.generators]}
 
 
-def group_from_json(data: dict) -> PermutationGroup:
-    try:
-        degree = data["degree"]
-        gens = [Perm.from_one_indexed(images) for images in data["generators"]]
-    except (KeyError, TypeError) as exc:
-        raise DomainError("BAD_GROUP_FILE", str(exc))
-    if type(degree) is not int or degree < 1:
-        raise DomainError("BAD_GROUP_FILE",
-                          f"degree must be a positive int, not {degree!r}")
+# even with no generators, a group's chain and elements hold range(degree)
+MAX_DEGREE = 10_000
+
+
+def group_from_json(data) -> PermutationGroup:
+    code = "BAD_GROUP_FILE"
+    fields(data, "group", code, ("degree", "generators"))
+    degree = typed(data["degree"], int, "degree", code)
+    if not 1 <= degree <= MAX_DEGREE:
+        raise DomainError(code, f"degree must be in 1..{MAX_DEGREE}, "
+                                f"not {degree}")
+    gens = [Perm.from_one_indexed(images) for images in
+            typed(data["generators"], list, "generators", code)]
     for g in gens:
         if g.degree != degree:
             raise DomainError("DEGREE_MISMATCH",
@@ -48,12 +52,7 @@ def group_from_json(data: dict) -> PermutationGroup:
 def _load_catalog_data():
     path = os.environ.get("PI1_CATALOG_PATH")
     if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not JSON/UTF-8
-            raise DomainError("BAD_GROUP_FILE",
-                              f"PI1_CATALOG_PATH {path}: {exc}")
+        return read_json(path, "BAD_GROUP_FILE", f"PI1_CATALOG_PATH {path}")
     ref = resources.files(__package__) / "data" / "catalog.json"
     return json.loads(ref.read_text(encoding="utf-8"))
 
@@ -65,8 +64,7 @@ def catalog_names() -> list:
 @lru_cache(maxsize=None)
 def _catalog_groups() -> dict:
     """name -> group, built once per process: each keeps its own index."""
-    data = _load_catalog_data()
-    require(isinstance(data, dict), "BAD_GROUP_FILE", "not a JSON object")
+    data = typed(_load_catalog_data(), dict, "catalog", "BAD_GROUP_FILE")
     return {n: group_from_json(e) for n, e in data.items()}
 
 

@@ -19,7 +19,7 @@ from .covers import (cover_from_json, cover_to_json, dual_graph_dot,
                      sheet_graph_dot)
 from .curves import (CurveConfiguration, PointRef, affine_delta, delta,
                      rank_report, validate)
-from .errors import DomainError
+from .errors import DomainError, fields, read_json, require, typed
 from .groups import eulerian, min_generators
 from .perms import Perm
 
@@ -31,25 +31,16 @@ def _emit(payload, pretty):
         print(json.dumps(payload, sort_keys=True))
 
 
-def _load_json(path):
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise DomainError("BAD_CONFIG_FILE", str(exc))
-    except json.JSONDecodeError as exc:
-        raise DomainError("BAD_CONFIG_FILE", f"{path}: {exc}")
-
-
 def _resolve_group(spec):
     """A --group argument is a catalog name or a path to a group JSON file."""
     if Path(spec).is_file():
-        return group_from_json(_load_json(spec))
+        return group_from_json(read_json(spec, "BAD_GROUP_FILE", spec))
     return catalog_group(spec)
 
 
 def cmd_validate(args):
-    config = CurveConfiguration.from_json(_load_json(args.config))
+    config = CurveConfiguration.from_json(
+        read_json(args.config, "BAD_CONFIG_FILE", args.config))
     violations = validate(config)
     payload = {"valid": not violations,
                "violations": [{"code": code, "detail": detail}
@@ -59,13 +50,15 @@ def cmd_validate(args):
 
 
 def cmd_invariants(args):
-    config = CurveConfiguration.from_json(_load_json(args.config))
+    config = CurveConfiguration.from_json(
+        read_json(args.config, "BAD_CONFIG_FILE", args.config))
     _emit(rank_report(config).to_json(), args.pretty)
     return 0
 
 
 def cmd_realizable(args):
-    config = CurveConfiguration.from_json(_load_json(args.config))
+    config = CurveConfiguration.from_json(
+        read_json(args.config, "BAD_CONFIG_FILE", args.config))
     group = _resolve_group(args.group)
     p = args.char if args.char is not None else config.characteristic
     if args.mode == "projective":
@@ -88,7 +81,8 @@ def cmd_realizable(args):
 
 
 def cmd_enumerate(args):
-    config = CurveConfiguration.from_json(_load_json(args.config))
+    config = CurveConfiguration.from_json(
+        read_json(args.config, "BAD_CONFIG_FILE", args.config))
     if args.group is not None:
         group = _resolve_group(args.group)
         oracle.require_enumerable(group, config)
@@ -110,7 +104,7 @@ def cmd_enumerate(args):
 
 
 def cmd_export_dot(args):
-    data = _load_json(args.file)
+    data = read_json(args.file, "BAD_CONFIG_FILE", args.file)
     if isinstance(data, dict) and "group" in data:
         cover = cover_from_json(data)
         sys.stdout.write(sheet_graph_dot(cover))
@@ -120,45 +114,46 @@ def cmd_export_dot(args):
     return 0
 
 
+_STEP_FIELDS = (("same_component", ("ambient", "cover", "gamma")),
+               ("two_components", ("group", "cover1", "cover2")))
+
+
 def cmd_glue(args):
     """Run a gluing script: named covers plus a list of gluing steps."""
-    script = _load_json(args.script)
-    try:
-        covers = {name: cover_from_json(data)
-                  for name, data in script.get("covers", {}).items()}
-        steps, output = script["steps"], script.get("output")
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DomainError("BAD_COVER_FILE", f"malformed script: {exc!r}")
-    if not isinstance(steps, list) or isinstance(output, (list, dict)):
-        raise DomainError("BAD_COVER_FILE",
-                          "steps must be a list and output a name")
+    code = "BAD_COVER_FILE"
+    script = fields(read_json(args.script, code, args.script), "script",
+                    code, ("steps",), ("covers", "output"))
+    covers = {name: cover_from_json(data) for name, data in
+              typed(script.get("covers", {}), dict, "covers", code).items()}
+    steps = typed(script["steps"], list, "steps", code)
+
+    def named(step, key):
+        name = typed(step[key], str, key, code)
+        require(name in covers, code, f"no cover named {name!r}")
+        return covers[name]
+
     for step in steps:
-        try:
-            op = step["op"]
-            result = step["result"]
-            if op == "same_component":
-                ambient = _resolve_group(step["ambient"])
-                cover = covers[step["cover"]]
-                gamma = Perm.from_one_indexed(step["gamma"])
-                covers[result] = glue_same_component(
-                    ambient, cover.group, gamma, cover,
-                    PointRef.from_json(step["y1"]),
-                    PointRef.from_json(step["y2"]))
-            elif op == "two_components":
-                group = _resolve_group(step["group"])
-                c1, c2 = covers[step["cover1"]], covers[step["cover2"]]
-                covers[result] = glue_two_components(
-                    group, c1.group, c2.group, c1, c2,
-                    PointRef.from_json(step["y1"]),
-                    PointRef.from_json(step["y2"]))
-            else:
-                raise DomainError("BAD_COVER_FILE", f"unknown op {op!r}")
-        except (KeyError, TypeError) as exc:
-            raise DomainError("BAD_COVER_FILE", f"malformed step: {exc!r}")
-    if output is None:
-        output = steps[-1]["result"] if steps else None
-    if output not in covers:
-        raise DomainError("BAD_COVER_FILE", f"no cover named {output!r}")
+        op = typed(typed(step, dict, "step", code).get("op"), str, "op", code)
+        extra = dict(_STEP_FIELDS).get(op)
+        require(extra is not None, code, f"unknown op {op!r}")
+        fields(step, f"{op} step", code, ("op", "result", "y1", "y2") + extra)
+        result = typed(step["result"], str, "result", code)
+        y1, y2 = PointRef.from_json(step["y1"]), PointRef.from_json(step["y2"])
+        if op == "same_component":
+            ambient = _resolve_group(typed(step["ambient"], str, "ambient",
+                                           code))
+            cover = named(step, "cover")
+            covers[result] = glue_same_component(
+                ambient, cover.group, Perm.from_one_indexed(step["gamma"]),
+                cover, y1, y2)
+        else:
+            group = _resolve_group(typed(step["group"], str, "group", code))
+            c1, c2 = named(step, "cover1"), named(step, "cover2")
+            covers[result] = glue_two_components(
+                group, c1.group, c2.group, c1, c2, y1, y2)
+    output = script.get("output", steps[-1]["result"] if steps else "")
+    require(typed(output, str, "output", code) in covers, code,
+            f"no cover named {output!r}")
     _emit(cover_to_json(covers[output]), args.pretty)
     return 0
 

@@ -32,10 +32,11 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import NamedTuple
 
+from .catalog import catalog_group, group_from_json, group_to_json
 from .curves import (CurveConfiguration, IdentificationClass, PointRef,
                      dual_graph, is_connected as config_connected,
                      require_valid, union_find)
-from .errors import DomainError, require
+from .errors import DomainError, fields, require, typed
 from .groups import PermutationGroup, subgroup_positions
 from .perms import Perm
 
@@ -602,9 +603,7 @@ def cover_to_json(cover: CoverDescriptor) -> dict:
             gluings.append(entry)
     return {
         "configuration": cover.base.to_json(),
-        "group": {"degree": cover.group.degree,
-                  "generators": [g.to_one_indexed()
-                                 for g in cover.group.generators]},
+        "group": group_to_json(cover.group),
         "monodromy": {comp_id: [g.to_one_indexed() for g in sub.generators]
                       for comp_id, sub in sorted(cover.monodromy.items())},
         "gluings": gluings,
@@ -615,42 +614,42 @@ def cover_to_json(cover: CoverDescriptor) -> dict:
     }
 
 
-def cover_from_json(data: dict) -> CoverDescriptor:
-    from .catalog import catalog_group, group_from_json
-    try:
-        config = CurveConfiguration.from_json(data["configuration"])
-        group_data = data["group"]
-        if isinstance(group_data, str):
-            group = catalog_group(group_data)
+def cover_from_json(data) -> CoverDescriptor:
+    code = "BAD_COVER_FILE"
+    fields(data, "cover", code, ("configuration", "group"),
+           ("monodromy", "gluings", "ramification"))
+    config = CurveConfiguration.from_json(data["configuration"])
+    group = (catalog_group(data["group"]) if isinstance(data["group"], str)
+             else group_from_json(data["group"]))
+    monodromy = {
+        comp_id: PermutationGroup.from_generators(
+            [Perm.from_one_indexed(im) for im in
+             typed(gens, list, "monodromy generators", code)], group.degree)
+        for comp_id, gens in
+        typed(data.get("monodromy", {}), dict, "monodromy", code).items()}
+    gluings: dict = {}
+    for entry in typed(data.get("gluings", []), list, "gluings", code):
+        typed(entry, dict, "gluing", code)
+        kind = "constant" if "constant" in entry else "mapping"
+        fields(entry, "gluing", code, ("class_index", "branch", kind))
+        ci = typed(entry["class_index"], int, "class_index", code)
+        branch = PointRef.from_json(entry["branch"])
+        if kind == "constant":
+            g = Gluing(Perm.from_one_indexed(entry["constant"]))
         else:
-            group = group_from_json(group_data)
-        monodromy = {
-            comp_id: PermutationGroup.from_generators(
-                [Perm.from_one_indexed(im) for im in gens], group.degree)
-            for comp_id, gens in data.get("monodromy", {}).items()}
-        gluings: dict = {}
-        for entry in data.get("gluings", []):
-            ci = entry["class_index"]
-            if type(ci) is not int:
-                raise DomainError("BAD_COVER_FILE",
-                                  f"class_index must be an int, not {ci!r}")
-            branch = PointRef.from_json(entry["branch"])
-            if "constant" in entry:
-                g = Gluing(Perm.from_one_indexed(entry["constant"]))
-            else:
-                for pair in entry["mapping"]:
-                    if type(pair) is not list or len(pair) != 2:
-                        raise DomainError(
-                            "BAD_COVER_FILE",
-                            f"mapping entry {pair!r} is not [label, image]")
-                g = Gluing.of_mapping(
-                    {Perm.from_one_indexed(a): Perm.from_one_indexed(b)
-                     for a, b in entry["mapping"]}, group)
-            gluings.setdefault(ci, {})[branch] = g
-        ramification = {
-            PointRef.from_json(entry["point"]):
-                tuple(Perm.from_one_indexed(im) for im in entry["inertia"])
-            for entry in data.get("ramification", [])}
-        return build_descriptor(config, group, monodromy, gluings, ramification)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DomainError("BAD_COVER_FILE", repr(exc))
+            pairs = typed(entry["mapping"], list, "mapping", code)
+            for pair in pairs:
+                require(len(typed(pair, list, "mapping pair", code)) == 2,
+                        code, f"mapping pair {pair!r} is not [label, image]")
+            g = Gluing.of_mapping(
+                {Perm.from_one_indexed(a): Perm.from_one_indexed(b)
+                 for a, b in pairs}, group)
+        gluings.setdefault(ci, {})[branch] = g
+    ramification = {}
+    for entry in typed(data.get("ramification", []), list, "ramification",
+                       code):
+        fields(entry, "ramification entry", code, ("point", "inertia"))
+        ramification[PointRef.from_json(entry["point"])] = tuple(
+            Perm.from_one_indexed(im)
+            for im in typed(entry["inertia"], list, "inertia", code))
+    return build_descriptor(config, group, monodromy, gluings, ramification)

@@ -10,21 +10,12 @@ all live here.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DomainError, require
+from .errors import DomainError, fields, require, typed
 from .groups import is_prime
-
-
-def _typed(value, kind: type, what: str):
-    """value, when it has the JSON type kind (a bool is not an int)."""
-    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
-        raise DomainError("BAD_CONFIG_FILE",
-                          f"{what} must be {kind.__name__}, not {value!r}")
-    return value
 
 
 class PointRef(NamedTuple):
@@ -167,46 +158,31 @@ class CurveConfiguration(namedtuple(
         }
 
     @staticmethod
-    def from_json(data: dict) -> "CurveConfiguration":
-        allowed = {"characteristic", "components", "points",
-                   "identifications", "removed"}
-        unknown = set(_typed(data, dict, "configuration")) - allowed
-        if unknown:
-            raise DomainError("BAD_CONFIG_FILE",
-                              f"unknown fields {sorted(unknown)}")
-        try:
-            components = []
-            for c in _typed(data["components"], list, "components"):
-                extra = set(_typed(c, dict, "component")) \
-                    - {"id", "genus", "p_rank"}
-                if extra:
-                    raise DomainError("BAD_CONFIG_FILE",
-                                      f"unknown component fields {sorted(extra)}")
-                p_rank = c.get("p_rank")
-                components.append(ComponentData(
-                    _typed(c["id"], str, "component id"),
-                    _typed(c.get("genus", 0), int, "genus"),
-                    None if p_rank is None else _typed(p_rank, int, "p_rank")))
-        except KeyError as exc:
-            raise DomainError("BAD_CONFIG_FILE", repr(exc))
-        points = _typed(data.get("points", {}), dict, "points")
+    def from_json(data) -> "CurveConfiguration":
+        code = "BAD_CONFIG_FILE"
+        fields(data, "configuration", code, ("components",),
+               ("characteristic", "points", "identifications", "removed"))
+        components = []
+        for c in typed(data["components"], list, "components", code):
+            fields(c, "component", code, ("id",), ("genus", "p_rank"))
+            p_rank = c.get("p_rank")
+            components.append(ComponentData(
+                typed(c["id"], str, "component id", code),
+                typed(c.get("genus", 0), int, "genus", code),
+                None if p_rank is None else typed(p_rank, int, "p_rank", code)))
+        points = typed(data.get("points", {}), dict, "points", code)
         for labels in points.values():
-            for label in _typed(labels, list, "point labels"):
-                _typed(label, str, "point label")
+            for label in typed(labels, list, "point labels", code):
+                typed(label, str, "point label", code)
         classes = [[PointRef.from_json(p)
-                    for p in _typed(cls, list, "identification class")]
-                   for cls in _typed(data.get("identifications", []), list,
-                                     "identifications")]
-        removed = [PointRef.from_json(p)
-                   for p in _typed(data.get("removed", []), list, "removed")]
+                    for p in typed(cls, list, "identification class", code)]
+                   for cls in typed(data.get("identifications", []), list,
+                                    "identifications", code)]
+        removed = [PointRef.from_json(p) for p in
+                   typed(data.get("removed", []), list, "removed", code)]
         return CurveConfiguration.build(
-            _typed(data.get("characteristic", 0), int, "characteristic"),
+            typed(data.get("characteristic", 0), int, "characteristic", code),
             components, points, classes, removed)
-
-    @staticmethod
-    def load(path) -> "CurveConfiguration":
-        with open(path, encoding="utf-8") as fh:
-            return CurveConfiguration.from_json(json.load(fh))
 
 
 def union_find(n: int, pairs) -> list:

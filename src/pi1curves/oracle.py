@@ -54,10 +54,10 @@ def _descriptor_for(template, free_edges, constants):
 
 def require_enumerable(group: PermutationGroup,
                        config: CurveConfiguration):
-    """The checks enumerate_connected_covers runs before it enumerates:
-    a projective configuration of rational components, and |G|^delta
-    tuples within the bound over a group small enough to list.  Returns
-    the non-tree edges of spanning_tree()."""
+    """The checks enumerate_connected_covers and cross_check_descent run
+    before they enumerate: a projective configuration of rational
+    components, and |G|^delta tuples within the bound over a group small
+    enough to list.  Returns the non-tree edges of spanning_tree()."""
     _check_rational(config)
     _, free_edges = spanning_tree(config)
     d = len(free_edges)
@@ -176,13 +176,7 @@ def cross_check_descent(group: PermutationGroup,
     are equally connected, and the direct one's gluings are constants, so
     an equal one is Galois); also verify that a corrupted cover relation
     is rejected."""
-    _check_rational(config)
-    require(config.identification_classes, "TOO_LARGE",
-            "nothing to descend: no identification classes")
-    _, free_edges = spanning_tree(config)
-    order = group.order()
-    require(order ** len(free_edges) <= ENUMERATION_BOUND, "TOO_LARGE",
-            f"|G|^delta = {order}^{len(free_edges)}")
+    free_edges = require_enumerable(group, config)
     stripped = strip_identifications(config)
     base_cover = build_descriptor(stripped, group)
     template = build_descriptor(config, group)
@@ -201,7 +195,7 @@ def cross_check_descent(group: PermutationGroup,
             mismatches.append([c.to_one_indexed() for c in constants])
 
     # negative control: corrupt one cover class and expect a rejection
-    if order > 2:
+    if len(elements) > 2:
         direct = _descriptor_for(template, free_edges,
                                  (elements[0],) * len(free_edges))
         base_rel, cover_rel = relations_of(direct.gluings)

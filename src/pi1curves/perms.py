@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import lcm
 
-from .errors import DomainError
+from .errors import DomainError, typed
 
 _new = tuple.__new__
 
@@ -55,6 +55,7 @@ class Perm(namedtuple("Perm", "images")):
     def from_one_indexed(images) -> "Perm":
         """From a JSON image array.  Every image must be an int: a float or
         bool would compare equal to one and pass as a permutation."""
+        typed(images, list, "image array", "NOT_A_PERMUTATION")
         if not all(type(i) is int for i in images):
             raise DomainError("NOT_A_PERMUTATION",
                               f"non-integer image in {images!r}")

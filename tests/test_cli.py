@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +328,61 @@ def test_group_file_images_must_be_ints(capsys, tmp_path, nodal_file, degree,
     code, out, err = run(capsys, "realizable", nodal_file, "--group", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: NOT_A_PERMUTATION: non-integer image")
+
+
+# each kind of file has its code: a non-UTF-8 configuration or script used
+# to end in a UnicodeDecodeError traceback, JSON nested too deep in a
+# RecursionError, and a bad --group file or script to be BAD_CONFIG_FILE
+@pytest.mark.parametrize("argv, error_code", [
+    (["validate", "{file}"], "BAD_CONFIG_FILE"),
+    (["export-dot", "{file}"], "BAD_CONFIG_FILE"),
+    (["glue", "{file}"], "BAD_COVER_FILE"),
+    (["realizable", "{nodal}", "--group", "{file}"], "BAD_GROUP_FILE")],
+    ids=["config", "dot", "script", "group"])
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", b"{not json", b"[" * 10 ** 5 + b"]" * 10 ** 5],
+    ids=["not_utf8", "not_json", "too_deep"])
+def test_unreadable_file_has_its_kinds_code(capsys, tmp_path, nodal_file,
+                                            argv, error_code, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *[a.format(file=path, nodal=nodal_file)
+                                   for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {error_code}: {path}: ")
+
+
+def test_misspelled_cover_field_is_rejected(capsys, tmp_path):
+    # "gluing" for "gluings" used to be ignored: export-dot drew the sheet
+    # graph of the identity gluing and exited 0
+    data = _nodal_cover_with_gluing(constant=[2, 1, 3, 5, 4, 6])
+    data["gluing"] = data.pop("gluings")
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "export-dot", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: BAD_COVER_FILE: cover: unknown fields ['gluing']\n"
+
+
+def test_group_file_degree_is_bounded(tmp_path, nodal_file):
+    # with no generators nothing bounded the degree: tuple(range(degree))
+    # was built and the process killed for memory; the run is a child
+    # process under an address-space limit, so a regression fails, not
+    # the machine
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": 10 ** 9, "generators": []}))
+    limit = 2 ** 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    pythonpath = os.pathsep.join(filter(None, [
+        str(Path(catalog.__file__).parent.parent),
+        os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pi1curves.cli", "enumerate", nodal_file,
+         "--group", str(path)], capture_output=True, text=True, timeout=60,
+        preexec_fn=limit_memory, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: BAD_GROUP_FILE: degree must be in "
+                           f"1..{catalog.MAX_DEGREE}, not {10 ** 9}\n")

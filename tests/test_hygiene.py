@@ -130,3 +130,24 @@ def test_fresh_interpreter_imports_no_dataclasses():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_no_except_catches_key_type_or_attribute_errors():
+    # JSON input is checked field by field (errors.fields, errors.typed)
+    # before it is used; a handler that catches KeyError, TypeError or
+    # AttributeError after the fact would also turn a bug into a bad-file
+    # error, and so would a bare except or one for Exception
+    broad = {"KeyError", "TypeError", "AttributeError", "LookupError",
+             "Exception", "BaseException"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            names = {ast.unparse(t).rsplit(".", 1)[-1] for t in caught
+                     if t is not None}
+            if node.type is None or names & broad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -158,3 +158,27 @@ def test_template_matches_validating_constructor():
             assert oracle._descriptor_for(template, free, constants) \
                 == build_descriptor(config, G, gluings=gluings)
         assert template == build_descriptor(config, G)
+
+
+def test_cross_check_descent_guard_is_the_enumeration_guard():
+    # one rational component with seven nodes: 24^7 tuples of S4
+    labels = [str(i) for i in range(14)]
+    seven_nodes = CurveConfiguration.build(
+        5, [("C1", 0)], {"C1": labels},
+        [[PointRef("C1", a), PointRef("C1", b)]
+         for a, b in zip(labels[::2], labels[1::2])])
+    messages = []
+    for check in (cross_check_descent, enumerate_connected_covers):
+        with pytest.raises(DomainError) as err:
+            check(catalog_group("S4"), seven_nodes)
+        messages.append(str(err.value))
+    assert messages == ["TOO_LARGE: |G|^delta = 24^7 exceeds the "
+                        "enumeration bound"] * 2
+
+
+def test_cross_check_descent_without_classes_is_bad_partition():
+    # nothing to descend: descend's own answer to an empty relation
+    bare = CurveConfiguration.build(5, [("C1", 0)], {"C1": []}, [])
+    with pytest.raises(DomainError) as err:
+        cross_check_descent(catalog_group("S3"), bare)
+    assert err.value.code == "BAD_PARTITION"
