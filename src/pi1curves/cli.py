@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,8 +33,15 @@ def _emit(payload, pretty):
 
 
 def _resolve_group(spec):
-    """A --group argument is a catalog name or a path to a group JSON file."""
-    if Path(spec).is_file():
+    """A --group argument is a path to a group JSON file or a catalog name.
+    An existing file is read, then a catalog name is looked up; any other
+    spec that looks like a path (a path separator, a .json suffix, or it
+    exists, as a directory does) is read too, so BAD_GROUP_FILE names it."""
+    path = Path(spec)
+    separators = [sep for sep in (os.sep, os.altsep) if sep]
+    looks_like_path = (path.exists() or spec.endswith(".json")
+                       or any(sep in spec for sep in separators))
+    if path.is_file() or (looks_like_path and spec not in catalog_names()):
         return group_from_json(read_json(spec, "BAD_GROUP_FILE", spec))
     return catalog_group(spec)
 

@@ -109,6 +109,12 @@ class CurveConfiguration(namedtuple(
         return tuple(_scan_violations(self))
 
     @cached_property
+    def _connected(self) -> bool:
+        """Whether the dual graph is connected, decided by one union-find
+        per object; INVALID_CONFIG on an invalid configuration."""
+        return dual_graph(self).is_connected()
+
+    @cached_property
     def spanning_tree(self) -> tuple:
         """BFS spanning tree of the dual graph from the smallest component
         id, built once per object: (tree edges in BFS order, non-tree
@@ -296,7 +302,7 @@ def dual_graph(config: CurveConfiguration) -> DualGraph:
 
 
 def is_connected(config: CurveConfiguration) -> bool:
-    return dual_graph(config).is_connected()
+    return config._connected
 
 
 def require_projective(config: CurveConfiguration) -> None:

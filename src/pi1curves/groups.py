@@ -2,25 +2,27 @@
 
 Group elements are plain image tuples everywhere inside the engine;
 composition is perms.compose, and Perm appears only at the API boundary
-(generators in, elements() out).  Order and membership, and only they, go
-through a stabilizer chain, built by deterministic Schreier-Sims with
-sifting: every Schreier generator is sifted through the deeper levels, only
-a residue that fails to sift becomes a new strong generator, and a new
-level takes the smallest point that residue moves.  The order is the
-product of the orbit sizes and membership is a sift.  Everything that
-enumerates runs on the element index of a group small enough to list
-(|G| <= ENUM_BOUND, checked by counting while listing, without a chain):
-elements are numbered by their position in elements(), index() maps each
-image tuple to its position, there is one multiplication table, of cached
-left rows (each composed from its parent's row along the search tree of
-elements(), one tuple map in C per row), and a subgroup is an int bitmask
-over those positions (span), so the subset test is a & ~b == 0 and the
-order is a.bit_count().  On the index run the cover calculus, Sylow
-subgroups, normal closures, quotients, sigma(G), and one level-by-level
-join search over subgroups (_subgroup_levels) that gives both d(G) and
-the subgroup lattice behind Moebius/Eulerian counting; they raise
-GROUP_TOO_LARGE above ENUM_BOUND and build no chain for the subgroups they
-pass through.
+(generators in, elements() out).  A listed group's order is the length
+of its element index.  Membership, and the order of a group not listed
+(as in each GROUP_TOO_LARGE message), go through a stabilizer chain, built
+by deterministic Schreier-Sims with sifting: every Schreier generator is
+sifted through the deeper levels, only a residue that fails to sift
+becomes a new strong generator, and a new level takes the smallest point
+that residue moves.  The order is the product of the orbit sizes and
+membership is a sift.  Everything that enumerates runs on the element
+index of a group small enough to list (|G| <= ENUM_BOUND, or a caller's
+smaller bound, checked by counting while listing, without a chain):
+elements are numbered by their position in elements(), index()
+maps each image tuple to its position, there is one multiplication table,
+of cached left rows (each composed from its parent's row along the search
+tree of elements(), one tuple map in C per row), and a subgroup is an int
+bitmask over those positions (span), so the subset test is a & ~b == 0
+and the order is a.bit_count().  On the index run the cover calculus,
+Sylow subgroups, normal closures, quotients, sigma(G), and one
+level-by-level join search over subgroups (_subgroup_levels) that gives
+both d(G) and the subgroup lattice behind Moebius/Eulerian counting; they
+raise GROUP_TOO_LARGE above their bound and build no chain for the
+groups they list or the subgroups they pass through.
 """
 
 from __future__ import annotations
@@ -150,6 +152,11 @@ class PermutationGroup:
         return self._memo["chain"]
 
     def order(self) -> int:
+        """|G|: the length of the element index once the group has been
+        listed, else the product of the chain's orbit sizes."""
+        elements = self._memo.get("elements")
+        if elements is not None:
+            return len(elements)
         return prod(len(orbit) for _, orbit, _ in self._chain())
 
     def contains(self, perm) -> bool:
@@ -161,9 +168,10 @@ class PermutationGroup:
     def __contains__(self, perm) -> bool:
         return self.contains(perm)
 
-    def elements(self) -> tuple:
-        """All elements in a deterministic (sorted) order.  The bound is
-        checked by counting them, so listing builds no chain.  The search
+    def elements(self, bound: int = ENUM_BOUND) -> tuple:
+        """All elements in a deterministic (sorted) order; GROUP_TOO_LARGE
+        above bound (at most ENUM_BOUND), counted while listing and checked
+        again on a memoized list, so listing builds no chain.  The search
         keeps its tree and the generators' left rows for _tree_row."""
         if "elements" not in self._memo:
             gens = [g.images for g in self.generators]
@@ -181,9 +189,8 @@ class PermutationGroup:
                         via.append(k)
                         parent.append(b)
                     left[k].append(j)
-                if len(queue) > ENUM_BOUND:
-                    raise DomainError("GROUP_TOO_LARGE",
-                                      f"|G| = {self.order()} > {ENUM_BOUND}")
+                if len(queue) > bound:
+                    self._too_large(bound)
             order = sorted(range(len(queue)), key=queue.__getitem__)
             index = {queue[b]: i for i, b in enumerate(order)}
             rank = list(map(index.__getitem__, queue))
@@ -197,7 +204,13 @@ class PermutationGroup:
             self._memo["left gens"] = [ranked(row) for row in left]
             self._memo["index"] = index
             self._memo["elements"] = tuple(map(Perm.trusted, index))
-        return self._memo["elements"]
+        elements = self._memo["elements"]
+        if len(elements) > bound:
+            self._too_large(bound)
+        return elements
+
+    def _too_large(self, bound: int):
+        raise DomainError("GROUP_TOO_LARGE", f"|G| = {self.order()} > {bound}")
 
     # -- element index ------------------------------------------------------
     #
@@ -396,7 +409,7 @@ def quotient(group: PermutationGroup, normal: PermutationGroup) -> GroupHom:
     hom = GroupHom(group, None, cosets, tuple(reps))
     image = PermutationGroup.from_generators(
         [hom.map_element(g) for g in group.generators], max(1, len(reps)))
-    require(len(cosets) == mask.bit_count() * image.order(),
+    require(len(cosets) == mask.bit_count() * len(image.elements()),
             "INTERNAL_INVARIANT", "|G| != |N| * |G/N|")
     return hom._replace(image=image)
 
@@ -447,11 +460,9 @@ def min_generators(group: PermutationGroup, seed: int = 0) -> int:
     MIN_GEN_BOUND.  Between levels, 64 seeded probes try k+1 random
     elements: once level k is exhausted, a probe that generates G is
     conclusive."""
-    order = group.order()
+    order = len(group.elements(MIN_GEN_BOUND))
     if order == 1:
         return 0
-    require(order <= MIN_GEN_BOUND, "GROUP_TOO_LARGE",
-            f"|G| = {order} > {MIN_GEN_BOUND}")
     full = (1 << order) - 1
     nontrivial = range(1, order)  # the identity is position 0
     rng = Random(seed)
@@ -502,9 +513,9 @@ def abelianization_p_rank(group: PermutationGroup, p: int) -> int:
 def _lattice_masks(group: PermutationGroup) -> list:
     """All subgroups as masks (PermutationGroup.span): the trivial one and
     every level of _subgroup_levels, sorted by order and then by the
-    sorted list of their element positions."""
-    require(group.order() <= LATTICE_BOUND, "GROUP_TOO_LARGE",
-            f"|G| = {group.order()} > {LATTICE_BOUND}")
+    sorted list of their element positions; GROUP_TOO_LARGE above
+    LATTICE_BOUND."""
+    group.elements(LATTICE_BOUND)
     masks = [1, *itertools.chain.from_iterable(_subgroup_levels(group))]
     return sorted(masks, key=lambda m: (m.bit_count(), _positions_of(m)))
 

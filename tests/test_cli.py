@@ -79,6 +79,39 @@ def test_realizable_unknown_group(capsys, nodal_file):
     assert "UNKNOWN_GROUP" in err
 
 
+def test_missing_group_path_is_bad_group_file(capsys, tmp_path, nodal_file):
+    # a spec with a path separator or a .json suffix is a file, not a name
+    for spec in (str(tmp_path / "missing" / "g"), "g.json"):
+        code, out, err = run(capsys, "realizable", nodal_file, "--group", spec)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: BAD_GROUP_FILE: {spec}: ")
+        assert "No such file or directory" in err
+
+
+def test_group_directory_is_bad_group_file(capsys, tmp_path, nodal_file,
+                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "groups").mkdir()
+    for spec in (str(tmp_path / "groups"), "groups"):
+        code, out, err = run(capsys, "realizable", nodal_file, "--group", spec)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: BAD_GROUP_FILE: {spec}: ")
+        assert "Is a directory" in err
+
+
+def test_bare_unknown_name_is_unknown_group(capsys, tmp_path, nodal_file,
+                                            monkeypatch):
+    # a catalog name wins over a directory of that name; a bare name that
+    # is neither stays UNKNOWN_GROUP
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "S3").mkdir()
+    code, out, _ = run(capsys, "realizable", nodal_file, "--group", "S3")
+    assert code == 0 and json.loads(out)["verdict"] == "No"
+    code, out, err = run(capsys, "realizable", nodal_file, "--group", "NOPE")
+    assert code == 1 and out == ""
+    assert err == "error: UNKNOWN_GROUP: no catalog group named 'NOPE'\n"
+
+
 def test_enumerate_count(capsys, tmp_path):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(two_node_curve(5).to_json()))

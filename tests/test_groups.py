@@ -1,7 +1,7 @@
 import random
 import time
 from functools import reduce
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 import pytest
@@ -334,55 +334,92 @@ def test_quotient_layer(name):
         assert hom.map_element(a * b) == hom.map_element(a) * hom.map_element(b)
 
 
-def test_quotient_layer_builds_no_chain(monkeypatch):
-    # only the group's own chain (for its order) and the chain of a
-    # quotient's image may be built; sigma needs no quotient at all
-    G = catalog_group("SL23")
-    G.order()
-    chained = []
+@pytest.fixture
+def chained(monkeypatch):
+    """The groups whose stabilizer chain is built while the test runs."""
+    built = []
     chain = PermutationGroup._chain
 
     def recording(self):
         if "chain" not in self._memo:
-            chained.append(self)
+            built.append(self)
         return chain(self)
+
+    monkeypatch.setattr(PermutationGroup, "_chain", recording)
+    return built
+
+
+def test_quotient_layer_builds_no_chain(chained, monkeypatch):
+    # sigma needs no quotient at all, and a quotient lists its image
+    G = _fresh(catalog_group("SL23"))
+    N = normal_closure(G, [G.elements()[5]])
+    sylow_subgroup(G, 2)
+    quasi_p_part(G, 3)
 
     def forbidden(*args):
         raise AssertionError("sigma must not form a quotient")
 
-    monkeypatch.setattr(PermutationGroup, "_chain", recording)
-    N = normal_closure(G, [G.elements()[5]])
-    sylow_subgroup(G, 2)
-    quasi_p_part(G, 3)
-    monkeypatch.setattr(groups, "quotient", forbidden)
-    monkeypatch.setattr(groups, "abelianization", forbidden)
-    assert abelianization_p_rank(G, 2) == 0
-    assert abelianization_p_rank(G, 3) == 1
-    assert chained == []
-    monkeypatch.undo()
-    monkeypatch.setattr(PermutationGroup, "_chain", recording)
+    with monkeypatch.context() as patch:
+        patch.setattr(groups, "quotient", forbidden)
+        patch.setattr(groups, "abelianization", forbidden)
+        assert abelianization_p_rank(G, 2) == 0
+        assert abelianization_p_rank(G, 3) == 1
     image = quotient(G, N).image
-    assert all(c is image for c in chained)
+    assert image.order() == len(image.elements())
+    assert chained == []
 
 
-def test_enumeration_builds_no_chain(monkeypatch):
-    # listing checks ENUM_BOUND by counting; the chain is for order and
-    # membership only
-    chained = []
-    chain = PermutationGroup._chain
-
-    def recording(self):
-        chained.append(self)
-        return chain(self)
-
-    monkeypatch.setattr(PermutationGroup, "_chain", recording)
+def test_enumeration_builds_no_chain(chained):
+    # a listed group takes its order, and every bound, from the listing
     G = PermutationGroup.from_generators(symmetric(5).generators)
     assert len(G.elements()) == 120 and len(G.index()) == 120
+    assert G.order() == 120
     assert G.span([1]).bit_count() == G.elements()[1].order()
     H = subgroup_generated(G, [G.elements()[7], G.elements()[30]])
     n = len(H.elements())
     assert len(H.index()) == n and H.span(range(n)) == (1 << n) - 1
+    assert min_generators(G) == 2
+    S4 = PermutationGroup.from_generators(symmetric(4).generators)
+    assert min_generators(S4) == 2 and eulerian(S4, 2) == 216
+    assert is_p_group(S4, 2) is False
+    assert len(abelianization(S4).image.elements()) == 2
+    assert abelianization_p_rank(S4, 2) == 1
     assert chained == []
+
+
+def _chain_order(G):
+    return prod(len(orbit) for _, orbit, _ in _fresh(G)._chain())
+
+
+def test_order_is_the_chain_order_before_and_after_listing():
+    rng = random.Random(6)
+    S6 = symmetric(6).elements()
+    subgroups = [PermutationGroup.from_generators(rng.sample(S6, k), 6)
+                 for k in (1, 1, 2, 2, 2, 3)]
+    for G in [_fresh(G) for _, G in catalog_groups()] + subgroups:
+        expected = _chain_order(G)
+        assert G.order() == expected
+        H = _fresh(G)
+        assert len(H.elements()) == expected and H.order() == expected
+        assert "chain" not in H._memo
+
+
+def test_min_generators_between_its_bound_and_enum_bound(chained):
+    # |S7| = 5040 lies between MIN_GEN_BOUND and ENUM_BOUND: the listing
+    # stops at the bound and the message's order comes from the chain
+    S7 = symmetric(7)
+    with pytest.raises(DomainError) as err:
+        min_generators(S7)
+    assert str(err.value) == "GROUP_TOO_LARGE: |G| = 5040 > 2000"
+    assert "elements" not in S7._memo and chained == [S7]
+    # a listed group checks the bound against its listing
+    S7.elements()
+    with pytest.raises(DomainError) as err:
+        min_generators(S7)
+    assert str(err.value) == "GROUP_TOO_LARGE: |G| = 5040 > 2000"
+    with pytest.raises(DomainError) as err:
+        subgroup_lattice(S7)
+    assert str(err.value) == f"GROUP_TOO_LARGE: |G| = 5040 > {LATTICE_BOUND}"
 
 
 def test_elements_above_enum_bound_names_the_order():

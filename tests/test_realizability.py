@@ -212,6 +212,27 @@ def test_one_violation_scan_per_verdict(monkeypatch):
         scans.clear()
 
 
+def test_one_union_find_per_configuration(monkeypatch):
+    # require_projective decides connectivity once per object, however
+    # many guards (projective_realizable, delta, hasse_witt_check,
+    # pro_p_rank, require_enumerable) run on it
+    finds = []
+    find = curves.union_find
+    monkeypatch.setattr(curves, "union_find",
+                        lambda n, pairs: finds.append(n) or find(n, pairs))
+    for name, verdict, rule in (("C2xC2xC2", "No", "hasse-witt"),
+                                ("C2xC2", "Unknown", "structure")):
+        elliptic_node = CurveConfiguration.build(
+            2, [("E", 1)], {"E": ["x", "y"]}, [[P("E", "x"), P("E", "y")]])
+        v = projective_realizable(catalog_group(name), 2, elliptic_node)
+        assert (v.verdict, v.rule) == (verdict, rule)
+        assert finds == [1]
+        finds.clear()
+    theta = two_node(5)
+    assert enumerate_connected_covers(cyclic(2), theta)[0] == 3
+    assert finds == [1]
+
+
 def test_tame():
     assert tame_realizable(cyclic(3), 2, 0, 1, 1).verdict == "Yes"
     assert tame_realizable(catalog_group("C2xC2"), 3, 0, 1, 1).verdict == "No"
