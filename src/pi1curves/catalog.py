@@ -76,7 +76,7 @@ def catalog_group(name: str) -> PermutationGroup:
 
 
 def catalog_groups(max_order=None):
-    """(name, group) pairs, optionally capped by order, in catalog order."""
+    """(name, group) pairs, optionally capped by order_at_most, in order."""
     for name, group in _catalog_groups().items():
-        if max_order is None or group.order() <= max_order:
+        if max_order is None or group.order_at_most(max_order):
             yield name, group

@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from . import oracle, realizability
-from .catalog import catalog_group, catalog_names, group_from_json
+from .catalog import (catalog_group, catalog_groups, catalog_names,
+                      group_from_json)
 from .covers import (cover_from_json, cover_to_json, dual_graph_dot,
                      glue_same_component, glue_two_components,
                      sheet_graph_dot)
@@ -26,10 +27,7 @@ from .perms import Perm
 
 
 def _emit(payload, pretty):
-    if pretty:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, indent=2 if pretty else None, sort_keys=True))
 
 
 def _resolve_group(spec):
@@ -171,10 +169,7 @@ def cmd_selftest(args):
     lines = []
     nodal = oracle.nodal_curve(5)
     theta = oracle.two_node_curve(5)
-    for name in catalog_names():
-        group = catalog_group(name)
-        if group.order() > args.max_order:
-            continue
+    for name, group in catalog_groups(args.max_order):
         for config, d in ((nodal, 1), (theta, 2)):
             count, _ = oracle.enumerate_connected_covers(group, config)
             expected = eulerian(group, d)

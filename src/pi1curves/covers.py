@@ -38,7 +38,7 @@ from .curves import (CurveConfiguration, IdentificationClass, PointRef,
                      require_valid, union_find)
 from .errors import DomainError, fields, require, typed
 from .groups import PermutationGroup, subgroup_positions
-from .perms import Perm
+from .perms import Perm, compose
 
 
 # -- gluings ----------------------------------------------------------------
@@ -204,8 +204,7 @@ def _sheet_graph(cover: CoverDescriptor):
                 raise DomainError(
                     "FIBER_NOT_TORSOR",
                     f"gluing at {branch} is not a bijection of G")
-            edges.update(zip(base, map(sheets[branch.component_id].__getitem__,
-                                       row)))
+            edges.update(zip(base, compose(sheets[branch.component_id], row)))
     return counts, edges
 
 

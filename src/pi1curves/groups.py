@@ -1,9 +1,10 @@
 """Finite permutation-group engine.
 
-Group elements are plain image tuples everywhere inside the engine;
-composition is perms.compose, and Perm appears only at the API boundary
-(generators in, elements() out).  A listed group's order is the length
-of its element index.  Membership, and the order of a group not listed
+Group elements are plain image tuples inside the engine; every product of
+image tuples or of position rows is perms.compose, one C call, and Perm
+appears only at the API boundary (generators in, elements() out).  A
+listed group's order is the length of its element index (order_at_most
+lists at most its bound).  Membership, and the order of a group not listed
 (as in each GROUP_TOO_LARGE message), go through a stabilizer chain, built
 by deterministic Schreier-Sims with sifting: every Schreier generator is
 sifted through the deeper levels, only a residue that fails to sift
@@ -12,17 +13,16 @@ that residue moves.  The order is the product of the orbit sizes and
 membership is a sift.  Everything that enumerates runs on the element
 index of a group small enough to list (|G| <= ENUM_BOUND, or a caller's
 smaller bound, checked by counting while listing, without a chain):
-elements are numbered by their position in elements(), index()
-maps each image tuple to its position, there is one multiplication table,
-of cached left rows (each composed from its parent's row along the search
-tree of elements(), one tuple map in C per row), and a subgroup is an int
-bitmask over those positions (span), so the subset test is a & ~b == 0
-and the order is a.bit_count().  On the index run the cover calculus,
-Sylow subgroups, normal closures, quotients, sigma(G), and one
-level-by-level join search over subgroups (_subgroup_levels) that gives
-both d(G) and the subgroup lattice behind Moebius/Eulerian counting; they
-raise GROUP_TOO_LARGE above their bound and build no chain for the
-groups they list or the subgroups they pass through.
+elements are numbered by their position in elements(), index() maps each
+image tuple to its position, there is one multiplication table, of cached
+left rows (each composed from its parent's row along the search tree of
+elements(), one compose per row), and a subgroup is an int bitmask over
+those positions (span), so the subset test is a & ~b == 0 and the order
+is a.bit_count().  On the index run the cover calculus, Sylow subgroups,
+normal closures, quotients, sigma(G), and one level-by-level join search
+over subgroups (_subgroup_levels) that gives both d(G) and the subgroup
+lattice behind Moebius/Eulerian counting; they raise GROUP_TOO_LARGE
+above their bound and build no chain for the groups they list.
 """
 
 from __future__ import annotations
@@ -169,11 +169,17 @@ class PermutationGroup:
         return self.contains(perm)
 
     def elements(self, bound: int = ENUM_BOUND) -> tuple:
-        """All elements in a deterministic (sorted) order; GROUP_TOO_LARGE
-        above bound (at most ENUM_BOUND), counted while listing and checked
-        again on a memoized list, so listing builds no chain.  The search
-        keeps its tree and the generators' left rows for _tree_row."""
+        """All elements, sorted; GROUP_TOO_LARGE above bound <= ENUM_BOUND."""
+        if not self.order_at_most(bound):
+            self._too_large(bound)
+        return self._memo["elements"]
+
+    def order_at_most(self, bound: int) -> bool:
+        """Whether |G| <= bound: lists G, with the search tree and left rows
+        that _tree_row reads, unless the search passes min(bound, ENUM_BOUND)
+        elements; no chain is built unless bound > ENUM_BOUND."""
         if "elements" not in self._memo:
+            limit = min(bound, ENUM_BOUND)
             gens = [g.images for g in self.generators]
             queue = [tuple(range(self.degree))]
             found = {queue[0]: 0}            # image tuple -> queue position
@@ -189,25 +195,20 @@ class PermutationGroup:
                         via.append(k)
                         parent.append(b)
                     left[k].append(j)
-                if len(queue) > bound:
-                    self._too_large(bound)
+                if len(queue) > limit:
+                    return bound > ENUM_BOUND and self.order() <= bound
             order = sorted(range(len(queue)), key=queue.__getitem__)
             index = {queue[b]: i for i, b in enumerate(order)}
             rank = list(map(index.__getitem__, queue))
 
             def ranked(values):  # positions over the queue -> sorted
-                return tuple(map(rank.__getitem__, map(values.__getitem__,
-                                                       order)))
+                return compose(rank, compose(values, order))
 
-            self._memo["tree"] = tuple(map(via.__getitem__, order)), \
-                ranked(parent)
+            self._memo["tree"] = compose(via, order), ranked(parent)
             self._memo["left gens"] = [ranked(row) for row in left]
             self._memo["index"] = index
             self._memo["elements"] = tuple(map(Perm.trusted, index))
-        elements = self._memo["elements"]
-        if len(elements) > bound:
-            self._too_large(bound)
-        return elements
+        return len(self._memo["elements"]) <= bound
 
     def _too_large(self, bound: int):
         raise DomainError("GROUP_TOO_LARGE", f"|G| = {self.order()} > {bound}")
@@ -246,7 +247,7 @@ class PermutationGroup:
             index, g = self.index(), self.elements()[i].images
             row = rows[i] = tuple(index[compose(g, x)] for x in index)
         for j in reversed(path):
-            row = rows[j] = tuple(map(gens[via[j]].__getitem__, row))
+            row = rows[j] = compose(gens[via[j]], row)
         return row
 
     def span(self, positions) -> int:
@@ -345,9 +346,12 @@ def normal_closure(group: PermutationGroup, perms) -> PermutationGroup:
 def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     """A Sylow p-subgroup, by ascending chain through normalizing p-elements."""
     require(is_prime(p), "NOT_PRIME", f"p = {p}")
+    listed = group.order_at_most(ENUM_BOUND)  # then order() is the listing's
     p_part = _p_part(group.order(), p)
     if p_part == 1:
         return PermutationGroup.trivial(group.degree)
+    if not listed:
+        group._too_large(ENUM_BOUND)
     elements, index = group.elements(), group.index()
     mask, gens = 1, []
     while mask.bit_count() < p_part:

@@ -24,13 +24,14 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .catalog import catalog_group, catalog_names
+from .catalog import catalog_groups
 from .covers import (Gluing, build_descriptor, descend,
                      is_connected as cover_connected, spanning_tree)
 from .curves import (CurveConfiguration, PointRef, delta,
                      require_projective, strip_identifications)
 from .errors import DomainError, require
 from .groups import PermutationGroup
+from .perms import compose
 
 ENUMERATION_BOUND = 10 ** 7
 
@@ -110,10 +111,7 @@ def quotient_census(config: CurveConfiguration, max_order: int):
     groups over the configuration, each with an enumeration witness."""
     _check_rational(config)
     entries = []
-    for name in catalog_names():
-        group = catalog_group(name)
-        if group.order() > max_order:
-            continue
+    for name, group in catalog_groups(max_order):
         count, witnesses = enumerate_connected_covers(group, config)
         entries.append(CensusEntry(name, group.order(), count > 0, count,
                                    witnesses[0] if witnesses else None))
@@ -146,8 +144,7 @@ def _induced_relations(config, group):
         for ci, cls in enumerate(config.identification_classes):
             column = columns[ci]
             cover_rel.extend(zip(column[cls.base_branch], *(
-                map(column[branch].__getitem__,
-                    gluings[ci][branch].row(group))
+                compose(column[branch], gluings[ci][branch].row(group))
                 for branch in cls.members[1:])))
         return base_rel, cover_rel
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import lcm
+from operator import itemgetter
 
 from .errors import DomainError, typed
 
@@ -110,13 +111,17 @@ class Perm(namedtuple("Perm", "images")):
         return f"Perm[{self.cycle_string()}]"
 
 
-def compose(a: tuple, b: tuple) -> tuple:
-    """a * b on image tuples."""
-    return tuple(map(a.__getitem__, b))
+def compose(a, b) -> tuple:
+    """a * b on image tuples (or lists, or rows of positions): the tuple of
+    a[i] for i in b, by itemgetter, which gives a bare item for one i."""
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[i] for i in b)
 
 
-def invert(a: tuple) -> tuple:
-    return tuple(sorted(range(len(a)), key=a.__getitem__))
+def invert(a) -> tuple:
+    inverse = [0] * len(a)
+    for i, x in enumerate(a):
+        inverse[x] = i
+    return tuple(inverse)
 
 
 _INTERNED: dict = {}  # always empty; perfbench/worker.py reports its size

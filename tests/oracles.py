@@ -10,7 +10,19 @@ from dataclasses import dataclass
 
 from pi1curves.errors import require
 from pi1curves.groups import PermutationGroup, subgroup_generated
-from pi1curves.perms import Perm, compose, invert
+from pi1curves.perms import Perm
+
+
+def compose(a, b) -> tuple:
+    """Reference a * b on image tuples, kept apart from perms.compose so
+    that the oracles do not share a kernel with the code they check."""
+    return tuple(a[i] for i in b)
+
+
+def invert(a) -> tuple:
+    """Reference inverse of an image tuple, through a dict."""
+    preimage = {x: i for i, x in enumerate(a)}
+    return tuple(preimage[i] for i in range(len(a)))
 
 
 def count_generating_tuples(group, k: int) -> int:
@@ -35,8 +47,7 @@ def _closure(generators, identity) -> frozenset:
     """The group that image tuples generate, composed here."""
     found, frontier = {identity}, [identity]
     while frontier:
-        products = {tuple(map(g.__getitem__, x))
-                    for x in frontier for g in generators}
+        products = {compose(g, x) for x in frontier for g in generators}
         frontier = list(products - found)
         found |= products
     return frozenset(found)
@@ -76,7 +87,7 @@ def _left_table(group) -> dict:
         labels = [x.images for x in group.elements()]
         number = {x: i for i, x in enumerate(labels)}
         table = _TABLES[group] = {
-            g: [number[tuple(map(g.__getitem__, x))] for x in labels]
+            g: [number[compose(g, x)] for x in labels]
             for g in labels}
     return table
 

@@ -13,9 +13,10 @@ from pi1curves import catalog
 from pi1curves.cli import main
 from pi1curves.covers import build_descriptor, cover_to_json
 from pi1curves.curves import CurveConfiguration
-from pi1curves.groups import subgroup_generated
+from pi1curves.groups import PermutationGroup, subgroup_generated
 from pi1curves.catalog import catalog_group
-from pi1curves.oracle import nodal_affine_curve, nodal_curve, two_node_curve
+from pi1curves.oracle import (nodal_affine_curve, nodal_curve,
+                              quotient_census, two_node_curve)
 
 
 @pytest.fixture
@@ -204,6 +205,40 @@ def test_bad_catalog_path_is_bad_group_file(capsys, monkeypatch, tmp_path,
     code, out, err = run(capsys, "realizable", nodal_file, "--group", "C5")
     assert (code, out) == (1, "")
     assert err.startswith(f"error: BAD_GROUP_FILE: PI1_CATALOG_PATH {path}")
+
+
+def test_max_order_lists_groups_and_skips_larger_ones(
+        capsys, monkeypatch, tmp_path, fresh_catalog):
+    # the order filter of catalog_groups, selftest and the census lists a
+    # group up to max_order elements; S8 (40,320 elements, too many to
+    # list) is skipped under any max_order below its order, never raised on
+    cycle = [list(range(2, n + 1)) + [1] for n in range(9)]
+    data = {"C2": {"degree": 2, "generators": [cycle[2]]},
+            "C3": {"degree": 3, "generators": [cycle[3]]},
+            "S3": {"degree": 3, "generators": [[2, 1, 3], cycle[3]]},
+            "S8": {"degree": 8,
+                   "generators": [[2, 1, 3, 4, 5, 6, 7, 8], cycle[8]]}}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setenv("PI1_CATALOG_PATH", str(path))
+    chained = []
+    chain = PermutationGroup._chain
+
+    def recording(self):
+        if "chain" not in self._memo:
+            chained.append(self)
+        return chain(self)
+
+    monkeypatch.setattr(PermutationGroup, "_chain", recording)
+    assert [n for n, _ in catalog.catalog_groups(6)] == ["C2", "C3", "S3"]
+    code, out, _ = run(capsys, "selftest", "--max-order", "6")
+    assert code == 0 and "S8" not in out and "dmin S3 d=2" in out
+    census = quotient_census(nodal_curve(5), 6)
+    assert [e.name for e in census] == ["C2", "C3", "S3"]
+    assert chained == []
+    assert [n for n, _ in catalog.catalog_groups(40_319)] == ["C2", "C3", "S3"]
+    assert chained == [catalog.catalog_group("S8")]
+    assert [n for n, _ in catalog.catalog_groups(40_320)][-1] == "S8"
 
 
 def test_selftest_deterministic(capsys):

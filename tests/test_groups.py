@@ -34,7 +34,7 @@ from pi1curves.groups import (
 from pi1curves.perms import Perm
 
 from catalog_builders import alternating, cyclic, dihedral, symmetric
-from oracles import (conjugate, count_generating_tuples,
+from oracles import (compose, conjugate, count_generating_tuples,
                      subgroup_lattice_by_closure)
 
 
@@ -148,7 +148,7 @@ def test_min_generators_on_elementary_abelian_groups():
 
 def _product_row(G, i):
     index, g = G.index(), G.elements()[i].images
-    return tuple(index[perms.compose(g, x)] for x in index)
+    return tuple(index[compose(g, x)] for x in index)
 
 
 def test_rows_match_products():
@@ -384,6 +384,12 @@ def test_enumeration_builds_no_chain(chained):
     assert is_p_group(S4, 2) is False
     assert len(abelianization(S4).image.elements()) == 2
     assert abelianization_p_rank(S4, 2) == 1
+    # a Sylow subgroup takes |G| from the listing, whatever p divides
+    for p, order in ((2, 8), (3, 3), (5, 1)):
+        S4 = PermutationGroup.from_generators(symmetric(4).generators)
+        assert len(sylow_subgroup(S4, p).elements()) == order
+        assert len(quasi_p_part(_fresh(S4), p).elements()) \
+            == {2: 24, 3: 12, 5: 1}[p]
     assert chained == []
 
 
@@ -440,6 +446,9 @@ def test_quotient_layer_needs_an_enumerable_group():
         assert err.value.code == "GROUP_TOO_LARGE"
     # p does not divide |S8|: the trivial Sylow subgroup needs no elements
     assert sylow_subgroup(S8, 11).order() == 1
+    with pytest.raises(DomainError) as err:
+        sylow_subgroup(symmetric(8), 2)
+    assert str(err.value) == "GROUP_TOO_LARGE: |G| = 40320 > 10000"
 
 
 # -- the stabilizer chain against sympy --------------------------------------

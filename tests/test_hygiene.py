@@ -151,3 +151,28 @@ def test_no_except_catches_key_type_or_attribute_errors():
             if node.type is None or names & broad:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _tuple_maps_of_getitem(tree) -> list:
+    """The lines that build tuple(map(<x>.__getitem__, ...)): a composition
+    of image tuples or position rows written out by hand."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Call)
+            and ast.unparse(node.args[0].func) == "map" and node.args[0].args
+            and isinstance(node.args[0].args[0], ast.Attribute)
+            and node.args[0].args[0].attr == "__getitem__"]
+
+
+def test_only_perms_composes_tuples():
+    # perms.compose builds the tuple in C; a hand-written map would be a
+    # second, slower kernel that its tests do not reach
+    assert _tuple_maps_of_getitem(ast.parse(
+        "x = tuple(map(a.__getitem__, b))\n"
+        "y = f(tuple(map(rows[i].__getitem__, map(c.__getitem__, d))))")) \
+        == [1, 2]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "perms.py"
+             for line in _tuple_maps_of_getitem(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

@@ -1,9 +1,60 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pi1curves import perms
 from pi1curves.errors import DomainError
 from pi1curves.perms import Perm
+
+import oracles
+
+KERNEL = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=300)
+# degrees 0-40, with the short tuples the C path cannot build drawn often
+DEGREES = st.one_of(st.just(0), st.just(1), st.integers(0, 40))
+
+
+@st.composite
+def images(draw, degree):
+    """A permutation of range(degree), as a tuple or a list."""
+    container = draw(st.sampled_from([tuple, list]))
+    return container(draw(st.permutations(range(degree))))
+
+
+@KERNEL
+@given(st.data())
+def test_kernel_agrees_with_the_reference(data):
+    n = data.draw(DEGREES)
+    a, b = data.draw(images(n)), data.draw(images(n))
+    product, inverse = perms.compose(a, b), perms.invert(a)
+    assert type(product) is tuple and type(inverse) is tuple
+    assert product == oracles.compose(a, b)
+    assert inverse == oracles.invert(a)
+    assert perms.compose(a, inverse) == tuple(range(n))
+
+
+@KERNEL
+@given(st.data())
+def test_compose_reads_any_row_of_positions(data):
+    # the element index reads position rows of any length through others
+    values = data.draw(st.lists(st.integers(), min_size=1, max_size=40))
+    container = data.draw(st.sampled_from([tuple, list]))
+    row = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=40))
+    product = perms.compose(container(values), container(row))
+    assert type(product) is tuple
+    assert product == oracles.compose(values, row)
+
+
+def test_short_products_are_tuples_and_identities():
+    assert Perm(()) * Perm(()) == Perm(()) == Perm.identity(0)
+    assert (Perm((0,)) * Perm((0,))).images == (0,)
+    assert Perm((0,)).inverse == Perm((0,))
+    for a in ([], [0], (), (0,)):
+        assert perms.compose(a, a) == tuple(a)
+        assert perms.invert(a) == tuple(a)
+    assert perms.compose(["x"], [0, 0]) == ("x", "x")
 
 
 def test_identity_and_composition():
