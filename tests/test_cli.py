@@ -13,7 +13,7 @@ from pi1curves import catalog
 from pi1curves.cli import main
 from pi1curves.covers import build_descriptor, cover_to_json
 from pi1curves.curves import CurveConfiguration
-from pi1curves.groups import PermutationGroup, subgroup_generated
+from pi1curves.groups import subgroup_generated
 from pi1curves.catalog import catalog_group
 from pi1curves.oracle import (nodal_affine_curve, nodal_curve,
                               quotient_census, two_node_curve)
@@ -208,7 +208,7 @@ def test_bad_catalog_path_is_bad_group_file(capsys, monkeypatch, tmp_path,
 
 
 def test_max_order_lists_groups_and_skips_larger_ones(
-        capsys, monkeypatch, tmp_path, fresh_catalog):
+        capsys, monkeypatch, tmp_path, fresh_catalog, chained):
     # the order filter of catalog_groups, selftest and the census lists a
     # group up to max_order elements; S8 (40,320 elements, too many to
     # list) is skipped under any max_order below its order, never raised on
@@ -221,15 +221,6 @@ def test_max_order_lists_groups_and_skips_larger_ones(
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(data))
     monkeypatch.setenv("PI1_CATALOG_PATH", str(path))
-    chained = []
-    chain = PermutationGroup._chain
-
-    def recording(self):
-        if "chain" not in self._memo:
-            chained.append(self)
-        return chain(self)
-
-    monkeypatch.setattr(PermutationGroup, "_chain", recording)
     assert [n for n, _ in catalog.catalog_groups(6)] == ["C2", "C3", "S3"]
     code, out, _ = run(capsys, "selftest", "--max-order", "6")
     assert code == 0 and "S8" not in out and "dmin S3 d=2" in out
