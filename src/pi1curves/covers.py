@@ -558,6 +558,13 @@ def normalize_spanning_tree(cover: CoverDescriptor) -> CoverDescriptor:
 
 # -- DOT export -------------------------------------------------------------
 
+def _dot(name: str, nodes, edges) -> str:
+    """An undirected DOT graph: the quoted nodes, then the edges, in order."""
+    lines = [f"graph {name} {{", *(f'  "{v}";' for v in nodes),
+             *(f'  "{a}" -- "{b}";' for a, b in edges), "}"]
+    return "\n".join(lines) + "\n"
+
+
 def sheet_graph_dot(cover: CoverDescriptor) -> str:
     """Sheet-connectivity graph: nodes (component, sheet), edges from
     gluing identifications, with deterministic ordering."""
@@ -566,24 +573,12 @@ def sheet_graph_dot(cover: CoverDescriptor) -> str:
              for comp, count in zip(cover.base.components, counts)
              for i in range(count)]
     named = {tuple(sorted((names[a], names[b]))) for a, b in edges}
-    lines = ["graph sheets {"]
-    for name in sorted(names):
-        lines.append(f'  "{name}";')
-    for a, b in sorted(named):
-        lines.append(f'  "{a}" -- "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("sheets", sorted(names), sorted(named))
 
 
 def dual_graph_dot(config: CurveConfiguration) -> str:
     graph = dual_graph(config)
-    lines = ["graph dual {"]
-    for v in graph.vertices:
-        lines.append(f'  "{v}";')
-    for a, b in graph.edges:
-        lines.append(f'  "{a}" -- "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("dual", graph.vertices, graph.edges)
 
 
 # -- serialization ----------------------------------------------------------

@@ -110,9 +110,11 @@ class CurveConfiguration(namedtuple(
 
     @cached_property
     def _connected(self) -> bool:
-        """Whether the dual graph is connected, decided by one union-find
-        per object; INVALID_CONFIG on an invalid configuration."""
-        return dual_graph(self).is_connected()
+        """Whether the dual graph is connected, decided once per object:
+        INVALID_CONFIG on an invalid configuration, else whether the BFS
+        spanning_tree reaches every component, i.e. has n - 1 edges."""
+        require_valid(self)
+        return len(self.spanning_tree[0]) == len(self.components) - 1
 
     @cached_property
     def spanning_tree(self) -> tuple:
@@ -229,9 +231,6 @@ class DualGraph(NamedTuple):
     def connected_components(self):
         return sorted(sorted(c)
                       for c in equivalence_classes(self.edges, self.vertices))
-
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
 
     def betti_number(self) -> int:
         return len(self.edges) - len(self.vertices) + len(self.connected_components())

@@ -3,13 +3,15 @@
 Group elements are plain image tuples inside the engine; every product of
 image tuples or of position rows is perms.compose, one C call, and Perm
 appears only at the API boundary (generators in, elements() out).  A
-listed group's order is the length of its element index (order_at_most
-lists at most its bound).  Membership, and the order of a group not listed
-(as in each GROUP_TOO_LARGE message), go through a stabilizer chain, built
-by deterministic Schreier-Sims with sifting: every Schreier generator is
-sifted through the deeper levels, only a residue that fails to sift
-becomes a new strong generator, and a new level takes the smallest point
-that residue moves.  The order is the product of the orbit sizes and
+listed group's order is the length of its element index; order_at_most
+lists at most its bound and remembers a search that stopped, and the
+package lists a group before it asks for its order, so a listable group
+never builds a chain for it.  Membership, and the order of a group not
+listed (as in each GROUP_TOO_LARGE message), go through a stabilizer
+chain, built by deterministic Schreier-Sims with sifting: every Schreier
+generator is sifted through the deeper levels, only a residue that fails
+to sift becomes a new strong generator, and a new level takes the smallest
+point that residue moves.  The order is the product of the orbit sizes and
 membership is a sift.  Everything that enumerates runs on the element
 index of a group small enough to list (|G| <= ENUM_BOUND, or a caller's
 smaller bound, checked by counting while listing, without a chain):
@@ -102,7 +104,8 @@ def _extend(chain: list, depth: int, g: tuple, identity: tuple) -> None:
 class PermutationGroup:
     """A group given by its degree and generators, which alone decide
     equality and the hash; _memo keeps what is computed from them (the
-    chain, the element index, its rows)."""
+    chain, the element index, its rows, the bound a stopped listing
+    passed)."""
     __slots__ = ("degree", "generators", "_memo")
 
     def __init__(self, degree: int, generators: tuple):
@@ -171,15 +174,18 @@ class PermutationGroup:
     def elements(self, bound: int = ENUM_BOUND) -> tuple:
         """All elements, sorted; GROUP_TOO_LARGE above bound <= ENUM_BOUND."""
         if not self.order_at_most(bound):
-            self._too_large(bound)
+            raise DomainError("GROUP_TOO_LARGE",
+                              f"|G| = {self.order()} > {bound}")
         return self._memo["elements"]
 
     def order_at_most(self, bound: int) -> bool:
         """Whether |G| <= bound: lists G, with the search tree and left rows
         that _tree_row reads, unless the search passes min(bound, ENUM_BOUND)
-        elements; no chain is built unless bound > ENUM_BOUND."""
-        if "elements" not in self._memo:
-            limit = min(bound, ENUM_BOUND)
+        elements (remembered: no call searches that far again); no chain is
+        built unless bound > ENUM_BOUND."""
+        limit = min(bound, ENUM_BOUND)
+        passed = self._memo.get("passed", -1)  # |G| > passed
+        if "elements" not in self._memo and limit > passed:
             gens = [g.images for g in self.generators]
             queue = [tuple(range(self.degree))]
             found = {queue[0]: 0}            # image tuple -> queue position
@@ -196,22 +202,23 @@ class PermutationGroup:
                         parent.append(b)
                     left[k].append(j)
                 if len(queue) > limit:
-                    return bound > ENUM_BOUND and self.order() <= bound
-            order = sorted(range(len(queue)), key=queue.__getitem__)
-            index = {queue[b]: i for i, b in enumerate(order)}
-            rank = list(map(index.__getitem__, queue))
+                    self._memo["passed"] = limit  # |G| > limit
+                    break
+            else:
+                order = sorted(range(len(queue)), key=queue.__getitem__)
+                index = {queue[b]: i for i, b in enumerate(order)}
+                rank = list(map(index.__getitem__, queue))
 
-            def ranked(values):  # positions over the queue -> sorted
-                return compose(rank, compose(values, order))
+                def ranked(values):  # positions over the queue -> sorted
+                    return compose(rank, compose(values, order))
 
-            self._memo["tree"] = compose(via, order), ranked(parent)
-            self._memo["left gens"] = [ranked(row) for row in left]
-            self._memo["index"] = index
-            self._memo["elements"] = tuple(map(Perm.trusted, index))
-        return len(self._memo["elements"]) <= bound
-
-    def _too_large(self, bound: int):
-        raise DomainError("GROUP_TOO_LARGE", f"|G| = {self.order()} > {bound}")
+                self._memo["tree"] = compose(via, order), ranked(parent)
+                self._memo["left gens"] = [ranked(row) for row in left]
+                self._memo["index"] = index
+                self._memo["elements"] = tuple(map(Perm.trusted, index))
+        if "elements" in self._memo:
+            return len(self._memo["elements"]) <= bound
+        return bound > ENUM_BOUND and self.order() <= bound
 
     # -- element index ------------------------------------------------------
     #
@@ -346,12 +353,10 @@ def normal_closure(group: PermutationGroup, perms) -> PermutationGroup:
 def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
     """A Sylow p-subgroup, by ascending chain through normalizing p-elements."""
     require(is_prime(p), "NOT_PRIME", f"p = {p}")
-    listed = group.order_at_most(ENUM_BOUND)  # then order() is the listing's
+    group.order_at_most(ENUM_BOUND)  # then order() is the listing's
     p_part = _p_part(group.order(), p)
     if p_part == 1:
         return PermutationGroup.trivial(group.degree)
-    if not listed:
-        group._too_large(ENUM_BOUND)
     elements, index = group.elements(), group.index()
     mask, gens = 1, []
     while mask.bit_count() < p_part:
@@ -576,6 +581,7 @@ def nakajima_tG(group: PermutationGroup, p: int):
     t_G = d(G)); returns None (Unknown) otherwise.
     """
     require(is_prime(p), "NOT_PRIME", f"p = {p}")
+    group.order_at_most(MIN_GEN_BOUND)  # then order() is the listing's
     if not is_p_group(group, p):
         return None
     return min_generators(group)

@@ -30,7 +30,7 @@ from .covers import (Gluing, build_descriptor, descend,
 from .curves import (CurveConfiguration, PointRef, delta,
                      require_projective, strip_identifications)
 from .errors import DomainError, require
-from .groups import PermutationGroup
+from .groups import ENUM_BOUND, PermutationGroup
 from .perms import compose
 
 ENUMERATION_BOUND = 10 ** 7
@@ -57,13 +57,16 @@ def require_enumerable(group: PermutationGroup,
                        config: CurveConfiguration):
     """The checks enumerate_connected_covers and cross_check_descent run
     before they enumerate: a projective configuration of rational
-    components, and |G|^delta tuples within the bound over a group small
-    enough to list.  Returns the non-tree edges of spanning_tree()."""
+    components, and |G|^delta tuples within the bound (TOO_LARGE) over a
+    group small enough to list (GROUP_TOO_LARGE).  |G| is the listing's;
+    only a group too large to list builds a chain for it.  Returns the
+    non-tree edges of spanning_tree()."""
     _check_rational(config)
     _, free_edges = spanning_tree(config)
     d = len(free_edges)
     require(d == delta(config), "INTERNAL_INVARIANT",
             "non-tree edge count differs from delta")
+    group.order_at_most(ENUM_BOUND)  # then order() is the listing's
     order = group.order()
     require(order ** d <= ENUMERATION_BOUND, "TOO_LARGE",
             f"|G|^delta = {order}^{d} exceeds the enumeration bound")
@@ -159,11 +162,6 @@ class DescentReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-    def to_json(self):
-        return {"checked": self.checked,
-                "mismatches": list(self.mismatches),
-                "negative_controls_rejected": self.negative_controls_rejected}
 
 
 def cross_check_descent(group: PermutationGroup,

@@ -12,7 +12,7 @@ import pytest
 from pi1curves import catalog
 from pi1curves.cli import main
 from pi1curves.covers import build_descriptor, cover_to_json
-from pi1curves.curves import CurveConfiguration
+from pi1curves.curves import CurveConfiguration, PointRef
 from pi1curves.groups import subgroup_generated
 from pi1curves.catalog import catalog_group
 from pi1curves.oracle import (nodal_affine_curve, nodal_curve,
@@ -129,6 +129,59 @@ def test_enumerate_census_text(capsys, nodal_file):
                        "--max-order", "4", "--text")
     assert code == 0
     assert out.splitlines()[0].startswith("group")
+
+
+def test_enumerate_census_json(capsys, nodal_file):
+    code, out, err = run(capsys, "enumerate", nodal_file, "--max-order", "4")
+    assert code == 0 and err == ""
+    assert out == (
+        '[{"count": 1, "group": "C1", "order": 1, "realizable": true, '
+        '"witness": [[1]]}, {"count": 1, "group": "C2", "order": 2, '
+        '"realizable": true, "witness": [[2, 1]]}, {"count": 2, "group": '
+        '"C3", "order": 3, "realizable": true, "witness": [[2, 3, 1]]}, '
+        '{"count": 2, "group": "C4", "order": 4, "realizable": true, '
+        '"witness": [[2, 3, 4, 1]]}, {"count": 0, "group": "C2xC2", '
+        '"order": 4, "realizable": false, "witness": null}]\n')
+
+
+def test_realizable_tame(capsys, tmp_path):
+    path = tmp_path / "nodal_affine.json"
+    path.write_text(json.dumps(nodal_affine_curve(5).to_json()))
+    code, out, _ = run(capsys, "realizable", str(path), "--group", "C3",
+                       "--mode", "tame")
+    assert code == 0
+    assert out == ('{"evidence": {"bound": 1, "d_G": 1}, "randomized": false, '
+                   '"rule": "tame-free", "verdict": "Yes"}\n')
+    code, out, _ = run(capsys, "realizable", str(path), "--group", "C5",
+                       "--mode", "tame")
+    assert code == 0
+    assert out == ('{"evidence": {"bound": 1, "d_G": 1, "reason": "order '
+                   'divisible by p; only the rank bound applies"}, '
+                   '"randomized": false, "rule": "tame-rank-bound", '
+                   '"verdict": "Unknown"}\n')
+
+
+def test_affine_modes_need_one_component(capsys, tmp_path):
+    two = CurveConfiguration.build(
+        5, [("A", 0), ("B", 0)], {"A": ["0"], "B": ["0"]},
+        [[PointRef("A", "0"), PointRef("B", "0")]])
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(two.to_json()))
+    for mode in ("affine", "tame"):
+        code, out, err = run(capsys, "realizable", str(path), "--group", "C3",
+                             "--mode", mode)
+        assert code == 1 and out == ""
+        assert err == f"error: NOT_AFFINE: --mode {mode} needs a single " \
+                      "component\n"
+
+
+def test_invariants_affine_reports_tame_rank(capsys, tmp_path):
+    path = tmp_path / "nodal_affine.json"
+    path.write_text(json.dumps(nodal_affine_curve(5).to_json()))
+    code, out, _ = run(capsys, "invariants", str(path))
+    assert code == 0
+    assert out == ('{"affine_delta": 1, "delta": 1, "pi1_rank_bound": 1, '
+                   '"pro_p_rank": 1, "tame_rank": 1}\n')
 
 
 def test_export_dot_config(capsys, nodal_file):

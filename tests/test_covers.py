@@ -112,6 +112,56 @@ def test_build_descriptor_rejects_non_members(name, code):
     assert err.value.code == code
 
 
+def _ref_repr(label):
+    return f"PointRef(component_id='C1', point_label='{label}')"
+
+
+@pytest.mark.parametrize("arguments, message", [
+    ({"ramification": {P("C1", "9"): ()}}, _ref_repr("9")),
+    ({"gluings": {0: {P("C1", "9"): Perm.identity(3)}}},
+     f"gluing branches {{{_ref_repr('9')}}} not in class 0"),
+    ({"gluings": {0: {P("C1", "0"): Perm.identity(3)}}},
+     f"gluing branches {{{_ref_repr('0')}}} not in class 0"),
+    ({"gluings": {3: {}}}, "gluings for unknown class indices [3]"),
+    ({"gluings": {2: {}, 1: {}}}, "gluings for unknown class indices [1, 2]"),
+])
+def test_build_descriptor_point_not_found_table(arguments, message):
+    with pytest.raises(DomainError) as err:
+        build_descriptor(nodal(), catalog_group("S3"), **arguments)
+    assert (err.value.code, str(err.value)) \
+        == ("POINT_NOT_FOUND", f"POINT_NOT_FOUND: {message}")
+
+
+@pytest.mark.parametrize("label, expected", [
+    ("z", ("POINT_NOT_FOUND", _ref_repr("z"))),
+    ("c", ("FIBER_NOT_TORSOR",
+           f"{_ref_repr('c')} is already a singular point")),
+    ("d", ("FIBER_NOT_TORSOR",
+           f"{_ref_repr('d')} is already a singular point")),
+])
+def test_glue_point_must_be_marked_and_smooth(label, expected):
+    S3, A3, flip = s3_and_a3()
+    base = CurveConfiguration.build(5, [("C1", 1)], {"C1": list("abcd")},
+                                    [[P("C1", "c"), P("C1", "d")]])
+    cover = build_descriptor(base, A3, monodromy={"C1": A3})
+    for y1, y2 in ((P("C1", "a"), P("C1", label)),
+                   (P("C1", label), P("C1", "a"))):
+        with pytest.raises(DomainError) as err:
+            glue_same_component(S3, A3, flip, cover, y1, y2)
+        assert (err.value.code, str(err.value)) \
+            == (expected[0], ": ".join(expected))
+
+
+def test_monodromy_outside_the_group_is_not_galois():
+    # build_descriptor refuses it; a hand-built descriptor is not Galois
+    S3, A3, flip = s3_and_a3()
+    base = CurveConfiguration.build(5, [("C1", 1)], {"C1": ["a"]}, [])
+    cover = build_descriptor(base, A3, monodromy={"C1": A3})
+    assert is_galois(cover)
+    outside = {"C1": subgroup_generated(S3, [flip])}
+    assert not is_galois(cover._replace(monodromy=outside))
+
+
 def test_induce_and_transversal():
     S3, A3, _ = s3_and_a3()
     base = CurveConfiguration.build(5, [("C1", 1)], {"C1": ["a"]}, [])

@@ -93,6 +93,50 @@ def test_validate_overlapping_classes():
     assert "CLASSES_OVERLAP" in codes
 
 
+def _ref_repr(label):
+    return f"PointRef(component_id='C1', point_label='{label}')"
+
+
+@pytest.mark.parametrize("components, points, classes, removed, expected", [
+    ([("C1", 0), ("C1", 0)], {"C1": []}, [], [],
+     ("DUPLICATE_COMPONENT", "component ids ['C1', 'C1']")),
+    ([("C1", 1, 2)], {"C1": []}, [], [], ("BAD_P_RANK", "C1: s = 2, g = 1")),
+    ([("C1", 1, -1)], {"C1": []}, [], [],
+     ("BAD_P_RANK", "C1: s = -1, g = 1")),
+    ([("C1", 0)], {"C1": [], "C9": ["a"]}, [], [],
+     ("POINT_NOT_FOUND", "component 'C9'")),
+    ([("C1", 0)], {"C1": ["a"]}, [], [P("C1", "z")],
+     ("POINT_NOT_FOUND", f"removed: {_ref_repr('z')}")),
+    ([("C1", 0)], {"C1": ["a", "a"]}, [], [],
+     ("DUPLICATE_POINT", "C1: ('a', 'a')")),
+    ([("C1", 0)], {"C1": ["a"]}, [[P("C1", "a")]], [],
+     ("CLASS_TOO_SMALL", "class 0 has 1 point(s)")),
+    ([("C1", 0)], {"C1": ["a"]}, [[P("C1", "a"), P("C1", "a")]], [],
+     ("CLASS_TOO_SMALL", "class 0 repeats a point")),
+    ([("C1", 0)], {"C1": ["a", "b"]}, [[P("C1", "a"), P("C1", "b")]],
+     [P("C1", "a")], ("OVERLAP_WITH_REMOVED", _ref_repr("a"))),
+])
+def test_validate_error_table(components, points, classes, removed,
+                              expected):
+    config = CurveConfiguration.build(5, components, points, classes, removed)
+    assert validate(config) == [expected]
+
+
+@pytest.mark.parametrize("relation, expected", [
+    ([["a"]], ("CLASS_TOO_SMALL",
+               f"merge set [{_ref_repr('a')}] has fewer than 2 points")),
+    ([["a", "z"]], ("POINT_NOT_FOUND", _ref_repr("z"))),
+    ([["a", "r"]], ("OVERLAP_WITH_REMOVED", _ref_repr("r"))),
+])
+def test_identify_error_table(relation, expected):
+    affine = CurveConfiguration.build(
+        5, [("C1", 0)], {"C1": ["a", "b", "r"]}, [], removed=[P("C1", "r")])
+    with pytest.raises(DomainError) as err:
+        identify(affine, [[P("C1", label) for label in s] for s in relation])
+    assert (err.value.code, str(err.value)) == (expected[0],
+                                                ": ".join(expected))
+
+
 def test_bad_characteristic():
     config = CurveConfiguration.build(4, [("C1", 0)], {"C1": []}, [])
     codes = {code for code, _ in validate(config)}

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from functools import reduce
@@ -7,7 +8,8 @@ from operator import mul
 import pytest
 
 from pi1curves import groups, perms
-from pi1curves.catalog import catalog_group, catalog_groups
+from pi1curves.catalog import catalog_group, catalog_groups, group_to_json
+from pi1curves.cli import main
 from pi1curves.covers import (build_descriptor, is_connected,
                               normalize_spanning_tree, spanning_tree)
 from pi1curves.curves import CurveConfiguration, PointRef
@@ -31,6 +33,8 @@ from pi1curves.groups import (
     subgroup_lattice,
     sylow_subgroup,
 )
+from pi1curves.oracle import (cross_check_descent, enumerate_connected_covers,
+                              nodal_curve, two_node_curve)
 from pi1curves.perms import Perm
 
 from catalog_builders import alternating, cyclic, dihedral, symmetric
@@ -367,6 +371,8 @@ def test_enumeration_builds_no_chain(chained):
     S4 = PermutationGroup.from_generators(symmetric(4).generators)
     assert min_generators(S4) == 2 and eulerian(S4, 2) == 216
     assert is_p_group(S4, 2) is False
+    D4 = _fresh(dihedral(4))
+    assert nakajima_tG(D4, 2) == 2 and nakajima_tG(_fresh(D4), 3) is None
     assert len(abelianization(S4).image.elements()) == 2
     assert abelianization_p_rank(S4, 2) == 1
     # a Sylow subgroup takes |G| from the listing, whatever p divides
@@ -374,7 +380,58 @@ def test_enumeration_builds_no_chain(chained):
         S4 = PermutationGroup.from_generators(symmetric(4).generators)
         assert len(sylow_subgroup(S4, p).elements()) == sylow
         assert len(quasi_p_part(_fresh(S4), p).elements()) == quasi_p
+    # the enumeration bound |G|^delta takes |G| from the listing
+    theta = two_node_curve(5)
+    for name, count in (("S3", 18), ("C4", 12), ("D4", 24), ("Q8", 24)):
+        G = _fresh(catalog_group(name))
+        assert enumerate_connected_covers(G, theta)[0] == count
+        report = cross_check_descent(_fresh(G), nodal_curve(5))
+        assert report.ok and report.checked == len(G.elements())
     assert chained == []
+
+
+def test_cli_enumeration_builds_no_chain(chained, capsys, tmp_path):
+    # every --group file is read into a fresh group
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(two_node_curve(5).to_json()))
+    for name, count in (("S3", 18), ("C4", 12), ("D4", 24), ("Q8", 24)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(group_to_json(catalog_group(name))))
+        assert main(["enumerate", str(theta), "--group", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == count
+    assert chained == []
+
+
+def test_a_stopped_search_is_remembered(monkeypatch):
+    S8 = symmetric(8)  # 40,320 elements, above ENUM_BOUND
+    with pytest.raises(DomainError) as err:
+        S8.elements()
+    assert str(err.value) == "GROUP_TOO_LARGE: |G| = 40320 > 10000"
+
+    def searched(*_):
+        raise AssertionError("a second search")
+
+    # every product of a search is a compose; the chain is built already
+    monkeypatch.setattr(groups, "compose", searched)
+    assert S8.order_at_most(5000) is False
+    assert S8.order_at_most(40_320) is True
+    with pytest.raises(DomainError) as err:
+        sylow_subgroup(S8, 2)
+    assert str(err.value) == "GROUP_TOO_LARGE: |G| = 40320 > 10000"
+    assert sylow_subgroup(S8, 11).order() == 1
+    with pytest.raises(DomainError) as err:
+        S8.elements()
+    assert str(err.value) == "GROUP_TOO_LARGE: |G| = 40320 > 10000"
+    assert "elements" not in S8._memo
+
+
+def test_enumeration_bound_comes_before_the_listing_bound():
+    # S8 on the two-node curve: |G|^delta is checked before listing fails
+    for check in (enumerate_connected_covers, cross_check_descent):
+        with pytest.raises(DomainError) as err:
+            check(symmetric(8), two_node_curve(5))
+        assert str(err.value) == ("TOO_LARGE: |G|^delta = 40320^2 exceeds "
+                                  "the enumeration bound")
 
 
 def _chain_order(G):
@@ -433,6 +490,28 @@ def test_quotient_layer_needs_an_enumerable_group():
     with pytest.raises(DomainError) as err:
         sylow_subgroup(symmetric(8), 2)
     assert str(err.value) == "GROUP_TOO_LARGE: |G| = 40320 > 10000"
+
+
+def test_normal_closure_error_table():
+    S3 = catalog_group("S3")
+    flip = next(g for g in S3.elements() if g.order() == 2)
+    A3 = subgroup_generated(S3, [next(g for g in S3.elements()
+                                      if g.order() == 3)])
+    for given, message in (([Perm.identity(4)], "DEGREE_MISMATCH: 4 != 3"),
+                           ([flip], "NOT_A_MEMBER: Perm[(2 3)] not in group")):
+        with pytest.raises(DomainError) as err:
+            normal_closure(A3, given)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_p_must_be_prime(p):
+    S3 = catalog_group("S3")
+    for call in (sylow_subgroup, abelianization_p_rank, nakajima_tG):
+        with pytest.raises(DomainError) as err:
+            call(S3, p)
+        assert (err.value.code, str(err.value)) == ("NOT_PRIME",
+                                                    f"NOT_PRIME: p = {p}")
 
 
 # -- the stabilizer chain against sympy --------------------------------------

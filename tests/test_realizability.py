@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 from pi1curves import curves
@@ -212,25 +214,31 @@ def test_one_violation_scan_per_verdict(monkeypatch):
         scans.clear()
 
 
-def test_one_union_find_per_configuration(monkeypatch):
+def test_connectivity_decided_once_per_configuration(monkeypatch):
     # require_projective decides connectivity once per object, however
     # many guards (projective_realizable, delta, hasse_witt_check,
-    # pro_p_rank, require_enumerable) run on it
-    finds = []
+    # pro_p_rank, require_enumerable) run on it, from the spanning tree
+    # and with no union-find
+    finds, decided = [], []
     find = curves.union_find
     monkeypatch.setattr(curves, "union_find",
                         lambda n, pairs: finds.append(n) or find(n, pairs))
+    connected = CurveConfiguration._connected.func
+    recording = cached_property(
+        lambda config: decided.append(config) or connected(config))
+    recording.__set_name__(CurveConfiguration, "_connected")
+    monkeypatch.setattr(CurveConfiguration, "_connected", recording)
     for name, verdict, rule in (("C2xC2xC2", "No", "hasse-witt"),
                                 ("C2xC2", "Unknown", "structure")):
         elliptic_node = CurveConfiguration.build(
             2, [("E", 1)], {"E": ["x", "y"]}, [[P("E", "x"), P("E", "y")]])
         v = projective_realizable(catalog_group(name), 2, elliptic_node)
         assert (v.verdict, v.rule) == (verdict, rule)
-        assert finds == [1]
-        finds.clear()
+        assert decided == [elliptic_node]
+        decided.clear()
     theta = two_node(5)
     assert enumerate_connected_covers(cyclic(2), theta)[0] == 3
-    assert finds == [1]
+    assert decided == [theta] and finds == []
 
 
 def test_tame():
