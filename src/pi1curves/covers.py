@@ -577,8 +577,7 @@ def sheet_graph_dot(cover: CoverDescriptor) -> str:
 
 
 def dual_graph_dot(config: CurveConfiguration) -> str:
-    graph = dual_graph(config)
-    return _dot("dual", graph.vertices, graph.edges)
+    return _dot("dual", *dual_graph(config))
 
 
 # -- serialization ----------------------------------------------------------

@@ -3,9 +3,9 @@
 A configuration records the irreducible components of the normalization
 (each reduced to its genus and p-rank), the marked points on them, the
 identification classes (reduced fibers over the singular points), and an
-optional set of removed smooth points (the affine case).  The dual graph,
-the delta invariant, and the rank bookkeeping of the structure theorems
-all live here.
+optional set of removed smooth points (the affine case).  The dual graph
+lives here, and `rank_report` is the one home of delta and the rank
+bounds of the structure theorems.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, fields, require, typed
 from .groups import is_prime
+
+MAX_CHARACTERISTIC = 2 ** 31 - 1  # is_prime divides by trial up to the root
 
 
 class PointRef(NamedTuple):
@@ -222,20 +224,6 @@ def equivalence_classes(pairs, items=()) -> list:
     return list(classes.values())
 
 
-class DualGraph(NamedTuple):
-    """Star expansion of the identification hyperedges: a class of size m
-    contributes m-1 edges rooted at its lexicographically smallest member."""
-    vertices: tuple   # component ids
-    edges: tuple      # (component_id, component_id) pairs, may repeat / loop
-
-    def connected_components(self):
-        return sorted(sorted(c)
-                      for c in equivalence_classes(self.edges, self.vertices))
-
-    def betti_number(self) -> int:
-        return len(self.edges) - len(self.vertices) + len(self.connected_components())
-
-
 # -- operations -------------------------------------------------------------
 
 def validate(config: CurveConfiguration) -> list:
@@ -250,7 +238,10 @@ def _scan_violations(config: CurveConfiguration) -> list:
     ids = [c.id for c in config.components]
     if len(set(ids)) != len(ids):
         violations.append(("DUPLICATE_COMPONENT", f"component ids {ids}"))
-    if config.characteristic != 0 and not is_prime(config.characteristic):
+    if config.characteristic > MAX_CHARACTERISTIC:
+        violations.append(("BAD_CHARACTERISTIC", f"{config.characteristic} "
+                           f"exceeds {MAX_CHARACTERISTIC}"))
+    elif config.characteristic != 0 and not is_prime(config.characteristic):
         violations.append(("BAD_CHARACTERISTIC",
                            f"{config.characteristic} is not prime or 0"))
     for comp in config.components:
@@ -290,14 +281,15 @@ def require_valid(config: CurveConfiguration) -> None:
     require(not violations, "INVALID_CONFIG", repr(violations))
 
 
-def dual_graph(config: CurveConfiguration) -> DualGraph:
+def dual_graph(config: CurveConfiguration) -> tuple:
+    """(component ids, edges), the edges in class order: a class of m
+    members gives m - 1 edges (component id, component id) from its base
+    branch to each other member, so edges may repeat or be loops."""
     require_valid(config)
-    edges = []
-    for cls in config.identification_classes:
-        root = cls.base_branch
-        for other in cls.members[1:]:
-            edges.append((root.component_id, other.component_id))
-    return DualGraph(tuple(config.component_ids()), tuple(edges))
+    edges = tuple((cls.base_branch.component_id, other.component_id)
+                  for cls in config.identification_classes
+                  for other in cls.members[1:])
+    return tuple(config.component_ids()), edges
 
 
 def is_connected(config: CurveConfiguration) -> bool:
@@ -316,8 +308,7 @@ def require_projective(config: CurveConfiguration) -> None:
 def delta(config: CurveConfiguration) -> int:
     """δ = 1 - n + Σ (|class| - 1); first Betti number of the dual graph."""
     require_projective(config)
-    n = len(config.components)
-    return 1 - n + sum(len(cls) - 1 for cls in config.identification_classes)
+    return 1 - len(config.components) + affine_delta(config)
 
 
 def affine_delta(config: CurveConfiguration) -> int:
@@ -342,22 +333,21 @@ class RankReport(NamedTuple):
 
 
 def rank_report(config: CurveConfiguration) -> RankReport:
+    """The one place the rank formulas are written: δ, the π₁ rank bound
+    Σ 2g_i + δ, the pro-p rank Σ s_i + δ, the affine δ, and the tame rank
+    2g + r - 1 + affine δ of one component with r removed points."""
     require_valid(config)
     require(is_connected(config), "NOT_CONNECTED")
-    n = len(config.components)
-    d_aff = sum(len(cls) - 1 for cls in config.identification_classes)
-    d = 1 - n + d_aff
-    tame = None
-    if n == 1 and config.removed_points:
-        g = config.components[0].genus
-        r = len(config.removed_points)
-        tame = 2 * g + r - 1 + d_aff
+    comps, removed = config.components, config.removed_points
+    d_aff = affine_delta(config)
+    d = 1 - len(comps) + d_aff
     return RankReport(
         delta=d,
-        pi1_rank_bound=sum(2 * c.genus for c in config.components) + d,
-        pro_p_rank=sum(c.effective_p_rank for c in config.components) + d,
+        pi1_rank_bound=sum(2 * c.genus for c in comps) + d,
+        pro_p_rank=sum(c.effective_p_rank for c in comps) + d,
         affine_delta=d_aff,
-        tame_rank=tame)
+        tame_rank=(2 * comps[0].genus + len(removed) - 1 + d_aff
+                   if len(comps) == 1 and removed else None))
 
 
 def identify(config: CurveConfiguration, relation) -> CurveConfiguration:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .curves import CurveConfiguration, delta, require_projective
+from .curves import (MAX_CHARACTERISTIC, CurveConfiguration, delta,
+                     rank_report, require_projective)
 from .errors import require
 from .groups import (PermutationGroup, abelianization_p_rank, is_p_group,
                      is_prime, min_generators, nakajima_tG, quasi_p_part,
@@ -43,7 +44,8 @@ class RealizabilityVerdict(namedtuple("RealizabilityVerdict",
 
 
 def _check_char(p):
-    require(p == 0 or is_prime(p), "BAD_CHARACTERISTIC", f"p = {p}")
+    require(p == 0 or p <= MAX_CHARACTERISTIC and is_prime(p),
+            "BAD_CHARACTERISTIC", f"p = {p}")
 
 
 def affine_realizable(group: PermutationGroup, p: int, g: int, r: int,
@@ -64,12 +66,12 @@ def affine_realizable(group: PermutationGroup, p: int, g: int, r: int,
 
 
 def pro_p_rank(config: CurveConfiguration) -> int:
-    """Rank of the maximal pro-p quotient: sum of component p-ranks plus
-    delta."""
+    """Rank of the maximal pro-p quotient, Σ s_i + δ, for a configuration
+    of characteristic p > 0."""
     require_projective(config)
     require(config.characteristic > 0, "BAD_CHARACTERISTIC",
             "pro-p rank needs p > 0")
-    return sum(c.effective_p_rank for c in config.components) + delta(config)
+    return rank_report(config).pro_p_rank
 
 
 def hasse_witt_check(group: PermutationGroup, p: int,
@@ -119,10 +121,9 @@ def projective_realizable(group: PermutationGroup, p: int,
     """
     _check_char(p)
     require_projective(config)
-    d = min_generators(group)
-    delta_ = delta(config)
-    genera = [c.genus for c in config.components]
-    if all(g == 0 for g in genera):
+    ranks = rank_report(config)
+    d, delta_ = min_generators(group), ranks.delta
+    if all(c.genus == 0 for c in config.components):
         evidence = {"d_G": d, "delta": delta_}
         verdict = "Yes" if d <= delta_ else "No"
         return RealizabilityVerdict(verdict, "free-product-genus0", evidence)
@@ -130,7 +131,7 @@ def projective_realizable(group: PermutationGroup, p: int,
     if d <= delta_:
         return RealizabilityVerdict("Yes", "free-factor",
                                     {"d_G": d, "delta": delta_})
-    rank_bound = sum(2 * g for g in genera) + delta_
+    rank_bound = ranks.pi1_rank_bound
     if d > rank_bound:
         return RealizabilityVerdict("No", "rank-bound",
                                     {"d_G": d, "bound": rank_bound})
@@ -140,11 +141,9 @@ def projective_realizable(group: PermutationGroup, p: int,
             return hw
         # Hasse-Witt subsumes nakajima_check: for a p-group
         # t_G = d(G) = sigma(G) (Burnside's basis theorem), same bound
-        if is_p_group(group, p):
-            rank = pro_p_rank(config)
-            if d > rank:
-                return RealizabilityVerdict("No", "pro-p-rank",
-                                            {"d_G": d, "bound": rank})
+        if is_p_group(group, p) and d > ranks.pro_p_rank:
+            return RealizabilityVerdict("No", "pro-p-rank",
+                                        {"d_G": d, "bound": ranks.pro_p_rank})
     return RealizabilityVerdict(
         "Unknown", "structure",
         {"d_G": d, "delta": delta_, "rank_bound": rank_bound,

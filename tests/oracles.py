@@ -8,6 +8,7 @@ they check (the element index, its rows and span masks).
 import itertools
 from dataclasses import dataclass
 
+from pi1curves.curves import dual_graph, equivalence_classes
 from pi1curves.errors import require
 from pi1curves.groups import PermutationGroup, subgroup_generated
 from pi1curves.perms import Perm
@@ -77,6 +78,14 @@ def subgroup_lattice_by_closure(group) -> list:
 # group -> {label: [number of label * x for x in G]}; one entry per group
 # the tests build a cover on, each at most |G|^2 ints
 _TABLES: dict = {}
+
+
+def betti_number(config) -> int:
+    """Reference for delta: the first Betti number edges - vertices +
+    parts of the dual graph, the parts counted by union-find."""
+    vertices, edges = dual_graph(config)
+    parts = equivalence_classes(edges, vertices)
+    return len(edges) - len(vertices) + len(parts)
 
 
 def _left_table(group) -> dict:

@@ -17,9 +17,8 @@ from pi1curves.covers import (build_descriptor, descend,
                               glue_same_component, glue_two_components,
                               is_connected as cover_connected, is_galois,
                               normalize_spanning_tree, spanning_tree)
-from pi1curves.curves import (CurveConfiguration, PointRef, delta, dual_graph,
-                              factorize, replay, strip_identifications,
-                              validate)
+from pi1curves.curves import (CurveConfiguration, PointRef, delta, factorize,
+                              replay, strip_identifications, validate)
 from pi1curves.errors import DomainError
 from pi1curves.groups import (PermutationGroup, abelianization,
                               eulerian,
@@ -31,7 +30,8 @@ from pi1curves.perms import Perm
 from pi1curves.realizability import (affine_realizable, hasse_witt_check,
                                      nakajima_check, pro_p_rank)
 
-from oracles import count_generating_tuples, sheet_graph_connected
+from oracles import (betti_number, count_generating_tuples,
+                     sheet_graph_connected)
 
 P = PointRef
 
@@ -76,7 +76,7 @@ def test_criterion_1_delta_betti_and_replay(capsys):
         if validate(config):
             failures.append(("invalid", i))
             continue
-        if delta(config) != dual_graph(config).betti_number():
+        if delta(config) != betti_number(config):
             failures.append(("delta", i))
         steps = factorize(config)
         if replay(strip_identifications(config), steps) != config:
@@ -371,7 +371,7 @@ def test_criterion_7_necessary_conditions(capsys):
     for i in range(50):
         config = random_config(rng)
         expected = sum(c.effective_p_rank for c in config.components) \
-            + dual_graph(config).betti_number()
+            + betti_number(config)
         if pro_p_rank(config) != expected:
             failures.append(("pro-p", i))
     report(capsys, 7, "necessary-condition checkers", started, failures, 10)

@@ -190,6 +190,22 @@ def test_export_dot_config(capsys, nodal_file):
     assert out.startswith("graph dual {")
 
 
+def test_export_dot_config_text(capsys, tmp_path):
+    # two loops from a 3-member class, and a repeated edge, in class order
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps({
+        "characteristic": 5,
+        "components": [{"id": "A", "genus": 0}, {"id": "B", "genus": 1}],
+        "points": {"A": ["x", "y", "l1", "l2", "l3"], "B": ["x", "y"]},
+        "identifications": [[["A", "x"], ["B", "x"]],
+                            [["A", "l1"], ["A", "l2"], ["A", "l3"]],
+                            [["A", "y"], ["B", "y"]]]}))
+    code, out, _ = run(capsys, "export-dot", str(path))
+    assert code == 0
+    assert out == ('graph dual {\n  "A";\n  "B";\n  "A" -- "B";\n'
+                   '  "A" -- "A";\n  "A" -- "A";\n  "A" -- "B";\n}\n')
+
+
 def test_glue_script(capsys, tmp_path):
     S3 = catalog_group("S3")
     rotation = next(g for g in S3.elements() if g.order() == 3)
@@ -402,6 +418,55 @@ def test_realizable_big_group_is_too_large_fast(capsys, tmp_path, nodal_file):
     assert code == 1 and out == ""
     assert err == "error: GROUP_TOO_LARGE: |G| = 87178291200 > 2000\n"
     assert elapsed < 5, f"{elapsed:.1f}s over the 5s budget"
+
+
+def test_realizable_char_on_a_characteristic_0_file(capsys, tmp_path):
+    # --char p decides the p-group rule with p, whatever the file's
+    # characteristic: the answer is the one a characteristic-3 file gets
+    path = tmp_path / "elliptic.json"
+    expected = {"verdict": "Unknown", "rule": "structure", "randomized": False,
+                "evidence": {"d_G": 1, "delta": 0, "rank_bound": 2, "reason":
+                             "positive-genus component quotients undecided"}}
+    for head in ({}, {"characteristic": 3}):
+        path.write_text(json.dumps(
+            {**head, "components": [{"id": "E", "genus": 1}]}))
+        code, out, err = run(capsys, "realizable", str(path),
+                             "--group", "C5", "--char", "5")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("p", [10 ** 18 + 3, 10 ** 39 + 3])
+def test_large_prime_characteristic_is_refused_fast(capsys, tmp_path,
+                                                    nodal_file, p):
+    # both are prime; trial division would run for hours
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"characteristic": p, "components": [{"id": "E", "genus": 1}]}))
+    started = time.time()
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        {"code": "BAD_CHARACTERISTIC", "detail": f"{p} exceeds 2147483647"}]
+    assert time.time() - started < 1
+    started = time.time()
+    code, out, err = run(capsys, "realizable", nodal_file, "--group", "S3",
+                         "--char", str(p))
+    assert code == 1 and out == ""
+    assert err == f"error: BAD_CHARACTERISTIC: p = {p}\n"
+    assert time.time() - started < 1
+
+
+def test_characteristic_up_to_2_31_minus_1_is_tested(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    for p, violations in ((2 ** 31 - 1, []), (2 ** 31 - 3, [
+            {"code": "BAD_CHARACTERISTIC",
+             "detail": f"{2 ** 31 - 3} is not prime or 0"}])):
+        path.write_text(json.dumps(
+            {"characteristic": p, "components": [{"id": "E", "genus": 1}]}))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert (code, json.loads(out)["violations"]) == (
+            1 if violations else 0, violations)
 
 
 def test_enumerate_big_group_is_too_large_fast(capsys, tmp_path):

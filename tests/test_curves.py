@@ -22,6 +22,8 @@ from pi1curves.curves import (
 )
 from pi1curves.errors import DomainError
 
+from oracles import betti_number
+
 P = PointRef
 
 
@@ -54,8 +56,26 @@ def test_delta_examples():
 
 def test_delta_matches_betti():
     config = triangle()
+    assert delta(config) == betti_number(config)
+
+
+def loops_and_double_edge():
+    # a 3-member class on A (two loops) between two classes joining A and B
+    return CurveConfiguration.build(
+        5, [("A", 0), ("B", 1)], {"A": ["x", "y", "l1", "l2", "l3"],
+                                  "B": ["x", "y"]},
+        [[P("A", "x"), P("B", "x")],
+         [P("A", "l1"), P("A", "l2"), P("A", "l3")],
+         [P("A", "y"), P("B", "y")]])
+
+
+def test_dual_graph_is_a_pair_in_class_order():
+    config = loops_and_double_edge()
     graph = dual_graph(config)
-    assert delta(config) == graph.betti_number()
+    assert type(graph) is tuple and len(graph) == 2
+    assert graph == (("A", "B"),
+                     (("A", "B"), ("A", "A"), ("A", "A"), ("A", "B")))
+    assert delta(config) == betti_number(config) == 3
 
 
 def test_affine_delta_and_tame_rank():
@@ -249,7 +269,7 @@ def test_random_configs_delta_betti_and_replay():
         config = random_config(rng)
         assert not validate(config)
         assert is_connected(config)
-        assert delta(config) == dual_graph(config).betti_number()
+        assert delta(config) == betti_number(config)
         steps = factorize(config)
         assert sum(s.same_component for s in steps) == delta(config)
         assert replay(strip_identifications(config), steps) == config
