@@ -333,9 +333,9 @@ class RankReport(NamedTuple):
 
 
 def rank_report(config: CurveConfiguration) -> RankReport:
-    """The one place the rank formulas are written: δ, the π₁ rank bound
-    Σ 2g_i + δ, the pro-p rank Σ s_i + δ, the affine δ, and the tame rank
-    2g + r - 1 + affine δ of one component with r removed points."""
+    """The ranks read off a configuration, computed only here: δ, the π₁
+    rank bound Σ 2g_i + δ, the pro-p rank Σ s_i + δ, the affine δ, and the
+    tame rank 2g + r - 1 + affine δ of one component with r removed points."""
     require_valid(config)
     require(is_connected(config), "NOT_CONNECTED")
     comps, removed = config.components, config.removed_points

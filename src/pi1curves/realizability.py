@@ -44,7 +44,7 @@ class RealizabilityVerdict(namedtuple("RealizabilityVerdict",
 
 
 def _check_char(p):
-    require(p == 0 or p <= MAX_CHARACTERISTIC and is_prime(p),
+    require(p == 0 or (p <= MAX_CHARACTERISTIC and is_prime(p)),
             "BAD_CHARACTERISTIC", f"p = {p}")
 
 

@@ -72,15 +72,16 @@ def _verdict(mode, group, p, config):
 
 
 def table() -> list:
-    """The lines of the verdict table, in (p, configuration, mode, group)
-    order."""
+    """The lines of the verdict table: for each p, the projective
+    configurations, then the affine shapes in the affine and then the tame
+    mode, each over the catalog groups in catalog order."""
     groups = list(catalog_groups(24))
+    cases = [(name, "projective", shape)
+             for name, shape in _projective().items()]
+    cases += [(name, mode, shape) for mode in ("affine", "tame")
+              for name, shape in _affine().items()]
     lines = []
     for p in PRIMES:
-        cases = [(name, "projective", shape)
-                 for name, shape in _projective().items()]
-        cases += [(name, mode, shape) for mode in ("affine", "tame")
-                  for name, shape in _affine().items()]
         for name, mode, shape in cases:
             config = CurveConfiguration.build(p, *shape)
             for group_name, group in groups:

@@ -424,9 +424,10 @@ def test_realizable_char_on_a_characteristic_0_file(capsys, tmp_path):
     # --char p decides the p-group rule with p, whatever the file's
     # characteristic: the answer is the one a characteristic-3 file gets
     path = tmp_path / "elliptic.json"
-    expected = {"verdict": "Unknown", "rule": "structure", "randomized": False,
+    expected = {"verdict": "Unknown", "rule": "structure",
                 "evidence": {"d_G": 1, "delta": 0, "rank_bound": 2, "reason":
-                             "positive-genus component quotients undecided"}}
+                             "positive-genus component quotients undecided"},
+                "randomized": False}
     for head in ({}, {"characteristic": 3}):
         path.write_text(json.dumps(
             {**head, "components": [{"id": "E", "genus": 1}]}))

@@ -59,18 +59,14 @@ def test_delta_matches_betti():
     assert delta(config) == betti_number(config)
 
 
-def loops_and_double_edge():
+def test_dual_graph_is_a_pair_in_class_order():
     # a 3-member class on A (two loops) between two classes joining A and B
-    return CurveConfiguration.build(
+    config = CurveConfiguration.build(
         5, [("A", 0), ("B", 1)], {"A": ["x", "y", "l1", "l2", "l3"],
                                   "B": ["x", "y"]},
         [[P("A", "x"), P("B", "x")],
          [P("A", "l1"), P("A", "l2"), P("A", "l3")],
          [P("A", "y"), P("B", "y")]])
-
-
-def test_dual_graph_is_a_pair_in_class_order():
-    config = loops_and_double_edge()
     graph = dual_graph(config)
     assert type(graph) is tuple and len(graph) == 2
     assert graph == (("A", "B"),

@@ -129,13 +129,13 @@ def test_pro_p_rank_rule_on_a_characteristic_0_configuration():
     # projective_realizable reads the pro-p rank from rank_report, so the
     # p-group rule answers for the p it is given; pro_p_rank, which has no
     # p of its own, still refuses characteristic 0
-    ordinary = CurveConfiguration.build(0, [("E", 1, 0)], {"E": []}, [])
-    for config in (ordinary, ordinary._replace(characteristic=5)):
+    supersingular = CurveConfiguration.build(0, [("E", 1, 0)], {"E": []}, [])
+    for config in (supersingular, supersingular._replace(characteristic=5)):
         v = projective_realizable(cyclic(5), 5, config)
         assert (v.verdict, v.rule, v.evidence) == (
             "No", "pro-p-rank", {"d_G": 1, "bound": 0})
     with pytest.raises(DomainError) as err:
-        pro_p_rank(ordinary)
+        pro_p_rank(supersingular)
     assert str(err.value) == "BAD_CHARACTERISTIC: pro-p rank needs p > 0"
 
 
