@@ -19,8 +19,8 @@ from .catalog import (catalog_group, catalog_groups, catalog_names,
 from .covers import (cover_from_json, cover_to_json, dual_graph_dot,
                      glue_same_component, glue_two_components,
                      sheet_graph_dot)
-from .curves import (CurveConfiguration, PointRef, affine_delta, delta,
-                     rank_report, validate)
+from .curves import (CurveConfiguration, PointRef, delta, rank_report,
+                     validate)
 from .errors import DomainError, fields, read_json, require, typed
 from .groups import eulerian, min_generators
 from .perms import Perm
@@ -67,20 +67,9 @@ def cmd_realizable(args):
         read_json(args.config, "BAD_CONFIG_FILE", args.config))
     group = _resolve_group(args.group)
     p = args.char if args.char is not None else config.characteristic
-    if args.mode == "projective":
-        verdict = realizability.projective_realizable(group, p, config)
-    else:
-        if len(config.components) != 1:
-            raise DomainError("NOT_AFFINE",
-                              f"--mode {args.mode} needs a single component")
-        g = config.components[0].genus
-        r = len(config.removed_points)
-        d = affine_delta(config)
-        if args.mode == "affine":
-            verdict = realizability.affine_realizable(group, p, g, r, d)
-        else:
-            verdict = realizability.tame_realizable(group, p, g, r, d)
-    payload = verdict.to_json()
+    # looked up per call, so that a wrapped rule is the one called
+    rule = getattr(realizability, f"{args.mode}_realizable")
+    payload = rule(group, p, config).to_json()
     payload["randomized"] = False  # every d(G) here is confirmed exhaustively
     _emit(payload, args.pretty)
     return 0
@@ -93,9 +82,10 @@ def cmd_enumerate(args):
         group = _resolve_group(args.group)
         oracle.require_enumerable(group, config)
         # GROUP_TOO_LARGE above LATTICE_BOUND, before the |G|^delta tuples
-        phi = eulerian(group, delta(config))
+        d = delta(config)
+        phi = eulerian(group, d)
         count, witnesses = oracle.enumerate_connected_covers(group, config)
-        payload = {"group": args.group, "delta": delta(config),
+        payload = {"group": args.group, "delta": d,
                    "count": count, "eulerian": phi,
                    "witnesses": [[c.to_one_indexed() for c in w]
                                  for w in witnesses]}

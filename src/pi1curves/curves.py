@@ -15,9 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DomainError, fields, require, typed
-from .groups import is_prime
-
-MAX_CHARACTERISTIC = 2 ** 31 - 1  # is_prime divides by trial up to the root
+from .groups import MAX_CHARACTERISTIC, is_prime
 
 
 class PointRef(NamedTuple):

@@ -41,9 +41,12 @@ from .perms import Perm, compose, invert
 ENUM_BOUND = 10_000          # full element enumeration allowed up to here
 MIN_GEN_BOUND = 2_000        # deterministic min_generators bound
 LATTICE_BOUND = 200          # subgroup lattice bound
+MAX_CHARACTERISTIC = 2 ** 31 - 1  # is_prime divides by trial up to the root
 
 
 def is_prime(p: int) -> bool:
+    require(p <= MAX_CHARACTERISTIC, "BAD_CHARACTERISTIC",
+            f"{p} exceeds {MAX_CHARACTERISTIC}")
     if p < 2:
         return False
     return all(p % d for d in range(2, int(p ** 0.5) + 1))
@@ -503,12 +506,14 @@ def abelianization(group: PermutationGroup) -> GroupHom:
 def abelianization_p_rank(group: PermutationGroup, p: int) -> int:
     """σ(G): rank of the maximal elementary abelian p-quotient G/G'G^p,
     where G'G^p is the normal closure of the generators' commutators and
-    p-th powers."""
+    p-th powers; g^p is g^(p mod the order of g), so p may be large."""
     require(is_prime(p), "NOT_PRIME", f"p = {p}")
-    powers = [Perm.trusted(reduce(compose, [g.images] * p))
+    elements = group.elements()  # GROUP_TOO_LARGE before any power
+    powers = [Perm.trusted(reduce(compose, [g.images] * (p % g.order()),
+                                  elements[0].images))
               for g in group.generators]
     _, mask = _normal_closure(group, _commutators(group) + powers)
-    order = len(group.elements()) // mask.bit_count()
+    order = len(elements) // mask.bit_count()
     rank = 0
     while p ** rank < order:
         rank += 1

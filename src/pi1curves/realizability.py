@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .curves import (MAX_CHARACTERISTIC, CurveConfiguration, delta,
-                     rank_report, require_projective)
+from .curves import (CurveConfiguration, delta, rank_report,
+                     require_projective)
 from .errors import require
-from .groups import (PermutationGroup, abelianization_p_rank, is_p_group,
-                     is_prime, min_generators, nakajima_tG, quasi_p_part,
-                     quotient)
+from .groups import (MAX_CHARACTERISTIC, PermutationGroup,
+                     abelianization_p_rank, is_p_group, is_prime,
+                     min_generators, nakajima_tG, quasi_p_part, quotient)
 
 
 class RealizabilityVerdict(namedtuple("RealizabilityVerdict",
@@ -48,20 +48,29 @@ def _check_char(p):
             "BAD_CHARACTERISTIC", f"p = {p}")
 
 
-def affine_realizable(group: PermutationGroup, p: int, g: int, r: int,
-                      delta_: int) -> RealizabilityVerdict:
-    """G occurs over the affine curve iff G/p(G) needs at most 2g+r-1+delta
-    generators.  For p = 0 the quasi-p part is trivial and the test is
-    d(G) <= 2g+r-1+delta."""
+def _affine_ranks(mode, p, config, no_removed):
+    """rank_report(config) after the guards of the affine modes, in order:
+    one component, a valid config, the characteristic, a removed point."""
+    require(len(config.components) == 1, "NOT_AFFINE",
+            f"--mode {mode} needs a single component")
+    ranks = rank_report(config)
     _check_char(p)
-    require(g >= 0 and delta_ >= 0, "BAD_CONFIG_FILE", "negative invariant")
-    require(r >= 1, "NOT_AFFINE", "affine curve needs at least one removed point")
-    bound = 2 * g + r - 1 + delta_
+    require(ranks.tame_rank is not None, "NOT_AFFINE", no_removed)
+    return ranks
+
+
+def affine_realizable(group: PermutationGroup, p: int,
+                      config: CurveConfiguration) -> RealizabilityVerdict:
+    """G occurs over the affine curve iff d(G/p(G)) <= the tame rank; for
+    p = 0 the quasi-p part p(G) is trivial and the test is d(G) <= it."""
+    ranks = _affine_ranks("affine", p, config,
+                          "affine curve needs at least one removed point")
     reduced = quotient(group, quasi_p_part(group, p)).image
     d = min_generators(reduced)
-    evidence = {"d_G_mod_pG": d, "bound": bound,
-                "g": g, "r": r, "delta": delta_}
-    verdict = "Yes" if d <= bound else "No"
+    evidence = {"d_G_mod_pG": d, "bound": ranks.tame_rank,
+                "g": config.components[0].genus,
+                "r": len(config.removed_points), "delta": ranks.affine_delta}
+    verdict = "Yes" if d <= ranks.tame_rank else "No"
     return RealizabilityVerdict(verdict, "affine-abhyankar", evidence)
 
 
@@ -150,14 +159,12 @@ def projective_realizable(group: PermutationGroup, p: int,
          "reason": "positive-genus component quotients undecided"})
 
 
-def tame_realizable(group: PermutationGroup, p: int, g: int, r: int,
-                    delta_: int) -> RealizabilityVerdict:
-    """Tame quotients: free of rank 2g+r-1+delta away from p; when p
-    divides |G| only the rank bound applies."""
-    _check_char(p)
-    require(g >= 0 and delta_ >= 0, "BAD_CONFIG_FILE", "negative invariant")
-    require(r >= 1, "NOT_AFFINE", "tame criterion needs a removed point")
-    bound = 2 * g + r - 1 + delta_
+def tame_realizable(group: PermutationGroup, p: int,
+                    config: CurveConfiguration) -> RealizabilityVerdict:
+    """Tame quotients: free of the tame rank of rank_report away from p;
+    when p divides |G| only the rank bound applies."""
+    bound = _affine_ranks("tame", p, config,
+                          "tame criterion needs a removed point").tame_rank
     d = min_generators(group)
     evidence = {"d_G": d, "bound": bound}
     if p == 0 or group.order() % p != 0:

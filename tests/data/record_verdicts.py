@@ -17,10 +17,9 @@ import json
 import sys
 from pathlib import Path
 
+from pi1curves import realizability
 from pi1curves.catalog import catalog_groups
-from pi1curves.curves import CurveConfiguration, PointRef, affine_delta
-from pi1curves.realizability import (affine_realizable, projective_realizable,
-                                     tame_realizable)
+from pi1curves.curves import CurveConfiguration, PointRef
 
 VERDICTS = Path(__file__).with_name("verdicts.tsv")
 PRIMES = (2, 3, 5)
@@ -63,12 +62,7 @@ def _affine():
 
 def _verdict(mode, group, p, config):
     """The verdict `realizable --mode MODE --char p` gives."""
-    if mode == "projective":
-        return projective_realizable(group, p, config)
-    g = config.components[0].genus
-    r, d = len(config.removed_points), affine_delta(config)
-    rule = affine_realizable if mode == "affine" else tame_realizable
-    return rule(group, p, g, r, d)
+    return getattr(realizability, f"{mode}_realizable")(group, p, config)
 
 
 def table() -> list:

@@ -8,7 +8,8 @@ they check (the element index, its rows and span masks).
 import itertools
 from dataclasses import dataclass
 
-from pi1curves.curves import dual_graph, equivalence_classes
+from pi1curves.curves import (CurveConfiguration, PointRef, dual_graph,
+                              equivalence_classes)
 from pi1curves.errors import require
 from pi1curves.groups import PermutationGroup, subgroup_generated
 from pi1curves.perms import Perm
@@ -78,6 +79,17 @@ def subgroup_lattice_by_closure(group) -> list:
 # group -> {label: [number of label * x for x in G]}; one entry per group
 # the tests build a cover on, each at most |G|^2 ints
 _TABLES: dict = {}
+
+
+def affine_curve(p: int, g: int, r: int, delta: int) -> CurveConfiguration:
+    """One component C of genus g with delta nodes and r removed points."""
+    nodes = [[PointRef("C", f"n{i}a"), PointRef("C", f"n{i}b")]
+             for i in range(delta)]
+    removed = [PointRef("C", f"r{i}") for i in range(r)]
+    labels = ([f"n{i}{s}" for i in range(delta) for s in "ab"]
+              + [f"r{i}" for i in range(r)])
+    return CurveConfiguration.build(p, [("C", g)], {"C": labels}, nodes,
+                                    removed)
 
 
 def betti_number(config) -> int:

@@ -30,7 +30,7 @@ from pi1curves.perms import Perm
 from pi1curves.realizability import (affine_realizable, hasse_witt_check,
                                      nakajima_check, pro_p_rank)
 
-from oracles import (betti_number, count_generating_tuples,
+from oracles import (affine_curve, betti_number, count_generating_tuples,
                      sheet_graph_connected)
 
 P = PointRef
@@ -347,12 +347,13 @@ def test_criterion_6_abhyankar_regression(capsys):
         for p in (2, 3, 5):
             reduced = quotient(G, quasi_p_part(G, p)).image
             expected = "Yes" if reduced.order() == 1 else "No"
-            if affine_realizable(G, p, 0, 1, 0).verdict != expected:
+            if affine_realizable(
+                    G, p, affine_curve(p, 0, 1, 0)).verdict != expected:
                 failures.append((name, p))
     C3 = catalog_group("C3")
-    if affine_realizable(C3, 2, 0, 1, 0).verdict != "No":
+    if affine_realizable(C3, 2, affine_curve(2, 0, 1, 0)).verdict != "No":
         failures.append("C3 delta0")
-    if affine_realizable(C3, 2, 0, 1, 1).verdict != "Yes":
+    if affine_realizable(C3, 2, affine_curve(2, 0, 1, 1)).verdict != "Yes":
         failures.append("C3 delta1")
     report(capsys, 6, "smooth Abhyankar at delta=0", started, failures, 10)
 

@@ -514,6 +514,28 @@ def test_p_must_be_prime(p):
                                                     f"NOT_PRIME: p = {p}")
 
 
+def test_huge_p_is_bad_characteristic():
+    # above the bound trial division would not finish: is_prime refuses it
+    S3, p = catalog_group("S3"), 10 ** 18 + 3
+    calls = (sylow_subgroup, abelianization_p_rank, nakajima_tG,
+             lambda group, p: is_prime(p))
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call(S3, p)
+        assert str(err.value) == f"BAD_CHARACTERISTIC: {p} exceeds 2147483647"
+    assert is_prime(2 ** 31 - 1)
+
+
+def test_sigma_takes_powers_mod_the_order(monkeypatch):
+    # g^p is g^(p mod the order of g), a few products rather than p of them
+    calls = []
+    compose = groups.compose
+    monkeypatch.setattr(groups, "compose",
+                        lambda a, b: calls.append(1) or compose(a, b))
+    assert abelianization_p_rank(cyclic(2), 1_000_003) == 0
+    assert len(calls) < 100
+
+
 # -- the stabilizer chain against sympy --------------------------------------
 
 def _standard_generators():

@@ -20,6 +20,7 @@ from pi1curves.realizability import (
 )
 
 from catalog_builders import cyclic
+from oracles import affine_curve
 
 P = PointRef
 
@@ -40,19 +41,20 @@ def test_affine_quasi_p_always_yes():
     for name, p in (("S3", 2), ("A4", 3), ("A5", 2), ("A5", 3), ("A5", 5)):
         G = catalog_group(name)
         assert quasi_p_part(G, p).order() == G.order()
-        assert affine_realizable(G, p, 0, 1, 0).verdict == "Yes"
+        assert affine_realizable(
+            G, p, affine_curve(p, 0, 1, 0)).verdict == "Yes"
 
 
 def test_affine_c3_in_char_2():
     C3 = catalog_group("C3")
-    assert affine_realizable(C3, 2, 0, 1, 0).verdict == "No"
-    assert affine_realizable(C3, 2, 0, 1, 1).verdict == "Yes"
+    assert affine_realizable(C3, 2, affine_curve(2, 0, 1, 0)).verdict == "No"
+    assert affine_realizable(C3, 2, affine_curve(2, 0, 1, 1)).verdict == "Yes"
 
 
 def test_affine_char_zero_uses_full_d():
     G = catalog_group("C2xC2")
-    assert affine_realizable(G, 0, 0, 2, 0).verdict == "No"
-    assert affine_realizable(G, 0, 0, 3, 0).verdict == "Yes"
+    assert affine_realizable(G, 0, affine_curve(0, 0, 2, 0)).verdict == "No"
+    assert affine_realizable(G, 0, affine_curve(0, 0, 3, 0)).verdict == "Yes"
 
 
 def test_affine_monotone():
@@ -62,7 +64,8 @@ def test_affine_monotone():
             previous = None
             for bound_params in [(0, 1, 0), (0, 1, 1), (0, 2, 1),
                                  (1, 2, 1), (1, 2, 2)]:
-                verdict = affine_realizable(G, p, *bound_params).verdict
+                verdict = affine_realizable(
+                    G, p, affine_curve(p, *bound_params)).verdict
                 if previous == "Yes":
                     assert verdict == "Yes", (name, p, bound_params)
                 previous = verdict
@@ -73,7 +76,7 @@ def test_affine_smooth_abhyankar_regression():
     for name in catalog_names():
         G = catalog_group(name)
         for p in (2, 3, 5):
-            verdict = affine_realizable(G, p, 0, 1, 0).verdict
+            verdict = affine_realizable(G, p, affine_curve(p, 0, 1, 0)).verdict
             reduced = quotient(G, quasi_p_part(G, p)).image
             expected = "Yes" if min_generators(reduced) <= 0 else "No"
             assert verdict == expected, (name, p)
@@ -256,14 +259,37 @@ def test_connectivity_decided_once_per_configuration(monkeypatch):
 
 
 def test_tame():
-    assert tame_realizable(cyclic(3), 2, 0, 1, 1).verdict == "Yes"
-    assert tame_realizable(catalog_group("C2xC2"), 3, 0, 1, 1).verdict == "No"
-    v = tame_realizable(cyclic(2), 2, 0, 1, 1)
+    assert tame_realizable(
+        cyclic(3), 2, affine_curve(2, 0, 1, 1)).verdict == "Yes"
+    assert tame_realizable(
+        catalog_group("C2xC2"), 3, affine_curve(3, 0, 1, 1)).verdict == "No"
+    v = tame_realizable(cyclic(2), 2, affine_curve(2, 0, 1, 1))
     assert v.verdict == "Unknown"
-    assert tame_realizable(catalog_group("C2xC2"), 2, 0, 1, 1).verdict == "No"
-    assert tame_realizable(cyclic(5), 0, 0, 1, 0).verdict == "No"
-    assert tame_realizable(cyclic(5), 0, 0, 2, 0).verdict == "Yes"
+    assert tame_realizable(
+        catalog_group("C2xC2"), 2, affine_curve(2, 0, 1, 1)).verdict == "No"
+    assert tame_realizable(
+        cyclic(5), 0, affine_curve(0, 0, 1, 0)).verdict == "No"
+    assert tame_realizable(
+        cyclic(5), 0, affine_curve(0, 0, 2, 0)).verdict == "Yes"
 
+
+@pytest.mark.parametrize("rule, mode, no_removed", [
+    (affine_realizable, "affine",
+     "affine curve needs at least one removed point"),
+    (tame_realizable, "tame", "tame criterion needs a removed point")])
+def test_affine_rules_guard_order(rule, mode, no_removed):
+    # each case also breaks every guard after the one it expects
+    two = CurveConfiguration.build(
+        5, [("A", -1), ("B", 0)], {"A": [], "B": []}, [])
+    invalid = CurveConfiguration.build(5, [("C", -1)], {"C": []}, [])
+    cases = ((two, 4, f"NOT_AFFINE: --mode {mode} needs a single component"),
+             (invalid, 4, "INVALID_CONFIG: [('NEGATIVE_GENUS', 'C')]"),
+             (affine_curve(5, 0, 0, 1), 4, "BAD_CHARACTERISTIC: p = 4"),
+             (affine_curve(5, 0, 0, 1), 5, f"NOT_AFFINE: {no_removed}"))
+    for config, p, message in cases:
+        with pytest.raises(DomainError) as err:
+            rule(cyclic(2), p, config)
+        assert str(err.value) == message
 
 def test_verdict_json_shape():
     v = hasse_witt_check(catalog_group("C2xC2xC2"), 2, two_node(2))
