@@ -19,12 +19,13 @@ Every check runs on element positions (PermutationGroup.index, its
 multiplication rows and span masks), not on Perm products: membership
 of a label, an inertia generator or a subgroup is read off the element
 index, descend() decodes a cover relation into positions, and
-connectivity is one span (is_connected): by the free-product structure
-of pi_1, the relabelled monodromy and the non-tree gluing constants must
-generate G.  The test suite checks it against union-find over the sheet
-graph, and the bases that gluing and descent build against
-curves.identify.  Perm stays the type of labels at the API and JSON
-boundary.
+connectivity is one orbit (is_connected): by the free-product structure
+of pi_1, a cover, Galois or not, is connected iff its monodromy and
+gluing rows, moved to one fiber along the spanning tree, act
+transitively on the labels.  The test suite checks it against
+union-find over the sheet graph, and the bases that gluing and descent
+build against curves.identify.  Perm stays the type of labels at the
+API and JSON boundary.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from typing import NamedTuple
 from .catalog import catalog_group, group_from_json, group_to_json
 from .curves import (CurveConfiguration, IdentificationClass, PointRef,
                      dual_graph, is_connected as config_connected,
-                     require_valid, union_find)
+                     require_valid)
 from .errors import DomainError, fields, require, typed
-from .groups import PermutationGroup, subgroup_positions
-from .perms import Perm, compose
+from .groups import PermutationGroup, orbit, subgroup_positions
+from .perms import Perm, compose, invert
 
 
 # -- gluings ----------------------------------------------------------------
@@ -178,111 +179,79 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
 
 # -- verdicts ---------------------------------------------------------------
 
-def _sheet_graph(cover: CoverDescriptor):
-    """The sheet graph: (number of sheets over each component, in
-    component order; set of int edges between sheets).  Sheets are
-    numbered consecutively in that order; over a component with
-    monodromy H they are the cosets H*x."""
+def _decode(cover: CoverDescriptor):
+    """The cover on element positions: (the positions of each component's
+    monodromy generators, in component order; (class index, branch,
+    Gluing.row) for each gluing, in class order).  Raises NOT_A_MEMBER,
+    then FIBER_NOT_TORSOR."""
     group = cover.group
-    counts = []
-    sheets = {}  # component id -> sheet number of each label position
-    for comp in cover.base.components:
-        positions = subgroup_positions(group, cover.monodromy_of(comp.id))
-        if positions is None:
-            raise DomainError("NOT_A_MEMBER",
-                              "monodromy is not a subgroup of G")
-        ids, reps = group.coset_map(positions)
-        total = sum(counts)
-        sheets[comp.id] = [total + i for i in ids]
-        counts.append(len(reps))
-    edges = set()
+    monodromy = [subgroup_positions(group, cover.monodromy_of(comp.id))
+                 for comp in cover.base.components]
+    require(None not in monodromy, "NOT_A_MEMBER",
+            "monodromy is not a subgroup of G")
+    gluings = []
     for ci, cls in enumerate(cover.base.identification_classes):
-        base = sheets[cls.base_branch.component_id]
         for branch in cls.members[1:]:
             row = cover.gluings[ci][branch].row(group)
             if row is None:
                 raise DomainError(
                     "FIBER_NOT_TORSOR",
                     f"gluing at {branch} is not a bijection of G")
-            edges.update(zip(base, compose(sheets[branch.component_id], row)))
-    return counts, edges
-
-
-def _all_constants(cover: CoverDescriptor) -> bool:
-    return all(g.constant is not None for branches in cover.gluings.values()
-               for g in branches.values())
+            gluings.append((ci, branch, row))
+    return monodromy, gluings
 
 
 def is_connected(cover: CoverDescriptor) -> bool:
-    """Whether the cover is connected.  When every gluing is a constant,
-    by the free-product structure of pi_1: the monodromy and the non-tree
-    gluing constants, relabelled along the spanning tree (_transport),
-    must generate G; a disconnected base gives False.  A mapping gluing
-    falls back to union-find over the sheet graph."""
-    if not _all_constants(cover):
-        counts, edges = _sheet_graph(cover)
-        return len(set(union_find(sum(counts), edges))) == 1
+    """Whether the cover is connected: by the free-product structure of
+    pi_1, whether the monodromy and the gluings, moved to one fiber along
+    the spanning tree (_transport), act transitively on its labels; a
+    disconnected base gives False."""
     moved = _transport(cover)
     if moved is None:
         return False
-    gens = [h for positions in moved[0].values() for h in positions]
-    gens += [c for _, _, c in moved[1] if c]
-    return cover.group.span(gens).bit_count() == len(cover.group.index())
-
-
-def _moved(group: PermutationGroup, a: int, x: int, b: int) -> int:
-    """The position of a * x * b^-1 for element positions a, x and b; an
-    identity factor (position 0) costs nothing."""
-    if b:
-        x = group.left_row(x)[group.left_row(b).index(0)]
-    return group.left_row(a)[x] if a else x
+    rows = [row for rows in moved[0] for row in rows]
+    rows += [row for _, _, row in moved[1]]
+    return orbit(rows).bit_count() == len(cover.group.index())
 
 
 def _transport(cover: CoverDescriptor):
-    """Relabel the fibers over each component C by x -> t_C*x, with t_C
-    read along the spanning tree in BFS order so that every tree gluing
-    becomes the identity; all on element positions, for a cover whose
-    gluings are all constants.  Returns (component id -> relabelled
-    monodromy generators, [(class index, branch, relabelled constant)] in
-    class order), or None on a disconnected or empty base.  Raises
-    NOT_A_MEMBER and FIBER_NOT_TORSOR as _sheet_graph does, in that order."""
+    """Relabel the fiber over each component C by a bijection s_C of
+    element positions, read along the spanning tree in BFS order so that
+    every tree gluing becomes the identity.  Returns (the rows s_C o h o
+    s_C^-1 of each component's monodromy generators h, in component order;
+    (class index, branch, s_b o f o s_a^-1) for each gluing row f from
+    component a to component b, in class order), or None on a disconnected
+    or empty base.  Raises as _decode does."""
+    positions, gluings = _decode(cover)
     config, group = cover.base, cover.group
-    index, classes = group.index(), config.identification_classes
-    monodromy = {}
-    for comp in config.components:
-        sub = cover.monodromy.get(comp.id)
-        monodromy[comp.id] = [] if sub is None \
-            else subgroup_positions(group, sub)
-        require(monodromy[comp.id] is not None, "NOT_A_MEMBER",
-                "monodromy is not a subgroup of G")
-    constants = []
-    for ci, cls in enumerate(classes):
-        for branch in cls.members[1:]:
-            c = index.get(cover.gluings[ci][branch].constant.images)
-            if c is None:
-                raise DomainError(
-                    "FIBER_NOT_TORSOR",
-                    f"gluing at {branch} is not a bijection of G")
-            constants.append((ci, branch, c))
-    if len(monodromy) == 1:  # one component needs no tree: t = 1
-        return monodromy, constants
+    monodromy = [list(map(group.left_row, hs)) for hs in positions]
+    if len(monodromy) == 1:  # one component needs no tree: s = 1
+        return monodromy, gluings
     if not monodromy:  # no component: no root, and nothing is connected
         return None
-    t = {min(monodromy): 0}  # the tree's root
-    given = {(ci, branch): c for ci, branch, c in constants}
+    ids, classes = config.component_ids(), config.identification_classes
+    root = group.left_row(0)
+    s = {min(ids): (root, root)}  # component id -> (s_C, s_C^-1)
+    given = {(ci, branch): f for ci, branch, f in gluings}
     for ci, branch in config.spanning_tree[0]:
         a, b = classes[ci].base_branch.component_id, branch.component_id
-        if a in t:  # t_b * c * t_a^-1 = 1
-            t[b] = _moved(group, t[a], 0, given[ci, branch])
-        else:
-            t[a] = _moved(group, t[b], given[ci, branch], 0)
-    if len(t) < len(monodromy):
+        f = given[ci, branch]
+        f_inv = invert(f)
+        if a in s:  # s_b = s_a o f^-1, so that s_b o f o s_a^-1 = 1
+            s[b] = compose(s[a][0], f_inv), compose(f, s[a][1])
+        else:  # s_a = s_b o f
+            s[a] = compose(s[b][0], f), compose(f_inv, s[b][1])
+    if len(s) < len(ids):
         return None
-    return ({comp: [_moved(group, t[comp], h, t[comp]) for h in positions]
-             for comp, positions in monodromy.items()},
-            [(ci, branch, _moved(group, t[branch.component_id], c,
-                                 t[classes[ci].base_branch.component_id]))
-             for ci, branch, c in constants])
+
+    def moved(row, a, b):  # s_b o row o s_a^-1
+        return compose(compose(s[b][0], row), s[a][1])
+
+    return ([[moved(h, comp, comp) for h in rows]
+             for comp, rows in zip(ids, monodromy)],
+            [(ci, branch, moved(f, classes[ci].base_branch.component_id,
+                                branch.component_id))
+             for ci, branch, f in gluings])
 
 
 def is_galois(cover: CoverDescriptor) -> bool:
@@ -410,8 +379,11 @@ def glue_two_components(group: PermutationGroup,
             f"shared component ids {sorted(ids1 & ids2)}")
     require(y1.component_id in ids1 and y2.component_id in ids2,
             "POINT_NOT_FOUND", "points must lie on the respective covers")
-
     c1, c2 = cover1.base, cover2.base
+    require(c1.characteristic == c2.characteristic, "BAD_CHARACTERISTIC",
+            f"covers over characteristics {c1.characteristic} and "
+            f"{c2.characteristic}")
+
     merged = CurveConfiguration(
         c1.characteristic,
         c1.components + c2.components,
@@ -541,17 +513,20 @@ def normalize_spanning_tree(cover: CoverDescriptor) -> CoverDescriptor:
     ACTION_NOT_EQUIVARIANT otherwise.
     """
     require(config_connected(cover.base), "BASE_NOT_CONNECTED")
-    require(_all_constants(cover), "ACTION_NOT_EQUIVARIANT",
+    require(all(g.constant is not None for branches in cover.gluings.values()
+                for g in branches.values()), "ACTION_NOT_EQUIVARIANT",
             "non-translation gluing cannot be tree-normalized")
-    monodromy, constants = _transport(cover)
+    monodromy, moved = _transport(cover)
+    monodromy = dict(zip(cover.base.component_ids(), monodromy))
     group, elements = cover.group, cover.group.elements()
+    # every moved row is a left row: row[0] is its constant
     gluings = {ci: {} for ci in cover.gluings}
-    for ci, branch, c in constants:
-        gluings[ci][branch] = Gluing(elements[c])
+    for ci, branch, row in moved:
+        gluings[ci][branch] = Gluing(elements[row[0]])
     return CoverDescriptor(
         cover.base, group,
         {comp_id: PermutationGroup.from_generators(
-            [elements[h] for h in monodromy[comp_id]], group.degree)
+            [elements[h[0]] for h in monodromy[comp_id]], group.degree)
          for comp_id in cover.monodromy},
         gluings, dict(cover.ramification))
 
@@ -567,13 +542,20 @@ def _dot(name: str, nodes, edges) -> str:
 
 def sheet_graph_dot(cover: CoverDescriptor) -> str:
     """Sheet-connectivity graph: nodes (component, sheet), edges from
-    gluing identifications, with deterministic ordering."""
-    counts, edges = _sheet_graph(cover)
-    names = [f"{comp.id}_s{i}"
-             for comp, count in zip(cover.base.components, counts)
-             for i in range(count)]
-    named = {tuple(sorted((names[a], names[b]))) for a, b in edges}
-    return _dot("sheets", sorted(names), sorted(named))
+    gluing identifications, with deterministic ordering.  Over a component
+    with monodromy H the sheets are the cosets H*x."""
+    monodromy, gluings = _decode(cover)
+    names, sheet = [], {}  # component id -> sheet name of each label
+    for comp, positions in zip(cover.base.components, monodromy):
+        ids, reps = cover.group.coset_map(positions)
+        named = [f"{comp.id}_s{i}" for i in range(len(reps))]
+        names += named
+        sheet[comp.id] = compose(named, ids)
+    classes = cover.base.identification_classes
+    edges = {tuple(sorted(edge)) for ci, branch, row in gluings
+             for edge in zip(sheet[classes[ci].base_branch.component_id],
+                             compose(sheet[branch.component_id], row))}
+    return _dot("sheets", sorted(names), sorted(edges))
 
 
 def dual_graph_dot(config: CurveConfiguration) -> str:

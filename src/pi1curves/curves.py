@@ -304,9 +304,9 @@ def require_projective(config: CurveConfiguration) -> None:
 
 
 def delta(config: CurveConfiguration) -> int:
-    """δ = 1 - n + Σ (|class| - 1); first Betti number of the dual graph."""
+    """δ = 1 - n + Σ (|class| - 1), the dual graph's Betti number."""
     require_projective(config)
-    return 1 - len(config.components) + affine_delta(config)
+    return rank_report(config).delta
 
 
 def affine_delta(config: CurveConfiguration) -> int:

@@ -231,7 +231,8 @@ class PermutationGroup:
 
     def index(self) -> dict:
         """Image tuple -> position in elements(), keys in that order."""
-        self.elements()
+        if "index" not in self._memo:
+            self.elements()
         return self._memo["index"]
 
     def left_row(self, i: int) -> tuple:
@@ -264,15 +265,7 @@ class PermutationGroup:
         """The subgroup generated by the elements at these positions, as a
         bitmask over positions in elements(): bit i is set iff element i
         lies in it.  The empty span is the trivial subgroup, mask 1."""
-        rows = [self.left_row(i) for i in set(positions)]
-        mask, queue = 1, [0]
-        for x in queue:  # breadth first: the queue grows as we go
-            for row in rows:
-                y = row[x]
-                if not mask >> y & 1:
-                    mask |= 1 << y
-                    queue.append(y)
-        return mask
+        return orbit([self.left_row(i) for i in set(positions)])
 
     def coset_map(self, positions):
         """The right cosets H*x of the subgroup H generated by the elements
@@ -302,6 +295,19 @@ class PermutationGroup:
                         stack.append(z)
             reps.append(x)
         return ids, reps
+
+
+def orbit(rows) -> int:
+    """The orbit of position 0 under the bijections of positions in rows
+    (row[x] is the image of x), as a bitmask: bit x is set iff x is in it."""
+    mask, queue = 1, [0]
+    for x in queue:  # breadth first: the queue grows as we go
+        for row in rows:
+            y = row[x]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                queue.append(y)
+    return mask
 
 
 # -- basic constructions ----------------------------------------------------

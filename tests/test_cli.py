@@ -233,6 +233,29 @@ def test_glue_script(capsys, tmp_path):
     assert dot.startswith("graph sheets {")
 
 
+def test_glue_script_rejects_mixed_characteristic(capsys, tmp_path):
+    S3 = catalog_group("S3")
+    rotation = next(g for g in S3.elements() if g.order() == 3)
+    flip = next(g for g in S3.elements() if g.order() == 2)
+    covers = {}
+    for name, p, comp, gen in (("c5", 5, "C1", rotation),
+                               ("c3", 3, "D1", flip)):
+        base = CurveConfiguration.build(p, [(comp, 1)], {comp: ["a"]}, [])
+        sub = subgroup_generated(S3, [gen])
+        covers[name] = cover_to_json(
+            build_descriptor(base, sub, monodromy={comp: sub}))
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({
+        "covers": covers,
+        "steps": [{"op": "two_components", "group": "S3", "cover1": "c5",
+                   "cover2": "c3", "y1": ["C1", "a"], "y2": ["D1", "a"],
+                   "result": "out"}]}))
+    code, out, err = run(capsys, "glue", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: BAD_CHARACTERISTIC: covers over characteristics "
+                   "5 and 3\n")
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

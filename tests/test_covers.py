@@ -240,6 +240,29 @@ def test_glue_two_components_rejects_overlap():
     assert err.value.code == "COMPONENT_OVERLAP"
 
 
+def test_glue_two_components_rejects_mixed_characteristic():
+    # the joined base used to take the first cover's characteristic; the
+    # component ids and the points are checked first
+    S3, A3, flip = s3_and_a3()
+    C2 = subgroup_generated(S3, [flip])
+
+    def cover(p, comp, sub):
+        base = CurveConfiguration.build(p, [(comp, 1)], {comp: ["a"]}, [])
+        return build_descriptor(base, sub, monodromy={comp: sub})
+
+    first, same_id, other = cover(5, "C1", A3), cover(3, "C1", C2), \
+        cover(3, "D1", C2)
+    for second, y2, code in ((same_id, "C1", "COMPONENT_OVERLAP"),
+                             (other, "C1", "POINT_NOT_FOUND"),
+                             (other, "D1", "BAD_CHARACTERISTIC")):
+        with pytest.raises(DomainError) as err:
+            glue_two_components(S3, A3, C2, first, second,
+                                P("C1", "a"), P(y2, "a"))
+        assert err.value.code == code
+    assert str(err.value) == \
+        "BAD_CHARACTERISTIC: covers over characteristics 5 and 3"
+
+
 def test_glue_two_components_rejects_non_generating():
     S3, A3, _ = s3_and_a3()
     base1 = CurveConfiguration.build(5, [("C1", 1)], {"C1": ["a"]}, [])
@@ -744,40 +767,53 @@ def test_is_connected_matches_oracle_on_constant_covers():
     assert seen == {False, True}
 
 
-def test_is_connected_matches_oracle_on_mapping_covers():
+def test_is_connected_matches_oracle_on_mapping_covers(monkeypatch):
     # descend(require_galois=False) leaves raw mappings where a class is
-    # glued by a bijection that is not a left translation
+    # glued by a bijection that is not a left translation.  On the second
+    # base the spanning tree reaches C before B, so the tree edges from B
+    # to C are moved from their branch side; is_connected builds no cosets
+    def forbidden(*args):
+        raise AssertionError("is_connected built cosets")
+
+    monkeypatch.setattr(PermutationGroup, "coset_map", forbidden)
     rng = random.Random(4)
     base = CurveConfiguration.build(
         5, [("C1", 1), ("C2", 1), ("C3", 1)],
         {"C1": ["a", "b", "c"], "C2": ["a", "b"], "C3": ["a"]}, [])
     pairs = [[P("C1", "a"), P("C1", "b")], [P("C1", "c"), P("C2", "a")],
              [P("C2", "b"), P("C3", "a")]]
-    seen = set()
-    for name in ("C3", "C2xC2", "S3", "D4"):
-        G = catalog_group(name)
-        elements = G.elements()
-        for _ in range(40):
-            cover = build_descriptor(base, G, monodromy={
-                "C1": _random_subgroup(rng, G), "C2": _random_subgroup(rng, G),
-                "C3": _random_subgroup(rng, G)})
-            chosen = rng.sample(pairs, rng.randint(1, 3))
-            relation = []
-            for lo, hi in chosen:
-                images = list(elements)
-                if rng.random() < 0.5:
-                    rng.shuffle(images)
-                else:
-                    c = rng.choice(elements)
-                    images = [c * x for x in elements]
-                relation += [{(lo, x), (hi, y)}
-                             for x, y in zip(elements, images)]
-            out = descend(cover, [set(p) for p in chosen], relation,
-                          require_galois=False)
-            connected = is_connected(out)
-            assert connected == sheet_graph_connected(out)
-            seen.add((connected, is_galois(out)))
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    reversed_tree = CurveConfiguration.build(
+        5, [("A", 1), ("B", 1), ("C", 1)],
+        {"A": ["x"], "B": ["w", "x"], "C": ["x", "y", "z"]}, [])
+    reversed_pairs = [[P("A", "x"), P("C", "x")], [P("B", "x"), P("C", "y")],
+                      [P("B", "w"), P("C", "z")]]
+    for base, pairs in ((base, pairs), (reversed_tree, reversed_pairs)):
+        seen = set()
+        for name in ("C3", "C2xC2", "S3", "D4"):
+            G = catalog_group(name)
+            elements = G.elements()
+            for _ in range(40):
+                cover = build_descriptor(base, G, monodromy={
+                    comp.id: _random_subgroup(rng, G)
+                    for comp in base.components})
+                chosen = rng.sample(pairs, rng.randint(1, 3))
+                relation = []
+                for lo, hi in chosen:
+                    images = list(elements)
+                    if rng.random() < 0.5:
+                        rng.shuffle(images)
+                    else:
+                        c = rng.choice(elements)
+                        images = [c * x for x in elements]
+                    relation += [{(lo, x), (hi, y)}
+                                 for x, y in zip(elements, images)]
+                out = descend(cover, [set(p) for p in chosen], relation,
+                              require_galois=False)
+                connected = is_connected(out)
+                assert connected == sheet_graph_connected(out)
+                seen.add((connected, is_galois(out)))
+        assert seen == {(False, False), (False, True), (True, False),
+                        (True, True)}
 
 
 def test_is_connected_error_codes_match_sheet_graph():
@@ -790,7 +826,7 @@ def test_is_connected_error_codes_match_sheet_graph():
         bad_monodromy = cover._replace(monodromy={
             config.components[-1].id: subgroup_generated(S3, [flip])})
         both = bad_constant._replace(monodromy=bad_monodromy.monodromy)
-        # a mapping gluing sends the cover to the sheet graph
+        # a mapping gluing takes the same decode as a constant
         bad_mapping = cover._replace(gluings={**cover.gluings, ci: {
             cls.members[1]: Gluing(mapping=((flip, flip),))}})
         for bad, code in ((bad_constant, "FIBER_NOT_TORSOR"),
@@ -846,3 +882,28 @@ def test_dot_outputs_deterministic():
     assert dot == sheet_graph_dot(glued)
     assert dot.startswith("graph sheets {") and dot.endswith("}\n")
     assert dual_graph_dot(glued.base).startswith("graph dual {")
+
+
+# the sheet graph of a two-component cover with nontrivial monodromy on
+# both components, a self-glued class and one non-translation gluing
+TWO_COMPONENT_SHEET_DOT = (
+    'graph sheets {\n  "A_s0";\n  "A_s1";\n  "B_s0";\n  "B_s1";\n'
+    '  "B_s2";\n  "A_s0" -- "A_s0";\n  "A_s0" -- "B_s0";\n'
+    '  "A_s0" -- "B_s1";\n  "A_s0" -- "B_s2";\n  "A_s1" -- "A_s1";\n'
+    '  "A_s1" -- "B_s0";\n  "A_s1" -- "B_s1";\n  "A_s1" -- "B_s2";\n}\n')
+
+
+def test_two_component_sheet_dot_pinned():
+    S3, A3, flip = s3_and_a3()
+    config = CurveConfiguration.build(
+        5, [("A", 1), ("B", 1)],
+        {"A": ["l1", "l2", "x", "y"], "B": ["x", "y"]},
+        [[P("A", "x"), P("B", "x")], [P("A", "l1"), P("A", "l2")],
+         [P("A", "y"), P("B", "y")]])
+    swap = Gluing.of_mapping({x: x * flip for x in S3.elements()}, S3)
+    assert swap.constant is None
+    cover = build_descriptor(
+        config, S3, monodromy={"A": A3, "B": subgroup_generated(S3, [flip])},
+        gluings={0: {P("B", "x"): flip}, 1: {P("A", "l2"): A3.generators[0]},
+                 2: {P("B", "y"): swap}})
+    assert sheet_graph_dot(cover) == TWO_COMPONENT_SHEET_DOT
