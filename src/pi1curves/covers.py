@@ -10,10 +10,11 @@ iff f is the LEFT translation x -> f(1)*x: an equivariant gluing is a
 left translation, and that one test (_is_translation) decides every
 Galois question here.
 
-A gluing is stored as a map base-fiber label -> branch-fiber label.
-Left translations are stored as their constant c (lambda -> c*lambda);
-raw maps appear only from descend() and hand-built descriptors, and
-is_galois() rejects those that are not left translations.
+build_descriptor stores each gluing as Gluing.of_row reads its row: a
+left translation as its constant c (lambda -> c*lambda), any other
+bijection of G as its map base-fiber label -> branch-fiber label.
+_decode is the one reader of a descriptor (a gluing that is missing or
+no bijection of G is FIBER_NOT_TORSOR); is_galois tests its rows.
 
 Every check runs on element positions (PermutationGroup.index, its
 multiplication rows and span masks), not on Perm products: membership
@@ -52,15 +53,6 @@ class Gluing(NamedTuple):
     """
     constant: Perm | None = None
     mapping: tuple | None = None  # sorted tuple of (label, image) pairs
-
-    @staticmethod
-    def of_mapping(pairs, group: PermutationGroup) -> "Gluing":
-        """Build from {base label: branch label}; collapses to a constant
-        when the map is a left translation."""
-        row = _bijection_row(dict(pairs).items(), group.index())
-        require(row is not None, "FIBER_NOT_TORSOR",
-                "gluing is not a bijection of the fibers")
-        return Gluing.of_row(row, group)
 
     @staticmethod
     def of_row(row, group: PermutationGroup) -> "Gluing":
@@ -124,7 +116,9 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
     Monodromy defaults to trivial on every component; gluings default to
     identity constants on every non-base branch.  A genus-0 component may
     only carry nontrivial monodromy when a ramification annotation on one
-    of its points licenses it (ETALE_GENUS_ZERO otherwise).
+    of its points licenses it (ETALE_GENUS_ZERO otherwise).  Each gluing (a
+    Perm, a constant or a mapping) is read by its row and stored as
+    Gluing.of_row gives it: a left translation as its constant.
     """
     require_valid(config)
     index = group.index()  # GROUP_TOO_LARGE above ENUM_BOUND
@@ -152,7 +146,7 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
                 raise DomainError(
                     "ETALE_GENUS_ZERO",
                     f"component {comp.id} has genus 0 and no ramification")
-    full = {}
+    full, identity = {}, Perm.identity(group.degree)
     given = {ci: dict(branches) for ci, branches in (gluings or {}).items()}
     for ci, cls in enumerate(config.identification_classes):
         branches = given.pop(ci, {})
@@ -162,15 +156,15 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
                               f"gluing branches {unknown} not in class {ci}")
         full[ci] = {}
         for branch in cls.members[1:]:
-            g = branches.get(branch)
-            if g is None:
-                g = Gluing(Perm.identity(group.degree))
-            elif isinstance(g, Perm):
-                g = Gluing(g)
-            if g.constant is not None and g.constant.images not in index:
+            g = branches.get(branch, identity)
+            g = Gluing(g) if isinstance(g, Perm) else g
+            row = g.row(group)
+            if row is None and g.constant is not None:
                 raise DomainError("NOT_A_MEMBER",
                                   f"gluing constant {g.constant} not in G")
-            full[ci][branch] = g
+            require(row is not None, "FIBER_NOT_TORSOR",
+                    "gluing is not a bijection of the fibers")
+            full[ci][branch] = Gluing.of_row(row, group)
     if given:
         raise DomainError("POINT_NOT_FOUND",
                           f"gluings for unknown class indices {sorted(given)}")
@@ -191,8 +185,10 @@ def _decode(cover: CoverDescriptor):
             "monodromy is not a subgroup of G")
     gluings = []
     for ci, cls in enumerate(cover.base.identification_classes):
+        branches = cover.gluings.get(ci, {})
         for branch in cls.members[1:]:
-            row = cover.gluings[ci][branch].row(group)
+            gluing = branches.get(branch)  # a missing gluing is no bijection
+            row = gluing.row(group) if gluing else None
             if row is None:
                 raise DomainError(
                     "FIBER_NOT_TORSOR",
@@ -255,18 +251,10 @@ def _transport(cover: CoverDescriptor):
 
 
 def is_galois(cover: CoverDescriptor) -> bool:
-    """Every gluing must be a bijection of full fibers (torsors) that
-    commutes with the right G-action: a left translation."""
-    group = cover.group
-    if any(subgroup_positions(group, sub) is None
-           for sub in cover.monodromy.values()):
-        return False
-    for branches in cover.gluings.values():
-        for gluing in branches.values():
-            row = gluing.row(group)
-            if row is None or not _is_translation(group, row):
-                return False
-    return True
+    """Whether every gluing commutes with the right G-action: a left
+    translation.  Raises as _decode does."""
+    return all(_is_translation(cover.group, row)
+               for _, _, row in _decode(cover)[1])
 
 
 # -- induction and gluing ---------------------------------------------------
@@ -294,13 +282,29 @@ def _check_smooth_fiber_point(config, ref):
                           f"{ref} is already a singular point")
 
 
-def _same_subgroup(group: PermutationGroup, a: PermutationGroup,
-                   b: PermutationGroup) -> bool:
-    """Whether a and b are one subgroup of group: equal masks over its
-    elements (PermutationGroup.span); False when either lies outside it."""
-    pa, pb = subgroup_positions(group, a), subgroup_positions(group, b)
-    return pa is not None and pb is not None \
-        and group.span(pa) == group.span(pb)
+def _check_glue(group: PermutationGroup, parts, positions=()):
+    """The checks both gluings run, in order: for each (cover, subgroup,
+    points) part the cover's group is that subgroup of group (NOT_A_MEMBER);
+    the subgroups, with the elements at positions, generate group
+    (NOT_GENERATING); then, part by part, the cover is connected
+    (BASE_NOT_CONNECTED) and each point is a marked smooth point of its
+    base."""
+    positions = list(positions)
+    for cover, sub, _ in parts:
+        mine = subgroup_positions(group, cover.group)
+        given = subgroup_positions(group, sub)
+        require(mine is not None and given is not None
+                and group.span(mine) == group.span(given), "NOT_A_MEMBER",
+                "cover group is not the given subgroup of G")
+        positions += given
+    require(group.span(positions).bit_count() == len(group.index()),
+            "NOT_GENERATING",
+            "the subgroups (and gamma) generate a proper subgroup of G")
+    for cover, _, points in parts:
+        require(is_connected(cover), "BASE_NOT_CONNECTED",
+                "input cover is disconnected")
+        for ref in points:
+            _check_smooth_fiber_point(cover.base, ref)
 
 
 def _join(cover: CoverDescriptor, relation, glue) -> CoverDescriptor:
@@ -330,20 +334,11 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
     result is connected and Galois (verified by the test suite, not
     assumed here).
     """
-    require(_same_subgroup(ambient, base_cover.group, sub), "NOT_A_MEMBER",
-            "base cover is not a cover for the given subgroup")
     require(gamma.degree == ambient.degree, "DEGREE_MISMATCH",
             f"{gamma.degree} != {ambient.degree}")
     g = ambient.index().get(gamma.images)
     require(g is not None, "NOT_A_MEMBER", "gamma not in the ambient group")
-    positions = subgroup_positions(ambient, sub)
-    require(ambient.span(positions + [g]).bit_count() == len(ambient.index()),
-            "NOT_GENERATING", "<subgroup, gamma> is a proper subgroup")
-    require(is_connected(base_cover), "BASE_NOT_CONNECTED",
-            "base cover is disconnected")
-    config = base_cover.base
-    for ref in (y1, y2):
-        _check_smooth_fiber_point(config, ref)
+    _check_glue(ambient, [(base_cover, sub, (y1, y2))], [g])
     require(y1 != y2, "FIBER_NOT_TORSOR", "points must be distinct")
 
     # label x over y1 is matched with label gamma*x over y2; the new class
@@ -361,25 +356,11 @@ def glue_two_components(group: PermutationGroup,
     Requires sub1, sub2 <= group = <sub1, sub2>; the matching rule
     identifies equal torsor labels, so the gluing constant is the identity.
     """
-    require(_same_subgroup(group, cover1.group, sub1), "NOT_A_MEMBER",
-            "first cover group mismatch")
-    require(_same_subgroup(group, cover2.group, sub2), "NOT_A_MEMBER",
-            "second cover group mismatch")
-    positions = subgroup_positions(group, sub1) \
-        + subgroup_positions(group, sub2)
-    require(group.span(positions).bit_count() == len(group.index()),
-            "NOT_GENERATING", "<G1, G2> is a proper subgroup")
-    for cover, y in ((cover1, y1), (cover2, y2)):
-        require(is_connected(cover), "BASE_NOT_CONNECTED",
-                "input cover is disconnected")
-        _check_smooth_fiber_point(cover.base, y)
-    ids1 = set(cover1.base.component_ids())
-    ids2 = set(cover2.base.component_ids())
+    _check_glue(group, [(cover1, sub1, (y1,)), (cover2, sub2, (y2,))])
+    c1, c2 = cover1.base, cover2.base
+    ids1, ids2 = set(c1.component_ids()), set(c2.component_ids())
     require(not ids1 & ids2, "COMPONENT_OVERLAP",
             f"shared component ids {sorted(ids1 & ids2)}")
-    require(y1.component_id in ids1 and y2.component_id in ids2,
-            "POINT_NOT_FOUND", "points must lie on the respective covers")
-    c1, c2 = cover1.base, cover2.base
     require(c1.characteristic == c2.characteristic, "BAD_CHARACTERISTIC",
             f"covers over characteristics {c1.characteristic} and "
             f"{c2.characteristic}")
@@ -509,12 +490,11 @@ def normalize_spanning_tree(cover: CoverDescriptor) -> CoverDescriptor:
     constant becomes the identity (_transport).
 
     The surviving constants, one per non-tree edge, number exactly delta.
-    All gluings must be constants (left translations); raises
-    ACTION_NOT_EQUIVARIANT otherwise.
+    The cover must be Galois (is_galois); raises ACTION_NOT_EQUIVARIANT
+    otherwise.
     """
     require(config_connected(cover.base), "BASE_NOT_CONNECTED")
-    require(all(g.constant is not None for branches in cover.gluings.values()
-                for g in branches.values()), "ACTION_NOT_EQUIVARIANT",
+    require(is_galois(cover), "ACTION_NOT_EQUIVARIANT",
             "non-translation gluing cannot be tree-normalized")
     monodromy, moved = _transport(cover)
     monodromy = dict(zip(cover.base.component_ids(), monodromy))
@@ -616,9 +596,9 @@ def cover_from_json(data) -> CoverDescriptor:
             for pair in pairs:
                 require(len(typed(pair, list, "mapping pair", code)) == 2,
                         code, f"mapping pair {pair!r} is not [label, image]")
-            g = Gluing.of_mapping(
+            g = Gluing(mapping=tuple(
                 {Perm.from_one_indexed(a): Perm.from_one_indexed(b)
-                 for a, b in pairs}, group)
+                 for a, b in pairs}.items()))
         gluings.setdefault(ci, {})[branch] = g
     ramification = {}
     for entry in typed(data.get("ramification", []), list, "ramification",

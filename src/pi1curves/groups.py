@@ -388,7 +388,7 @@ def sylow_subgroup(group: PermutationGroup, p: int) -> PermutationGroup:
                 mask = group.span(gens)
                 break
         else:  # cannot happen for a genuine group; guard anyway
-            raise DomainError("GROUP_TOO_LARGE", "sylow ascent stalled")
+            raise DomainError("INTERNAL_INVARIANT", "sylow ascent stalled")
     return PermutationGroup.from_generators([elements[i] for i in gens],
                                             group.degree)
 

@@ -384,7 +384,9 @@ def _nodal_cover_with_gluing(**gluing):
 # cover and script files of the wrong shape that used to end in a traceback
 # (mapping_pair_short among them), or to be read wrongly: class_index_* used
 # to reach build_descriptor and exit with POINT_NOT_FOUND, and constant_* to
-# be read as the transposition (1 2) and exit 0
+# be read as the transposition (1 2) and exit 0.  The last three are cover
+# files with wrong values: a group generator of another degree (from_generators
+# would drop it), monodromy on no component, and a map that repeats an image
 MALFORMED_COVER_INPUTS = {
     "monodromy_list": ("export-dot", "BAD_COVER_FILE", lambda: {
         **cover_to_json(build_descriptor(nodal_curve(5), catalog_group("S3"))),
@@ -406,6 +408,15 @@ MALFORMED_COVER_INPUTS = {
     "mapping_pair_short": ("export-dot", "BAD_COVER_FILE",
                            lambda: _nodal_cover_with_gluing(
                                mapping=[[[1, 2, 3, 4, 5, 6]]])),
+    "group_generator_degree": ("export-dot", "DEGREE_MISMATCH", lambda: {
+        **_nodal_cover_with_gluing(),
+        "group": {"degree": 3, "generators": [[1, 2]]}}),
+    "monodromy_unknown_component": ("export-dot", "POINT_NOT_FOUND", lambda: {
+        **_nodal_cover_with_gluing(), "monodromy": {"C9": [[2, 1, 3]]}}),
+    "mapping_image_repeated": ("export-dot", "FIBER_NOT_TORSOR",
+                               lambda: _nodal_cover_with_gluing(mapping=[
+                                   [g.to_one_indexed(), [1, 2, 3]]
+                                   for g in catalog_group("S3").elements()])),
 }
 
 

@@ -152,14 +152,17 @@ def test_glue_point_must_be_marked_and_smooth(label, expected):
             == (expected[0], ": ".join(expected))
 
 
-def test_monodromy_outside_the_group_is_not_galois():
-    # build_descriptor refuses it; a hand-built descriptor is not Galois
+def test_monodromy_outside_the_group_is_not_a_member():
+    # build_descriptor refuses it; on a hand-built descriptor is_galois
+    # raises as is_connected does
     S3, A3, flip = s3_and_a3()
     base = CurveConfiguration.build(5, [("C1", 1)], {"C1": ["a"]}, [])
     cover = build_descriptor(base, A3, monodromy={"C1": A3})
     assert is_galois(cover)
     outside = {"C1": subgroup_generated(S3, [flip])}
-    assert not is_galois(cover._replace(monodromy=outside))
+    with pytest.raises(DomainError) as err:
+        is_galois(cover._replace(monodromy=outside))
+    assert err.value.code == "NOT_A_MEMBER"
 
 
 def test_induce_and_transversal():
@@ -402,12 +405,20 @@ def glued_by(group, gluing):
 
 
 def test_hand_built_left_translation_is_galois():
+    # build_descriptor stores a left-translation mapping as its constant;
+    # a descriptor that keeps the mapping is Galois and tree-normalizes
+    # as the constant does
     for _, G in catalog_groups(12):
         elements = G.elements()
         for c in elements:
             pairs = tuple((x, c * x) for x in elements)
-            assert is_galois(glued_by(G, Gluing(mapping=pairs)))
-            assert Gluing.of_mapping(pairs, G) == Gluing(c)
+            constant = glued_by(G, Gluing(c))
+            assert glued_by(G, Gluing(mapping=pairs)) == constant
+            kept = constant._replace(
+                gluings={0: {P("C1", "1"): Gluing(mapping=pairs)}})
+            assert is_galois(kept)
+            assert normalize_spanning_tree(kept) \
+                == normalize_spanning_tree(constant)
 
 
 def test_hand_built_non_translation_is_not_galois():
@@ -417,6 +428,15 @@ def test_hand_built_non_translation_is_not_galois():
     c = next(g for g in S3.elements() if g.order() == 2)
     right = Gluing(mapping=tuple((x, x * c) for x in S3.elements()))
     assert not is_galois(glued_by(S3, right))
+    with pytest.raises(DomainError) as err:
+        normalize_spanning_tree(glued_by(S3, right))
+    assert err.value.code == "ACTION_NOT_EQUIVARIANT"
+    # a map that repeats an image is no bijection of the fibers
+    repeated = Gluing(mapping=tuple((x, c) for x in S3.elements()))
+    with pytest.raises(DomainError) as err:
+        glued_by(S3, repeated)
+    assert str(err.value) \
+        == "FIBER_NOT_TORSOR: gluing is not a bijection of the fibers"
     rng = random.Random(12)
     checked = 0
     for _, G in catalog_groups(12):
@@ -426,9 +446,10 @@ def test_hand_built_non_translation_is_not_galois():
             images = tuple(rng.sample(elements, len(elements)))
             if images in translations:
                 continue
-            pairs = tuple(zip(elements, images))
-            assert not is_galois(glued_by(G, Gluing(mapping=pairs)))
-            assert Gluing.of_mapping(pairs, G).constant is None
+            gluing = Gluing(mapping=tuple(zip(elements, images)))
+            cover = glued_by(G, gluing)
+            assert not is_galois(cover)
+            assert cover.gluings[0][P("C1", "1")] == gluing
             checked += 1
     assert checked > 100
 
@@ -835,8 +856,9 @@ def test_is_connected_error_codes_match_sheet_graph():
                           (bad_mapping, "FIBER_NOT_TORSOR"),
                           (bad_mapping._replace(
                               monodromy=bad_monodromy.monodromy),
-                           "NOT_A_MEMBER")):
-            for check in (is_connected, sheet_graph_dot):
+                           "NOT_A_MEMBER"),
+                          (cover._replace(gluings={}), "FIBER_NOT_TORSOR")):
+            for check in (is_connected, sheet_graph_dot, is_galois):
                 with pytest.raises(DomainError) as err:
                     check(bad)
                 assert err.value.code == code, (check, code, config)
@@ -900,10 +922,10 @@ def test_two_component_sheet_dot_pinned():
         {"A": ["l1", "l2", "x", "y"], "B": ["x", "y"]},
         [[P("A", "x"), P("B", "x")], [P("A", "l1"), P("A", "l2")],
          [P("A", "y"), P("B", "y")]])
-    swap = Gluing.of_mapping({x: x * flip for x in S3.elements()}, S3)
-    assert swap.constant is None
+    swap = Gluing(mapping=tuple((x, x * flip) for x in S3.elements()))
     cover = build_descriptor(
         config, S3, monodromy={"A": A3, "B": subgroup_generated(S3, [flip])},
         gluings={0: {P("B", "x"): flip}, 1: {P("A", "l2"): A3.generators[0]},
                  2: {P("B", "y"): swap}})
+    assert cover.gluings[2][P("B", "y")] == swap
     assert sheet_graph_dot(cover) == TWO_COMPONENT_SHEET_DOT

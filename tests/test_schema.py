@@ -38,8 +38,9 @@ SHAPES = [
 @st.composite
 def cover_json(draw):
     """A valid cover descriptor in its JSON form: any monodromy, licensed
-    by ramification on genus-0 components, and per branch a constant or a
-    label bijection."""
+    by ramification on genus-0 components, and per branch a constant, a
+    label bijection, or a raw mapping that build_descriptor reads: a label
+    bijection or a left translation."""
     group = draw(st.sampled_from(GROUPS))
     element = st.sampled_from(group.elements())
     ids, classes = draw(st.sampled_from(SHAPES))
@@ -54,13 +55,21 @@ def cover_json(draw):
             monodromy[comp.id] = subgroup_generated(group, gens)
             if comp.genus == 0 or draw(st.booleans()):
                 ramification[PointRef(comp.id, "r")] = tuple(gens)
-    gluings = {}
+    gluings, elements = {}, group.elements()
     for ci, cls in enumerate(config.identification_classes):
         for branch in cls.members[1:]:
             row = draw(st.permutations(range(group.order())))
-            gluings.setdefault(ci, {})[branch] = (
-                Gluing.of_row(row, group) if draw(st.booleans())
-                else Gluing(draw(element)))
+            form = draw(st.sampled_from(["row", "constant", "mapping"]))
+            if form == "row":
+                gluing = Gluing.of_row(row, group)
+            elif form == "constant":
+                gluing = Gluing(draw(element))
+            else:
+                c = draw(element)
+                images = [elements[j] for j in row] if draw(st.booleans()) \
+                    else [c * x for x in elements]
+                gluing = Gluing(mapping=tuple(zip(elements, images)))
+            gluings.setdefault(ci, {})[branch] = gluing
     cover = build_descriptor(config, group, monodromy, gluings, ramification)
     return json.loads(json.dumps(cover_to_json(cover)))
 
@@ -209,7 +218,13 @@ def run_file(tmp_path_factory):
 @SCHEMA
 @given(cover_json())
 def test_cover_round_trip(data):
-    assert cover_to_json(cover_from_json(copy.deepcopy(data))) == data
+    cover = cover_from_json(copy.deepcopy(data))
+    assert cover_to_json(cover) == data
+    # each gluing is in its canonical form: a left translation is a constant
+    for branches in cover.gluings.values():
+        for gluing in branches.values():
+            assert gluing == Gluing.of_row(gluing.row(cover.group),
+                                           cover.group)
 
 
 @SCHEMA
