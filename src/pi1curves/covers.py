@@ -6,9 +6,8 @@ orbits of left multiplication by the subgroup on the label set G), and
 one gluing per non-base branch of every identification class.  Fibers
 over identified points are G-torsors and the Galois action is RIGHT
 multiplication on labels.  A gluing f commutes with it, f(x*g) = f(x)*g,
-iff f is the LEFT translation x -> f(1)*x: an equivariant gluing is a
-left translation, and that one test (_is_translation) decides every
-Galois question here.
+iff f is the LEFT translation x -> f(1)*x, and that one test
+(_is_translation) decides every Galois question here.
 
 build_descriptor stores each gluing as Gluing.of_row reads its row: a
 left translation as its constant c (lambda -> c*lambda), any other
@@ -19,14 +18,15 @@ no bijection of G is FIBER_NOT_TORSOR); is_galois tests its rows.
 Every check runs on element positions (PermutationGroup.index, its
 multiplication rows and span masks), not on Perm products: membership
 of a label, an inertia generator or a subgroup is read off the element
-index, descend() decodes a cover relation into positions, and
-connectivity is one orbit (is_connected): by the free-product structure
-of pi_1, a cover, Galois or not, is connected iff its monodromy and
-gluing rows, moved to one fiber along the spanning tree, act
-transitively on the labels.  The test suite checks it against
-union-find over the sheet graph, and the bases that gluing and descent
-build against curves.identify.  Perm stays the type of labels at the
-API and JSON boundary.
+index, a prepared descent decodes each cover relation into positions
+(descent(cover, base_relation) does the work that depends only on the
+base relation once; descend is one call of it), and connectivity is one
+orbit (is_connected): by the free-product structure of pi_1, a cover,
+Galois or not, is connected iff its monodromy and gluing rows, moved to
+one fiber along the spanning tree, act transitively on the labels.  The
+test suite checks it against union-find over the sheet graph, and the
+bases that gluing and descent build against curves.identify.  Perm
+stays the type of labels at the API and JSON boundary.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import NamedTuple
 from .catalog import catalog_group, group_from_json, group_to_json
 from .curves import (CurveConfiguration, IdentificationClass, PointRef,
                      dual_graph, is_connected as config_connected,
-                     require_valid)
+                     require_valid, validate)
 from .errors import DomainError, fields, require, typed
 from .groups import PermutationGroup, orbit, subgroup_positions
 from .perms import Perm, compose, invert
@@ -67,21 +67,21 @@ class Gluing(NamedTuple):
 
     def row(self, group: PermutationGroup):
         """The gluing on element positions, or None when it is not a
-        bijection of G (a constant or a label outside G)."""
+        bijection of G (a label outside G, or neither field is set)."""
         index = group.index()
         if self.constant is not None:
             c = index.get(self.constant.images)
             return None if c is None else group.left_row(c)
-        return _bijection_row(self.mapping, index)
+        return _bijection_row(self.mapping or (), index)
 
 
 def _bijection_row(items, index):
     """Positions of the images of a label map given as (label, image)
-    items, or None unless it is a bijection of the indexed group."""
+    items, or None unless they are |G| items that biject G, each once."""
     row = [None] * len(index)
     for a, b in items:
         i, j = index.get(a.images), index.get(b.images)
-        if i is None or j is None:
+        if i is None or j is None or row[i] is not None:
             return None
         row[i] = j
     if None in row or len(set(row)) != len(row):
@@ -307,21 +307,25 @@ def _check_glue(group: PermutationGroup, parts, positions=()):
             _check_smooth_fiber_point(cover.base, ref)
 
 
-def _join(cover: CoverDescriptor, relation, glue) -> CoverDescriptor:
-    """The cover with each point set of relation appended as a new class,
-    in relation order; glue(branch) is the gluing at each new non-base
-    branch.  Callers guarantee each set has at least two points, each a
-    marked, smooth, not removed point of the base in no class, and that
-    the sets are pairwise disjoint; only the base is validated here."""
-    require_valid(cover.base)
+def _join(cover: CoverDescriptor, relation):
+    """The function glue -> the cover with fresh dicts, each point set of
+    relation appended as a class (in order) and glue(branch) at each new
+    branch; INVALID_CONFIG on an invalid base.  Callers check the sets:
+    pairwise disjoint, of 2+ marked smooth points, none removed."""
+    violations = validate(cover.base)
     old = cover.base.identification_classes
     added = tuple(IdentificationClass.of(s) for s in relation)
-    gluings = {ci: dict(b) for ci, b in cover.gluings.items()}
-    for ci, cls in enumerate(added, len(old)):
-        gluings[ci] = {branch: glue(branch) for branch in cls.members[1:]}
-    return CoverDescriptor(
-        cover.base._replace(identification_classes=old + added), cover.group,
-        dict(cover.monodromy), gluings, dict(cover.ramification))
+    base = cover.base._replace(identification_classes=old + added)
+
+    def join(glue) -> CoverDescriptor:
+        require(not violations, "INVALID_CONFIG", repr(violations))
+        gluings = {ci: dict(b) for ci, b in cover.gluings.items()}
+        for ci, cls in enumerate(added, len(old)):
+            gluings[ci] = {branch: glue(branch) for branch in cls.members[1:]}
+        return CoverDescriptor(base, cover.group, dict(cover.monodromy),
+                               gluings, dict(cover.ramification))
+
+    return join
 
 
 def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
@@ -344,7 +348,7 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
     # label x over y1 is matched with label gamma*x over y2; the new class
     # is {y1, y2}, so its base branch is min(y1, y2)
     gluing = Gluing(gamma if y1 < y2 else gamma.inverse)
-    return _join(induce(base_cover, ambient), [{y1, y2}], lambda _: gluing)
+    return _join(induce(base_cover, ambient), [{y1, y2}])(lambda _: gluing)
 
 
 def glue_two_components(group: PermutationGroup,
@@ -366,8 +370,7 @@ def glue_two_components(group: PermutationGroup,
             f"{c2.characteristic}")
 
     merged = CurveConfiguration(
-        c1.characteristic,
-        c1.components + c2.components,
+        c1.characteristic, c1.components + c2.components,
         {**c1.points, **c2.points},
         c1.identification_classes + c2.identification_classes,
         c1.removed_points | c2.removed_points)
@@ -378,104 +381,108 @@ def glue_two_components(group: PermutationGroup,
         merged, group, {**cover1.monodromy, **cover2.monodromy}, gluings,
         {**cover1.ramification, **cover2.ramification})
     gluing = Gluing(Perm.identity(group.degree))
-    return _join(disjoint, [{y1, y2}], lambda _: gluing)
+    return _join(disjoint, [{y1, y2}])(lambda _: gluing)
 
 
 # -- descent ----------------------------------------------------------------
 
 def descend(cover: CoverDescriptor, base_relation, cover_relation,
             require_galois: bool = True) -> CoverDescriptor:
-    """Quotient a cover by compatible identifications up and downstairs.
+    """Quotient a cover by compatible identifications up and downstairs."""
+    return descent(cover, base_relation)(cover_relation, require_galois)
+
+
+def descent(cover: CoverDescriptor, base_relation):
+    """descend, prepared once per base relation (the base classes sorted,
+    their points checked and given slots, the joined base built): the
+    function (cover_relation, require_galois=True) -> CoverDescriptor,
+    which raises what descend raises, in the same order.
 
     base_relation: nontrivial classes of base points (sets of PointRef).
     cover_relation: nontrivial classes of cover points ((PointRef, label)
-    pairs).  Checks: the cover relation lies over the base relation; each
-    base class's full fiber is partitioned into classes of the same size
-    with exactly one point per branch; and (when require_galois) the right
-    G-action permutes the cover classes.
-    One pass decodes every cover class into label positions (condition
-    (1)); then each base class is checked once and its gluing rows read
-    off (condition (2)).  A row equal to the left row of its first entry
-    is a translation, hence a bijection, and becomes a constant gluing at
-    once; only other rows run the overlap check and Gluing.of_row.  New
-    classes follow the base's, in relation order.
+    pairs).  Checks: the cover relation lies over the base relation (1);
+    each base class's full fiber is partitioned into classes of the same
+    size with exactly one point per branch (2); and (when require_galois)
+    the right G-action permutes the cover classes.
     """
-    config = cover.base
+    config, group = cover.base, cover.group
     base_classes = [sorted(set(c)) for c in base_relation]
-    cover_relation = list(cover_relation)
-    require(base_classes and cover_relation, "BAD_PARTITION",
-            "both relations must have nontrivial classes")
-    for cls in base_classes:
-        require(len(cls) >= 2, "BAD_PARTITION", "base class of size < 2")
-        for ref in cls:
-            _check_smooth_fiber_point(config, ref)
     # a cover point (ref, label) is the pair (slot of ref, label position):
     # slot[ref] = (base class index, place of ref in its sorted class)
-    slot = {}
-    for i, cls in enumerate(base_classes):
-        for k, ref in enumerate(cls):
-            if ref in slot:
-                raise DomainError("BAD_PARTITION",
-                                  f"{ref} in two base classes")
-            slot[ref] = (i, k)
-    group = cover.group
-    index, elements = group.index(), group.elements()
-    n = len(index)
+    slot, refused, join = {}, None, _join(cover, base_classes)
+    try:
+        for cls in base_classes:
+            require(len(cls) >= 2, "BAD_PARTITION", "base class of size < 2")
+            for ref in cls:
+                _check_smooth_fiber_point(config, ref)
+        for i, cls in enumerate(base_classes):
+            for k, ref in enumerate(cls):
+                if ref in slot:
+                    raise DomainError("BAD_PARTITION",
+                                      f"{ref} in two base classes")
+                slot[ref] = (i, k)
+        index, elements = group.index(), group.elements()
+        n = len(index)
+    except DomainError as exc:
+        refused = exc
 
-    # condition (1): the relation downstairs is preserved.  Each cover
-    # class becomes a map place -> label position, filed under its base
-    # class i (None with no pairs, -1 off one base class), or {} unless it
-    # has one label in G on each place it touches.
-    by_base = [[] for _ in base_classes]
-    for c in cover_relation:
-        i, labels, one_each = None, {}, True
-        for ref, x in c:
-            j, k = slot.get(ref, (-1, 0))
-            if j != i:
-                i = j if i is None else -1
-            label = index.get(x.images)
-            if label is None or labels.setdefault(k, label) != label:
-                one_each = False
-        if i is None or i < 0:
-            raise DomainError(
-                "RELATION_NOT_PRESERVED",
-                "a cover class does not lie over a single base class")
-        by_base[i].append(labels if one_each else {})
+    def apply(cover_relation, require_galois=True) -> CoverDescriptor:
+        cover_relation = list(cover_relation)
+        require(base_classes and cover_relation, "BAD_PARTITION",
+                "both relations must have nontrivial classes")
+        if refused:  # a bad base relation, after an empty relation
+            raise refused.with_traceback(None)
 
-    # condition (2): each fiber is partitioned by n classes with one point
-    # per branch; with distinct labels on every branch they are the graphs
-    # of bijections of the fibers: the label over a non-base branch is
-    # row[label over the base branch].
-    gluings = {}
-    for cls, classes in zip(base_classes, by_base):
-        require(set(map(len, classes)) <= {len(cls)}, "BAD_PARTITION",
-                "a cover class does not have one point in G on each branch")
-        if len(classes) != n:  # the message is formatted only on failure
-            raise DomainError("BAD_PARTITION",
-                              f"{len(classes)} cover classes over a base "
-                              f"class, not |G| = {n}")
-        base = [c[0] for c in classes]
-        require(len(set(base)) == n, "BAD_PARTITION", "cover classes overlap")
-        for k, branch in enumerate(cls[1:], 1):
-            row = [0] * n
-            for x, c in zip(base, classes):
-                row[x] = c[k]
-            row = tuple(row)
-            if _is_translation(group, row):  # a left row is a bijection
-                gluings[branch] = Gluing(elements[row[0]])
-            else:
-                require(len(set(row)) == n, "BAD_PARTITION",
-                        "cover classes overlap")
-                gluings[branch] = Gluing.of_row(row, group)
+        # condition (1), in one pass: each cover class becomes a map place
+        # -> label position, filed under its base class i (None with no
+        # pairs, -1 off one), or {} unless it has one label in G per place
+        by_base = [[] for _ in base_classes]
+        for c in cover_relation:
+            i, labels, one_each = None, {}, True
+            for ref, x in c:
+                j, k = slot.get(ref, (-1, 0))
+                if j != i:
+                    i = j if i is None else -1
+                label = index.get(x.images)
+                if label is None or labels.setdefault(k, label) != label:
+                    one_each = False
+            require(i is not None and i >= 0, "RELATION_NOT_PRESERVED",
+                    "a cover class does not lie over a single base class")
+            by_base[i].append(labels if one_each else {})
 
-    # the right action moves the class through base label x to the class
-    # through x*g, so it permutes the classes iff every row is a left
-    # translation
-    require(not require_galois
-            or all(g.constant is not None for g in gluings.values()),
-            "ACTION_NOT_EQUIVARIANT",
-            "right action does not permute the cover classes")
-    return _join(cover, base_classes, gluings.__getitem__)
+        # condition (2), base class by base class: n classes with distinct
+        # labels on every branch are the graphs of bijections of the
+        # fibers, the label over a branch is row[label over the base's];
+        # a left row is a bijection and at once a constant gluing
+        gluings, galois = {}, True
+        for cls, classes in zip(base_classes, by_base):
+            require(set(map(len, classes)) <= {len(cls)}, "BAD_PARTITION",
+                    "a cover class does not have one point in G on each "
+                    "branch")
+            if len(classes) != n:  # the message is formatted only on failure
+                raise DomainError("BAD_PARTITION", f"{len(classes)} cover "
+                                  f"classes over a base class, not |G| = {n}")
+            base = [c[0] for c in classes]
+            require(len(set(base)) == n, "BAD_PARTITION",
+                    "cover classes overlap")
+            through = invert(base)  # base label -> its class
+            for k, branch in enumerate(cls[1:], 1):
+                row = compose([c[k] for c in classes], through)
+                if _is_translation(group, row):  # a left row is a bijection
+                    gluings[branch] = Gluing(elements[row[0]])
+                else:
+                    require(len(set(row)) == n, "BAD_PARTITION",
+                            "cover classes overlap")
+                    gluings[branch] = Gluing.of_row(row, group)
+                    galois = False
+
+        # the right action moves the class through base label x to the
+        # one through x*g: it permutes them iff every row is a left row
+        require(galois or not require_galois, "ACTION_NOT_EQUIVARIANT",
+                "right action does not permute the cover classes")
+        return join(gluings.__getitem__)
+
+    return apply
 
 
 # -- spanning-tree normal form ---------------------------------------------
@@ -596,9 +603,8 @@ def cover_from_json(data) -> CoverDescriptor:
             for pair in pairs:
                 require(len(typed(pair, list, "mapping pair", code)) == 2,
                         code, f"mapping pair {pair!r} is not [label, image]")
-            g = Gluing(mapping=tuple(
-                {Perm.from_one_indexed(a): Perm.from_one_indexed(b)
-                 for a, b in pairs}.items()))
+            g = Gluing(mapping=tuple(tuple(map(Perm.from_one_indexed, pair))
+                                     for pair in pairs))
         gluings.setdefault(ci, {})[branch] = g
     ramification = {}
     for entry in typed(data.get("ramification", []), list, "ramification",

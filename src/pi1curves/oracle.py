@@ -14,9 +14,10 @@ through the descent construction and compares it with direct gluing.
 Both loops redo per tuple only what depends on the tuple.  Each builds
 one validated template, build_descriptor(config, group), and swaps the
 free-edge constants into a copy of its gluings (_descriptor_for); the
-descent check builds each branch's column of (branch, label) pairs once
-and reads each tuple's cover classes through the gluing rows
-(_induced_relations).
+descent check prepares one covers.descent over the base relation, which
+checks the base points and builds the joined base once, builds each
+branch's column of (branch, label) pairs once, and reads each tuple's
+cover classes through the gluing rows (_induced_relations).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 from typing import NamedTuple
 
 from .catalog import catalog_groups
-from .covers import (Gluing, build_descriptor, descend,
+from .covers import (Gluing, build_descriptor, descent,
                      is_connected as cover_connected, spanning_tree)
 from .curves import (CurveConfiguration, PointRef, delta,
                      require_projective, strip_identifications)
@@ -130,28 +131,28 @@ def census_report(entries) -> str:
 
 
 def _induced_relations(config, group):
-    """The base and cover relations that rebuild config's classes from the
-    stripped configuration, given per-branch constants already stored in a
-    descriptor built on config.  Each branch's column of (branch, label)
-    pairs, one per element, is built once; the n cover classes over a
-    class zip the base branch's column with each other branch's column
-    read through its gluing row."""
+    """The base relation that rebuilds config's classes from the stripped
+    configuration, and the function from per-branch constants already
+    stored in a descriptor built on config to the cover relation.  Each
+    branch's column of (branch, label) pairs, one per element, is built
+    once; the n cover classes over a class zip the base branch's column
+    with each other branch's column read through its gluing row."""
     elements = group.elements()
     base_rel = [set(cls.members) for cls in config.identification_classes]
     columns = [{branch: [(branch, x) for x in elements]
                 for branch in cls.members}
                for cls in config.identification_classes]
 
-    def relations(gluings):
+    def cover_relation(gluings):
         cover_rel = []
         for ci, cls in enumerate(config.identification_classes):
             column = columns[ci]
             cover_rel.extend(zip(column[cls.base_branch], *(
                 compose(column[branch], gluings[ci][branch].row(group))
                 for branch in cls.members[1:])))
-        return base_rel, cover_rel
+        return cover_rel
 
-    return relations
+    return base_rel, cover_relation
 
 
 class DescentReport(NamedTuple):
@@ -166,44 +167,37 @@ class DescentReport(NamedTuple):
 
 def cross_check_descent(group: PermutationGroup,
                         config: CurveConfiguration) -> DescentReport:
-    """Rebuild every enumerated cover through descend() and require
-    descriptor equality with the direct gluing path (equal descriptors
+    """Rebuild every enumerated cover through one prepared descent() and
+    require descriptor equality with the direct gluing path (equal descriptors
     are equally connected, and the direct one's gluings are constants, so
     an equal one is Galois); also verify that a corrupted cover relation
     is rejected."""
     free_edges = require_enumerable(group, config)
-    stripped = strip_identifications(config)
-    base_cover = build_descriptor(stripped, group)
+    base_rel, cover_relation = _induced_relations(config, group)
+    descend = descent(build_descriptor(strip_identifications(config), group),
+                      base_rel)
     template = build_descriptor(config, group)
-    relations_of = _induced_relations(config, group)
     elements = group.elements()
 
-    checked = 0
-    mismatches = []
-    rejected = 0
+    checked, mismatches, rejected = 0, [], 0
     for constants in itertools.product(elements, repeat=len(free_edges)):
         direct = _descriptor_for(template, free_edges, constants)
-        base_rel, cover_rel = relations_of(direct.gluings)
-        descended = descend(base_cover, base_rel, cover_rel)
         checked += 1
-        if descended != direct:
+        if descend(cover_relation(direct.gluings)) != direct:
             mismatches.append([c.to_one_indexed() for c in constants])
 
     # negative control: corrupt one cover class and expect a rejection
     if len(elements) > 2:
-        direct = _descriptor_for(template, free_edges,
-                                 (elements[0],) * len(free_edges))
-        base_rel, cover_rel = relations_of(direct.gluings)
         a, b = elements[1], elements[2]
         cls = config.identification_classes[0]
         corrupted = []
-        for pairs in cover_rel:
+        for pairs in cover_relation(template.gluings):
             labels = dict(pairs)
             if labels.get(cls.base_branch) == a:
-                labels[cls.members[1]] = b  # direct glues by the identity
+                labels[cls.members[1]] = b  # the template glues by 1
             corrupted.append({(ref, x) for ref, x in labels.items()})
         try:
-            descend(base_cover, base_rel, corrupted)
+            descend(corrupted)
         except DomainError as exc:
             if exc.code in ("BAD_PARTITION", "ACTION_NOT_EQUIVARIANT"):
                 rejected += 1

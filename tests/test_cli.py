@@ -384,9 +384,10 @@ def _nodal_cover_with_gluing(**gluing):
 # cover and script files of the wrong shape that used to end in a traceback
 # (mapping_pair_short among them), or to be read wrongly: class_index_* used
 # to reach build_descriptor and exit with POINT_NOT_FOUND, and constant_* to
-# be read as the transposition (1 2) and exit 0.  The last three are cover
+# be read as the transposition (1 2) and exit 0.  The last four are cover
 # files with wrong values: a group generator of another degree (from_generators
-# would drop it), monodromy on no component, and a map that repeats an image
+# would drop it), monodromy on no component, a map that repeats an image, and
+# a map that lists a label twice (once read as its last pair and exit 0)
 MALFORMED_COVER_INPUTS = {
     "monodromy_list": ("export-dot", "BAD_COVER_FILE", lambda: {
         **cover_to_json(build_descriptor(nodal_curve(5), catalog_group("S3"))),
@@ -416,6 +417,11 @@ MALFORMED_COVER_INPUTS = {
     "mapping_image_repeated": ("export-dot", "FIBER_NOT_TORSOR",
                                lambda: _nodal_cover_with_gluing(mapping=[
                                    [g.to_one_indexed(), [1, 2, 3]]
+                                   for g in catalog_group("S3").elements()])),
+    "mapping_label_repeated": ("export-dot", "FIBER_NOT_TORSOR",
+                               lambda: _nodal_cover_with_gluing(mapping=[
+                                   [[1, 2, 3], [1, 3, 2]]] + [
+                                   [g.to_one_indexed()] * 2
                                    for g in catalog_group("S3").elements()])),
 }
 

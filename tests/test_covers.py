@@ -10,6 +10,7 @@ from pi1curves.covers import (
     cover_from_json,
     cover_to_json,
     descend,
+    descent,
     dual_graph_dot,
     glue_same_component,
     glue_two_components,
@@ -454,6 +455,25 @@ def test_hand_built_non_translation_is_not_galois():
     assert checked > 100
 
 
+def test_gluing_without_constant_or_mapping_is_not_a_torsor():
+    # Gluing() and a mapping that lists a label twice identify no fiber
+    # with the other: every reader raises FIBER_NOT_TORSOR, not TypeError
+    S3 = catalog_group("S3")
+    e, x = S3.elements()[:2]
+    twice = Gluing(mapping=((e, x),) + tuple((g, g) for g in S3.elements()))
+    for gluing in (Gluing(), Gluing(mapping=()), twice):
+        with pytest.raises(DomainError) as err:
+            glued_by(S3, gluing)
+        assert str(err.value) \
+            == "FIBER_NOT_TORSOR: gluing is not a bijection of the fibers"
+        cover = glued_by(S3, Gluing(e))._replace(
+            gluings={0: {P("C1", "1"): gluing}})
+        for check in (is_connected, is_galois, sheet_graph_dot):
+            with pytest.raises(DomainError) as err:
+                check(cover)
+            assert err.value.code == "FIBER_NOT_TORSOR", check
+
+
 # -- descent ----------------------------------------------------------------
 
 def cyclic_cover_two_points():
@@ -571,6 +591,9 @@ def _descent_case(name):
         7, [("C1", 1)], {"C1": ["a", "b", "c", "d", "r"]}, [],
         removed=[P("C1", "r")])
     cover = build_descriptor(base, C3, monodromy={"C1": C3})
+    if name.startswith("invalid_config"):  # then the row's other defect
+        cover = cover._replace(base=base._replace(characteristic=4))
+        name = name[len("invalid_config_"):]
     a, b, c, d = (P("C1", s) for s in "abcd")
     e, x, y = C3.elements()  # y = x*x
     outside = Perm.from_cycles(3, [(1, 2)])
@@ -616,6 +639,8 @@ def _descent_case(name):
         base_rel = [{a, b}, {c, P("C1", "r")}]
     elif name == "empty_cover_relation":
         rel = []
+    elif name == "empty_cover_relation_over_bad_base":
+        base_rel, rel = [{a, b}, {c, P("C1", "r")}], []
     return cover, base_rel, rel, galois
 
 
@@ -624,6 +649,9 @@ BAD_ONE_EACH = ("BAD_PARTITION",
 NOT_OVER_ONE = ("RELATION_NOT_PRESERVED",
                 "a cover class does not lie over a single base class")
 OVERLAP = ("BAD_PARTITION", "cover classes overlap")
+EMPTY = ("BAD_PARTITION", "both relations must have nontrivial classes")
+NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
+                   "right action does not permute the cover classes")
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -637,8 +665,7 @@ OVERLAP = ("BAD_PARTITION", "cover classes overlap")
                      "2 cover classes over a base class, not |G| = 3")),
     ("repeated_base_label", OVERLAP),
     ("repeated_branch_label", OVERLAP),
-    ("non_translation", ("ACTION_NOT_EQUIVARIANT",
-                         "right action does not permute the cover classes")),
+    ("non_translation", NOT_EQUIVARIANT),
     ("non_translation_accepted", "mapping"),
     ("non_perm_label", AttributeError),
     ("repeated_pair_in_list", "constant"),
@@ -652,22 +679,44 @@ OVERLAP = ("BAD_PARTITION", "cover classes overlap")
     ("overlapping_base_classes", ("BAD_PARTITION",
                                   f"{P('C1', 'b')} in two base classes")),
     ("removed_base_point", ("OVERLAP_WITH_REMOVED", str(P("C1", "r")))),
-    ("empty_cover_relation", ("BAD_PARTITION",
-                              "both relations must have nontrivial classes")),
+    ("empty_cover_relation", EMPTY),
+    # the empty relation is refused before the base relation is read
+    ("empty_cover_relation_over_bad_base", EMPTY),
+    # an invalid base configuration is refused after every relation error
+    ("invalid_config", ("INVALID_CONFIG",
+                        "[('BAD_CHARACTERISTIC', '4 is not prime or 0')]")),
+    ("invalid_config_removed_base_point",
+     ("OVERLAP_WITH_REMOVED", str(P("C1", "r")))),
+    ("invalid_config_missing_branch_then_unknown_ref", NOT_OVER_ONE),
+    ("invalid_config_wrong_count", ("BAD_PARTITION",
+                                    "2 cover classes over a base class, "
+                                    "not |G| = 3")),
+    ("invalid_config_non_translation", NOT_EQUIVARIANT),
+    ("invalid_config_non_translation_accepted",
+     ("INVALID_CONFIG", "[('BAD_CHARACTERISTIC', '4 is not prime or 0')]")),
+    ("invalid_config_empty_cover_relation_over_bad_base", EMPTY),
 ])
 def test_descend_failure_table(name, expected):
+    # descend, and one descent prepared for the base relation and applied
+    # twice, answer alike
     cover, base_rel, rel, galois = _descent_case(name)
+    prepared = descent(cover, base_rel)
+    calls = [lambda: descend(cover, base_rel, rel, require_galois=galois),
+             lambda: prepared(rel, require_galois=galois)]
     if expected is AttributeError:
-        with pytest.raises(AttributeError):
-            descend(cover, base_rel, rel, require_galois=galois)
+        for call in calls + calls[1:]:
+            with pytest.raises(AttributeError):
+                call()
         return
     if isinstance(expected, tuple):
-        with pytest.raises(DomainError) as err:
-            descend(cover, base_rel, rel, require_galois=galois)
-        assert (err.value.code, str(err.value)) \
-            == (expected[0], ": ".join(expected))
+        for call in calls + calls[1:]:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert (err.value.code, str(err.value)) \
+                == (expected[0], ": ".join(expected))
         return
     out = descend(cover, base_rel, rel, require_galois=galois)
+    assert prepared(rel, require_galois=galois) == out
     e, x, y = cover.group.elements()
     a, b, c, d = (P("C1", s) for s in "abcd")
     glued = out.gluings[0][b]
@@ -678,6 +727,64 @@ def test_descend_failure_table(name, expected):
     assert out.gluings[1] == {d: Gluing(e)}
     assert [cls.members for cls in out.base.identification_classes] \
         == [(a, b), (c, d)]
+
+
+def test_prepared_descent_equals_descend():
+    # one descent per cover and base relation, applied to many random
+    # cover relations (translations, other bijections, defects; with and
+    # without require_galois), gives what descend gives each time, and no
+    # two results, nor a result and the cover, share a mutable dict
+    rng = random.Random(25)
+    labels = [str(i) for i in range(7)]
+    config = CurveConfiguration.build(
+        5, [("C1", 1), ("C2", 0)], {"C1": labels, "C2": ["x", "y"]},
+        [[P("C1", "0"), P("C2", "x")]])
+    free = [P("C1", s) for s in labels[1:]] + [P("C2", "y")]
+    outcomes = set()
+    for name in ("C2", "C3", "C2xC2", "S3", "D4", "Q8", "A4"):
+        G = catalog_group(name)
+        elements = G.elements()
+        cover = build_descriptor(config, G, monodromy={"C1": G})
+        for _ in range(3):
+            rng.shuffle(free)
+            base_rel = [set(free[:2]), set(free[2:5])]
+            prepared = descent(cover, base_rel)
+            results = [cover]
+            for _ in range(8):
+                cover_rel = []
+                for cls in base_rel:
+                    root, *branches = sorted(cls)
+                    images = []
+                    for _ in branches:
+                        if rng.random() < 0.7:
+                            c = rng.choice(elements)
+                            images.append([c * x for x in elements])
+                        else:
+                            images.append(rng.sample(elements, len(elements)))
+                    cover_rel += [{(root, x)} | {(r, im[i]) for r, im
+                                                 in zip(branches, images)}
+                                  for i, x in enumerate(elements)]
+                if rng.random() < 0.2:
+                    del cover_rel[rng.randrange(len(cover_rel))]
+                rng.shuffle(cover_rel)
+                galois = rng.random() < 0.5
+                try:
+                    expected = descend(cover, base_rel, cover_rel, galois)
+                except DomainError as exc:
+                    with pytest.raises(DomainError) as err:
+                        prepared(cover_rel, galois)
+                    assert str(err.value) == str(exc)
+                    outcomes.add(exc.code)
+                    continue
+                out = prepared(cover_rel, galois)
+                assert out == expected
+                outcomes.add(is_galois(out))
+                results.append(out)
+            dicts = [d for out in results for d in (
+                out.monodromy, out.gluings, out.ramification,
+                *out.gluings.values())]
+            assert len({id(d) for d in dicts}) == len(dicts)
+    assert outcomes == {True, False, "BAD_PARTITION", "ACTION_NOT_EQUIVARIANT"}
 
 
 # -- normal form and connectivity ---------------------------------------------

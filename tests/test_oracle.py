@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pi1curves import oracle
+from pi1curves import covers, oracle
 from pi1curves.catalog import catalog_group, catalog_groups
 from pi1curves.covers import Gluing, build_descriptor, spanning_tree
 from pi1curves.curves import (CurveConfiguration, PointRef, delta, factorize,
@@ -113,27 +113,58 @@ def test_cross_check_descent():
 
 @pytest.mark.parametrize("part", ["gluing", "monodromy"])
 def test_cross_check_descent_lists_mismatches(monkeypatch, part):
-    # descend changes one gluing constant, or the monodromy group, of the
-    # cover it builds for the tuple (target,); only that tuple mismatches
+    # the prepared descent changes one gluing constant, or the monodromy
+    # group, of the cover it builds for the tuple (target,); only that
+    # tuple mismatches
     G = catalog_group("S3")
     elements = G.elements()
     target = elements[1]
-    real_descend = oracle.descend
+    real_descent = oracle.descent
 
-    def descend(*args):
-        cover = real_descend(*args)
-        (branch, gluing), = cover.gluings[0].items()
-        if gluing.constant != target:
-            return cover
-        if part == "gluing":
-            return cover._replace(gluings={0: {branch: Gluing(elements[2])}})
-        return cover._replace(monodromy={"C1": G})
+    def descent(*prepared):
+        apply = real_descent(*prepared)
 
-    monkeypatch.setattr(oracle, "descend", descend)
+        def descend(*args):
+            cover = apply(*args)
+            (branch, gluing), = cover.gluings[0].items()
+            if gluing.constant != target:
+                return cover
+            if part == "gluing":
+                return cover._replace(
+                    gluings={0: {branch: Gluing(elements[2])}})
+            return cover._replace(monodromy={"C1": G})
+
+        return descend
+
+    monkeypatch.setattr(oracle, "descent", descent)
     report = cross_check_descent(G, nodal_curve(5))
     assert report.checked == 6
     assert report.mismatches == ([target.to_one_indexed()],)
     assert report.negative_controls_rejected == 1
+
+
+def test_cross_check_descent_checks_base_points_once(monkeypatch):
+    # the descent is prepared once per cross-check: each base point is
+    # checked once, however many tuples (|G|^delta) are descended
+    calls = []
+    real_check = covers._check_smooth_fiber_point
+
+    def check(config, ref):
+        calls.append(ref)
+        return real_check(config, ref)
+
+    monkeypatch.setattr(covers, "_check_smooth_fiber_point", check)
+    for name, config, tuples in (("C2", nodal_curve(5), 2),
+                                 ("S3", nodal_curve(5), 6),
+                                 ("C2", two_node_curve(5), 4),
+                                 ("S3", two_node_curve(5), 36),
+                                 ("D4", two_node_curve(5), 64)):
+        calls.clear()
+        report = cross_check_descent(catalog_group(name), config)
+        assert report.ok and report.checked == tuples, name
+        assert sorted(calls) == sorted(
+            ref for cls in config.identification_classes
+            for ref in cls.members), name
 
 
 def test_template_matches_validating_constructor():
