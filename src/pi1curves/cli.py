@@ -70,7 +70,8 @@ def cmd_realizable(args):
     # looked up per call, so that a wrapped rule is the one called
     rule = getattr(realizability, f"{args.mode}_realizable")
     payload = rule(group, p, config).to_json()
-    payload["randomized"] = False  # every d(G) here is confirmed exhaustively
+    # exact d(G): a level search, or a σ bound met by a generating tuple
+    payload["randomized"] = False
     _emit(payload, args.pretty)
     return 0
 

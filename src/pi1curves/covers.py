@@ -439,13 +439,17 @@ def descent(cover: CoverDescriptor, base_relation):
         by_base = [[] for _ in base_classes]
         for c in cover_relation:
             i, labels, one_each = None, {}, True
-            for ref, x in c:
-                j, k = slot.get(ref, (-1, 0))
-                if j != i:
-                    i = j if i is None else -1
-                label = index.get(x.images)
-                if label is None or labels.setdefault(k, label) != label:
-                    one_each = False
+            try:
+                for ref, x in c:  # x not a Perm: no images, so not in G
+                    j, k = slot.get(ref, (-1, 0))
+                    if j != i:
+                        i = j if i is None else -1
+                    label = index.get(getattr(x, "images", None))
+                    if label is None or labels.setdefault(k, label) != label:
+                        one_each = False
+            except ValueError:  # an item that is not a pair
+                raise DomainError("BAD_PARTITION", "a cover point is not a "
+                                  "(PointRef, label) pair") from None
             require(i is not None and i >= 0, "RELATION_NOT_PRESERVED",
                     "a cover class does not lie over a single base class")
             by_base[i].append(labels if one_each else {})

@@ -22,9 +22,9 @@ elements(), one compose per row), and a subgroup is an int bitmask over
 those positions (span), so the subset test is a & ~b == 0 and the order
 is a.bit_count().  On the index run the cover calculus, Sylow subgroups,
 normal closures, quotients, sigma(G), and one level-by-level join search
-over subgroups (_subgroup_levels) that gives both d(G) and the subgroup
-lattice behind Moebius/Eulerian counting; they raise GROUP_TOO_LARGE
-above their bound and build no chain for the groups they list.
+over subgroups (_subgroup_levels) behind the lattice, Moebius/Eulerian
+counting and d(G), which a sigma bound met by a generating tuple can cut
+short; they raise GROUP_TOO_LARGE above their bound and build no chain.
 """
 
 from __future__ import annotations
@@ -473,24 +473,34 @@ def _subgroup_levels(group: PermutationGroup):
 
 
 def min_generators(group: PermutationGroup, seed: int = 0) -> int:
-    """d(G): the minimal number of generators, the first level of
-    _subgroup_levels that holds G; raises GROUP_TOO_LARGE above
-    MIN_GEN_BOUND.  Between levels, 64 seeded probes try k+1 random
-    elements: once level k is exhausted, a probe that generates G is
-    conclusive."""
+    """d(G), exact for every seed; GROUP_TOO_LARGE above MIN_GEN_BOUND.
+    Level k of _subgroup_levels exhausted proves d > k, and a generating
+    probe (of 64 seeded (k+1)-tuples) then proves d = k+1.  If the pair
+    probes fail, d >= L = max σ_p(G) over the primes p^3 | |G| (σ_p <=
+    v_p(|G|)), so when L > 2 a generating L-tuple probe proves d = L."""
     order = len(group.elements(MIN_GEN_BOUND))
     if order == 1:
         return 0
     full = (1 << order) - 1
     nontrivial = range(1, order)  # the identity is position 0
     rng = Random(seed)
+
+    def probes(size):
+        return (group.span([rng.choice(nontrivial) for _ in range(size)])
+                for _ in range(64))
+
     for k, level in enumerate(_subgroup_levels(group), 1):
         if full in level:
             return k
-        probes = (group.span([rng.choice(nontrivial) for _ in range(k + 1)])
-                  for _ in range(64))
-        if full in probes:
+        if full in probes(k + 1):
             return k + 1
+        if k == 1:  # the σ bound, once, before level 2 is built
+            sigma = max((abelianization_p_rank(group, p)
+                         for p in range(2, order) if order % p ** 3 == 0
+                         and is_prime(p)), default=0)
+            if sigma > 2 and full in probes(sigma):
+                return sigma
+    raise DomainError("INTERNAL_INVARIANT", "no level holds the group")
 
 
 # -- abelianization ---------------------------------------------------------

@@ -624,6 +624,8 @@ def _descent_case(name):
         galois = name == "non_translation"
     elif name == "non_perm_label":
         rel[0] = {(a, e), (b, "x")}
+    elif name == "one_item_pair":
+        rel[0] = {(a, e), (b,)}
     elif name == "repeated_pair_in_list":
         rel[0] = [(a, e), (b, x), (a, e)]
     elif name == "missing_branch_then_unknown_ref":
@@ -649,6 +651,8 @@ BAD_ONE_EACH = ("BAD_PARTITION",
 NOT_OVER_ONE = ("RELATION_NOT_PRESERVED",
                 "a cover class does not lie over a single base class")
 OVERLAP = ("BAD_PARTITION", "cover classes overlap")
+NOT_A_PAIR = ("BAD_PARTITION",
+              "a cover point is not a (PointRef, label) pair")
 EMPTY = ("BAD_PARTITION", "both relations must have nontrivial classes")
 NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
                    "right action does not permute the cover classes")
@@ -667,7 +671,7 @@ NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
     ("repeated_branch_label", OVERLAP),
     ("non_translation", NOT_EQUIVARIANT),
     ("non_translation_accepted", "mapping"),
-    ("non_perm_label", AttributeError),
+    ("non_perm_label", BAD_ONE_EACH),
     ("repeated_pair_in_list", "constant"),
     # two defects: condition (1) runs over every cover class before
     # condition (2), which runs base class by base class
@@ -695,6 +699,7 @@ NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
     ("invalid_config_non_translation_accepted",
      ("INVALID_CONFIG", "[('BAD_CHARACTERISTIC', '4 is not prime or 0')]")),
     ("invalid_config_empty_cover_relation_over_bad_base", EMPTY),
+    ("one_item_pair", NOT_A_PAIR),
 ])
 def test_descend_failure_table(name, expected):
     # descend, and one descent prepared for the base relation and applied
@@ -703,11 +708,6 @@ def test_descend_failure_table(name, expected):
     prepared = descent(cover, base_rel)
     calls = [lambda: descend(cover, base_rel, rel, require_galois=galois),
              lambda: prepared(rel, require_galois=galois)]
-    if expected is AttributeError:
-        for call in calls + calls[1:]:
-            with pytest.raises(AttributeError):
-                call()
-        return
     if isinstance(expected, tuple):
         for call in calls + calls[1:]:
             with pytest.raises(DomainError) as err:

@@ -132,22 +132,107 @@ def _fresh(G):
     return PermutationGroup.from_generators(G.generators, G.degree)
 
 
-def test_min_generators_is_exact_whatever_the_seed():
-    for name, G in catalog_groups():
-        assert len({min_generators(_fresh(G), seed)
-                    for seed in range(5)}) == 1, name
+def _elementary_abelian(p, n):
+    """C_p^n on p*n points, one p-cycle per factor."""
+    return PermutationGroup.from_generators(
+        [Perm.from_cycles(p * n, [tuple(range(p * i + 1, p * i + p + 1))])
+         for i in range(n)])
 
 
 def test_min_generators_on_elementary_abelian_groups():
-    c2_5 = PermutationGroup.from_generators(
-        [Perm.from_cycles(10, [(2 * i + 1, 2 * i + 2)]) for i in range(5)])
+    # d = σ_p = n: the σ bound and one generating probe settle each group
+    # before level 2 is built
     started = time.perf_counter()
-    assert min_generators(c2_5) == 5
+    assert min_generators(_elementary_abelian(2, 5)) == 5
+    assert min_generators(_elementary_abelian(2, 6)) == 6
     assert time.perf_counter() - started < 2
-    c3_3 = PermutationGroup.from_generators(
-        [Perm.from_cycles(9, [(3 * i + 1, 3 * i + 2, 3 * i + 3)])
-         for i in range(3)])
-    assert min_generators(c3_3) == 3
+    for p, n in ((2, 7), (3, 4)):
+        started = time.perf_counter()
+        assert min_generators(_elementary_abelian(p, n)) == n
+        assert time.perf_counter() - started < 1
+    assert min_generators(_elementary_abelian(3, 3)) == 3
+
+
+def _counting_sigma(monkeypatch, answer=None):
+    """Record each prime min_generators asks σ_p for; answer, when given,
+    replaces the true σ_p."""
+    calls, true_sigma = [], groups.abelianization_p_rank
+
+    def sigma(G, p):
+        calls.append(p)
+        return true_sigma(G, p) if answer is None else answer
+    monkeypatch.setattr(groups, "abelianization_p_rank", sigma)
+    return calls
+
+
+def test_sigma_bound_is_taken_only_past_the_pair_probes(monkeypatch):
+    # d <= 2 groups never reach the σ step; nor does C3xC3:C2 (d = 3),
+    # since no p^3 divides 18; every other catalog group with d >= 3 asks
+    # once, for p = 2, whose cube divides its order
+    calls = _counting_sigma(monkeypatch)
+    for name, G in catalog_groups():
+        for seed in range(5):
+            calls.clear()
+            d = min_generators(_fresh(G), seed)
+            expected = [2] if d >= 3 and name != "C3xC3:C2" else []
+            assert calls == expected, (name, seed)
+
+
+def test_sigma_bound_without_a_witness_falls_back(monkeypatch):
+    # a σ bound below d leaves every L-tuple probe failing, and the level
+    # search decides (C3^3:C2 x C2^2, of order 216, has σ_2 = 3 < d = 4);
+    # here σ_2(C2^4) = 4 is reported as 3
+    calls = _counting_sigma(monkeypatch, answer=3)
+    assert min_generators(_elementary_abelian(2, 4)) == 4
+    assert calls == [2]
+
+
+def _level_search_d(G):
+    """d(G) by the level search alone: the first level of _subgroup_levels
+    that holds G."""
+    full = (1 << len(G.elements())) - 1
+    if full == 1:
+        return 0
+    return next(k for k, level in enumerate(groups._subgroup_levels(G), 1)
+                if full in level)
+
+
+def _small_subgroups_of_s6(count):
+    """`count` distinct seeded subgroups of S6 of order <= 200, each made
+    by 1-4 random elements or 2-4 random involutions."""
+    rng = random.Random(26)
+    S6 = symmetric(6).elements()
+    involutions = [g for g in S6 if g.order() == 2]
+    found = {}
+    while len(found) < count:
+        pool, low = (S6, 1) if rng.random() < 0.5 else (involutions, 2)
+        G = PermutationGroup.from_generators(
+            rng.sample(pool, rng.randint(low, 4)), 6)
+        if G.order_at_most(200):
+            found.setdefault(frozenset(G.elements()), G)
+    return list(found.values())
+
+
+def test_min_generators_is_exact_whatever_the_seed():
+    # every seed gives the level search's answer, on every catalog group
+    # and on 40 seeded subgroups of S6
+    subgroups = [(f"S6 subgroup {i}", G)
+                 for i, G in enumerate(_small_subgroups_of_s6(40))]
+    ds = {}
+    for name, G in [*catalog_groups(), *subgroups]:
+        ds[name] = _level_search_d(_fresh(G))
+        assert [min_generators(_fresh(G), seed) for seed in range(5)] \
+            == [ds[name]] * 5, name
+    assert set(ds.values()) == {0, 1, 2, 3, 4}
+    assert {ds[name] for name, _ in subgroups} == {1, 2, 3}
+
+
+def test_sigma_is_a_lower_bound_for_d():
+    for name, G in catalog_groups():
+        order, d = G.order(), min_generators(G)
+        for p in range(2, order + 1):
+            if order % p == 0 and is_prime(p):
+                assert abelianization_p_rank(G, p) <= d, (name, p)
 
 
 def _product_row(G, i):
