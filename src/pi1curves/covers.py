@@ -3,7 +3,8 @@
 A cover of a configuration is stored as: the Galois group G, one
 monodromy subgroup per component (the sheets over that component are the
 orbits of left multiplication by the subgroup on the label set G), and
-one gluing per non-base branch of every identification class.  Fibers
+one gluing per branch in cls[1:] of every identification class cls, the
+sorted tuple of its points, glued to its base branch cls[0].  Fibers
 over identified points are G-torsors and the Galois action is RIGHT
 multiplication on labels.  A gluing f commutes with it, f(x*g) = f(x)*g,
 iff f is the LEFT translation x -> f(1)*x, and that one test
@@ -35,9 +36,9 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .catalog import catalog_group, group_from_json, group_to_json
-from .curves import (CurveConfiguration, IdentificationClass, PointRef,
-                     dual_graph, is_connected as config_connected,
-                     require_valid, validate)
+from .curves import (CurveConfiguration, PointRef, dual_graph,
+                     is_connected as config_connected, require_valid,
+                     validate)
 from .errors import DomainError, fields, require, typed
 from .groups import PermutationGroup, orbit, subgroup_positions
 from .perms import Perm, compose, invert
@@ -150,12 +151,12 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
     given = {ci: dict(branches) for ci, branches in (gluings or {}).items()}
     for ci, cls in enumerate(config.identification_classes):
         branches = given.pop(ci, {})
-        unknown = set(branches) - set(cls.members[1:])
+        unknown = set(branches) - set(cls[1:])
         if unknown:
             raise DomainError("POINT_NOT_FOUND",
                               f"gluing branches {unknown} not in class {ci}")
         full[ci] = {}
-        for branch in cls.members[1:]:
+        for branch in cls[1:]:
             g = branches.get(branch, identity)
             g = Gluing(g) if isinstance(g, Perm) else g
             row = g.row(group)
@@ -186,7 +187,7 @@ def _decode(cover: CoverDescriptor):
     gluings = []
     for ci, cls in enumerate(cover.base.identification_classes):
         branches = cover.gluings.get(ci, {})
-        for branch in cls.members[1:]:
+        for branch in cls[1:]:
             gluing = branches.get(branch)  # a missing gluing is no bijection
             row = gluing.row(group) if gluing else None
             if row is None:
@@ -230,7 +231,7 @@ def _transport(cover: CoverDescriptor):
     s = {min(ids): (root, root)}  # component id -> (s_C, s_C^-1)
     given = {(ci, branch): f for ci, branch, f in gluings}
     for ci, branch in config.spanning_tree[0]:
-        a, b = classes[ci].base_branch.component_id, branch.component_id
+        a, b = classes[ci][0].component_id, branch.component_id
         f = given[ci, branch]
         f_inv = invert(f)
         if a in s:  # s_b = s_a o f^-1, so that s_b o f o s_a^-1 = 1
@@ -245,7 +246,7 @@ def _transport(cover: CoverDescriptor):
 
     return ([[moved(h, comp, comp) for h in rows]
              for comp, rows in zip(ids, monodromy)],
-            [(ci, branch, moved(f, classes[ci].base_branch.component_id,
+            [(ci, branch, moved(f, classes[ci][0].component_id,
                                 branch.component_id))
              for ci, branch, f in gluings])
 
@@ -314,14 +315,14 @@ def _join(cover: CoverDescriptor, relation):
     pairwise disjoint, of 2+ marked smooth points, none removed."""
     violations = validate(cover.base)
     old = cover.base.identification_classes
-    added = tuple(IdentificationClass.of(s) for s in relation)
+    added = tuple(tuple(sorted(s)) for s in relation)
     base = cover.base._replace(identification_classes=old + added)
 
     def join(glue) -> CoverDescriptor:
         require(not violations, "INVALID_CONFIG", repr(violations))
         gluings = {ci: dict(b) for ci, b in cover.gluings.items()}
         for ci, cls in enumerate(added, len(old)):
-            gluings[ci] = {branch: glue(branch) for branch in cls.members[1:]}
+            gluings[ci] = {branch: glue(branch) for branch in cls[1:]}
         return CoverDescriptor(base, cover.group, dict(cover.monodromy),
                                gluings, dict(cover.ramification))
 
@@ -440,7 +441,11 @@ def descent(cover: CoverDescriptor, base_relation):
         for c in cover_relation:
             i, labels, one_each = None, {}, True
             try:
-                for ref, x in c:  # x not a Perm: no images, so not in G
+                for pair in c:  # the exact-type test is the cheap common case
+                    if pair.__class__ is not tuple \
+                            and not isinstance(pair, (tuple, list)):
+                        raise ValueError  # an int, say: nothing to unpack
+                    ref, x = pair  # x not a Perm: no images, so not in G
                     j, k = slot.get(ref, (-1, 0))
                     if j != i:
                         i = j if i is None else -1
@@ -544,7 +549,7 @@ def sheet_graph_dot(cover: CoverDescriptor) -> str:
         sheet[comp.id] = compose(named, ids)
     classes = cover.base.identification_classes
     edges = {tuple(sorted(edge)) for ci, branch, row in gluings
-             for edge in zip(sheet[classes[ci].base_branch.component_id],
+             for edge in zip(sheet[classes[ci][0].component_id],
                              compose(sheet[branch.component_id], row))}
     return _dot("sheets", sorted(names), sorted(edges))
 

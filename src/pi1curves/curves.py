@@ -44,37 +44,17 @@ class ComponentData(NamedTuple):
         return self.genus if self.p_rank is None else self.p_rank
 
 
-class IdentificationClass(namedtuple("IdentificationClass", "members")):
-    """members: the sorted tuple of PointRef.  len() counts the members."""
-    __slots__ = ()
-
-    # namedtuple's own _make (and so _replace) compares len(), which is
-    # the member count here, with the number of fields
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @staticmethod
-    def of(members) -> "IdentificationClass":
-        return IdentificationClass(tuple(sorted(members)))
-
-    @property
-    def base_branch(self):
-        return self.members[0]
-
-    def __len__(self):
-        return len(self.members)
-
-
 class CurveConfiguration(namedtuple(
         "CurveConfiguration", ["characteristic", "components", "points",
                                "identification_classes", "removed_points"],
         defaults=[frozenset()])):
     """characteristic; components, a tuple of ComponentData; points, a
     dict from component id to its tuple of point labels;
-    identification_classes, a tuple of IdentificationClass; removed_points,
-    a frozenset of PointRef.  No __slots__: the instance dict holds the
-    cached properties, and _replace builds an object with none cached."""
+    identification_classes, a tuple of classes, each the sorted tuple of
+    its PointRef members, whose first member cls[0] is its base branch;
+    removed_points, a frozenset of PointRef.  No __slots__: the instance
+    dict holds the cached properties, and _replace builds an object with
+    none cached."""
 
     @staticmethod
     def build(characteristic, components, points, classes, removed=()):
@@ -84,7 +64,7 @@ class CurveConfiguration(namedtuple(
             characteristic,
             comps,
             {c: tuple(labels) for c, labels in points.items()},
-            tuple(IdentificationClass.of(m) for m in classes),
+            tuple(tuple(sorted(m)) for m in classes),
             frozenset(removed))
 
     @property
@@ -124,10 +104,10 @@ class CurveConfiguration(namedtuple(
         self-loop edges are never tree edges."""
         classes = self.identification_classes
         edges = [(ci, branch) for ci, cls in enumerate(classes)
-                 for branch in cls.members[1:]]
+                 for branch in cls[1:]]
         adjacency: dict = {c.id: [] for c in self.components}
         for ci, branch in edges:  # in (class index, branch) order
-            a, b = classes[ci].base_branch.component_id, branch.component_id
+            a, b = classes[ci][0].component_id, branch.component_id
             if a != b:
                 adjacency[a].append(((ci, branch), b))
                 adjacency[b].append(((ci, branch), a))
@@ -146,7 +126,7 @@ class CurveConfiguration(namedtuple(
     def class_of(self, ref: PointRef):
         """Index of the identification class containing ref, or None."""
         for i, cls in enumerate(self.identification_classes):
-            if ref in cls.members:
+            if ref in cls:
                 return i
         return None
 
@@ -160,7 +140,7 @@ class CurveConfiguration(namedtuple(
                  **({} if c.p_rank is None else {"p_rank": c.p_rank})}
                 for c in self.components],
             "points": {c: list(labels) for c, labels in self.points.items()},
-            "identifications": [[p.to_json() for p in cls.members]
+            "identifications": [[p.to_json() for p in cls]
                                 for cls in self.identification_classes],
             "removed": [p.to_json() for p in sorted(self.removed_points)],
         }
@@ -257,9 +237,9 @@ def _scan_violations(config: CurveConfiguration) -> list:
     for i, cls in enumerate(config.identification_classes):
         if len(cls) < 2:
             violations.append(("CLASS_TOO_SMALL", f"class {i} has {len(cls)} point(s)"))
-        if len(set(cls.members)) != len(cls.members):
+        if len(set(cls)) != len(cls):
             violations.append(("CLASS_TOO_SMALL", f"class {i} repeats a point"))
-        for ref in cls.members:
+        for ref in cls:
             if not config.has_point(ref):
                 violations.append(("POINT_NOT_FOUND", f"class {i}: {ref}"))
             if ref in seen and seen[ref] != i:
@@ -284,9 +264,9 @@ def dual_graph(config: CurveConfiguration) -> tuple:
     members gives m - 1 edges (component id, component id) from its base
     branch to each other member, so edges may repeat or be loops."""
     require_valid(config)
-    edges = tuple((cls.base_branch.component_id, other.component_id)
+    edges = tuple((cls[0].component_id, other.component_id)
                   for cls in config.identification_classes
-                  for other in cls.members[1:])
+                  for other in cls[1:])
     return tuple(config.component_ids()), edges
 
 
@@ -367,14 +347,14 @@ def identify(config: CurveConfiguration, relation) -> CurveConfiguration:
             if ref in config.removed_points:
                 raise DomainError("OVERLAP_WITH_REMOVED", str(ref))
 
-    merge_sets = [cls.members for cls in config.identification_classes]
-    classes = equivalence_classes((s[0], ref) for s in merge_sets + relation
-                                  for ref in s[1:])
+    classes = equivalence_classes(
+        (s[0], ref) for s in [*config.identification_classes, *relation]
+        for ref in s[1:])
     class_of = {ref: i for i, members in enumerate(classes) for ref in members}
     touched = dict.fromkeys(class_of[s[0]] for s in relation)  # in order
     untouched = tuple(cls for cls in config.identification_classes
-                      if class_of[cls.members[0]] not in touched)
-    merged = tuple(IdentificationClass.of(classes[i]) for i in touched)
+                      if class_of[cls[0]] not in touched)
+    merged = tuple(tuple(sorted(classes[i])) for i in touched)
     return config._replace(identification_classes=untouched + merged)
 
 
@@ -401,8 +381,8 @@ def factorize(config: CurveConfiguration):
     steps = []
     part = {c: c for c in config.component_ids()}  # component -> its part
     for cls in config.identification_classes:
-        root = cls.base_branch
-        for other in cls.members[1:]:
+        root = cls[0]
+        for other in cls[1:]:
             a, b = part[root.component_id], part[other.component_id]
             steps.append(IdentificationStep(root, other, a == b))
             part = {c: a if p == b else p for c, p in part.items()}

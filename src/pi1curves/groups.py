@@ -599,10 +599,11 @@ def nakajima_tG(group: PermutationGroup, p: int):
     """t_G, the minimal generator count of the augmentation ideal.
 
     Exact only for p-groups (where the group algebra is local and
-    t_G = d(G)); returns None (Unknown) otherwise.
+    t_G = d(G) = σ_p(G), by Burnside's basis theorem); returns None
+    (Unknown) otherwise.
     """
     require(is_prime(p), "NOT_PRIME", f"p = {p}")
     group.order_at_most(MIN_GEN_BOUND)  # then order() is the listing's
     if not is_p_group(group, p):
         return None
-    return min_generators(group)
+    return abelianization_p_rank(group, p)

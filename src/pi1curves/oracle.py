@@ -138,18 +138,18 @@ def _induced_relations(config, group):
     once; the n cover classes over a class zip the base branch's column
     with each other branch's column read through its gluing row."""
     elements = group.elements()
-    base_rel = [set(cls.members) for cls in config.identification_classes]
+    base_rel = [set(cls) for cls in config.identification_classes]
     columns = [{branch: [(branch, x) for x in elements]
-                for branch in cls.members}
+                for branch in cls}
                for cls in config.identification_classes]
 
     def cover_relation(gluings):
         cover_rel = []
         for ci, cls in enumerate(config.identification_classes):
             column = columns[ci]
-            cover_rel.extend(zip(column[cls.base_branch], *(
+            cover_rel.extend(zip(column[cls[0]], *(
                 compose(column[branch], gluings[ci][branch].row(group))
-                for branch in cls.members[1:])))
+                for branch in cls[1:])))
         return cover_rel
 
     return base_rel, cover_relation
@@ -193,8 +193,8 @@ def cross_check_descent(group: PermutationGroup,
         corrupted = []
         for pairs in cover_relation(template.gluings):
             labels = dict(pairs)
-            if labels.get(cls.base_branch) == a:
-                labels[cls.members[1]] = b  # the template glues by 1
+            if labels.get(cls[0]) == a:
+                labels[cls[1]] = b  # the template glues by 1
             corrupted.append({(ref, x) for ref, x in labels.items()})
         try:
             descend(corrupted)
@@ -221,10 +221,3 @@ def two_node_curve(p: int) -> CurveConfiguration:
     return CurveConfiguration.build(
         p, [("C1", 0)], {"C1": ["0", "1", "2", "3"]},
         [[refs[0], refs[1]], [refs[2], refs[3]]])
-
-
-def nodal_affine_curve(p: int) -> CurveConfiguration:
-    """Nodal rational curve with the point at infinity removed."""
-    a, b = PointRef("C1", "0"), PointRef("C1", "1")
-    return CurveConfiguration.build(p, [("C1", 0)], {"C1": ["0", "1", "inf"]},
-                                    [[a, b]], removed=[PointRef("C1", "inf")])

@@ -140,7 +140,7 @@ def sheet_graph_connected(cover) -> bool:
         for h in cover.monodromy_of(comp.id).generators:
             join(offset[comp.id], offset[comp.id], table[h.images])
     for ci, cls in enumerate(cover.base.identification_classes):
-        for branch in cls.members[1:]:
+        for branch in cls[1:]:
             gluing = cover.gluings[ci][branch]
             if gluing.constant is None:
                 number = {x: i for i, x in enumerate(table)}
@@ -148,7 +148,7 @@ def sheet_graph_connected(cover) -> bool:
                 images = [number[image[x]] for x in table]
             else:
                 images = table[gluing.constant.images]
-            join(offset[cls.base_branch.component_id],
+            join(offset[cls[0].component_id],
                  offset[branch.component_id], images)
     return len({find(v) for v in range(len(parent))}) == 1
 

@@ -227,9 +227,9 @@ def test_connectivity_oracle_on_criteria_3_to_5(capsys):
                            for (ci, branch), c in zip(free, constants)}
                 check(build_descriptor(config, G, gluings=gluings),
                       (name, "direct", constants))
-                base_rel = [set(cls.members)
+                base_rel = [set(cls)
                             for cls in config.identification_classes]
-                cover_rel = [{(cls.base_branch, x), (branch, c * x)}
+                cover_rel = [{(cls[0], x), (branch, c * x)}
                              for (ci, branch), c in zip(free, constants)
                              for cls in [config.identification_classes[ci]]
                              for x in G.elements()]
@@ -304,7 +304,7 @@ def test_free_product_on_rational_shapes(capsys):
         tree, free = spanning_tree(config)
         branches = [(ci, branch)
                     for ci, cls in enumerate(config.identification_classes)
-                    for branch in cls.members[1:]]
+                    for branch in cls[1:]]
         for name, G in catalog_groups(12):
             count, _ = enumerate_connected_covers(G, config)
             if count != eulerian(G, d):

@@ -15,8 +15,9 @@ from pi1curves.covers import build_descriptor, cover_to_json
 from pi1curves.curves import CurveConfiguration, PointRef
 from pi1curves.groups import subgroup_generated
 from pi1curves.catalog import catalog_group
-from pi1curves.oracle import (nodal_affine_curve, nodal_curve,
-                              quotient_census, two_node_curve)
+from pi1curves.oracle import nodal_curve, quotient_census, two_node_curve
+
+from oracles import affine_curve
 
 
 @pytest.fixture
@@ -59,7 +60,7 @@ def test_invariants(capsys, nodal_file):
 
 def test_realizable_affine(capsys, tmp_path):
     path = tmp_path / "nodal_affine.json"
-    path.write_text(json.dumps(nodal_affine_curve(2).to_json()))
+    path.write_text(json.dumps(affine_curve(2, 0, 1, 1).to_json()))
     code, out, _ = run(capsys, "realizable", str(path),
                        "--group", "C3", "--char", "2", "--mode", "affine")
     assert code == 0
@@ -146,7 +147,7 @@ def test_enumerate_census_json(capsys, nodal_file):
 
 def test_realizable_tame(capsys, tmp_path):
     path = tmp_path / "nodal_affine.json"
-    path.write_text(json.dumps(nodal_affine_curve(5).to_json()))
+    path.write_text(json.dumps(affine_curve(5, 0, 1, 1).to_json()))
     code, out, _ = run(capsys, "realizable", str(path), "--group", "C3",
                        "--mode", "tame")
     assert code == 0
@@ -177,7 +178,7 @@ def test_affine_modes_need_one_component(capsys, tmp_path):
 
 def test_invariants_affine_reports_tame_rank(capsys, tmp_path):
     path = tmp_path / "nodal_affine.json"
-    path.write_text(json.dumps(nodal_affine_curve(5).to_json()))
+    path.write_text(json.dumps(affine_curve(5, 0, 1, 1).to_json()))
     code, out, _ = run(capsys, "invariants", str(path))
     assert code == 0
     assert out == ('{"affine_delta": 1, "delta": 1, "pi1_rank_bound": 1, '
@@ -439,7 +440,7 @@ def test_malformed_cover_input_exits_1(capsys, tmp_path, name):
 
 def test_realizable_projective_on_affine_says_why(capsys, tmp_path):
     path = tmp_path / "nodal_affine.json"
-    path.write_text(json.dumps(nodal_affine_curve(5).to_json()))
+    path.write_text(json.dumps(affine_curve(5, 0, 1, 1).to_json()))
     code, out, err = run(capsys, "realizable", str(path), "--group", "C3",
                          "--mode", "projective")
     assert code == 1 and out == ""

@@ -582,6 +582,37 @@ def test_new_classes_match_identify():
             assert joined.base == identify(merged, [{y1, y2}])
 
 
+def test_classes_are_plain_sorted_tuples():
+    # a class is the sorted tuple of its points: iteration, len and `in`
+    # see the points, and its base branch is its first point
+    def check(config):
+        assert config.identification_classes
+        for cls in config.identification_classes:
+            assert type(cls) is tuple
+            assert all(type(ref) is PointRef for ref in cls)
+            assert list(cls) == sorted(cls)
+            assert len(cls) == len(list(cls)) >= 2
+            assert all(ref in cls for ref in list(cls))
+
+    S3, A3, flip = s3_and_a3()
+    C2 = subgroup_generated(S3, [flip])
+    a, b, c, d = (P("C1", s) for s in "dcba")  # listed out of order
+    built = CurveConfiguration.build(5, [("C1", 1)], {"C1": list("abcd")},
+                                     [[a, c, b]])
+    check(built)
+    check(identify(built, [[d, a]]))
+    bare = built._replace(identification_classes=())
+    cover = build_descriptor(bare, A3, monodromy={"C1": A3})
+    check(glue_same_component(S3, A3, flip, cover, a, b).base)
+    other = build_descriptor(CurveConfiguration.build(
+        5, [("D1", 1)], {"D1": ["a"]}, []), C2, monodromy={"D1": C2})
+    check(glue_two_components(S3, A3, C2, cover, other, b, P("D1", "a"))
+          .base)
+    x = A3.generators[0]
+    relation = [{(a, l), (c, x * l), (b, l)} for l in A3.elements()]
+    check(descend(cover, [{c, a, b}], relation).base)
+
+
 def _descent_case(name):
     """(cover, base relation, cover relation, require_galois) for one row
     of test_descend_failure_table: a C3-cover of a curve with points
@@ -626,6 +657,10 @@ def _descent_case(name):
         rel[0] = {(a, e), (b, "x")}
     elif name == "one_item_pair":
         rel[0] = {(a, e), (b,)}
+    elif name == "non_iterable_item":
+        rel[0] = {(a, e), 5}
+    elif name == "list_pairs":
+        rel[0] = [[a, e], [b, x]]
     elif name == "repeated_pair_in_list":
         rel[0] = [(a, e), (b, x), (a, e)]
     elif name == "missing_branch_then_unknown_ref":
@@ -700,6 +735,8 @@ NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
      ("INVALID_CONFIG", "[('BAD_CHARACTERISTIC', '4 is not prime or 0')]")),
     ("invalid_config_empty_cover_relation_over_bad_base", EMPTY),
     ("one_item_pair", NOT_A_PAIR),
+    ("non_iterable_item", NOT_A_PAIR),
+    ("list_pairs", "constant"),
 ])
 def test_descend_failure_table(name, expected):
     # descend, and one descent prepared for the base relation and applied
@@ -725,8 +762,7 @@ def test_descend_failure_table(name, expected):
     else:
         assert glued == Gluing(mapping=((e, e), (x, y), (y, x)))
     assert out.gluings[1] == {d: Gluing(e)}
-    assert [cls.members for cls in out.base.identification_classes] \
-        == [(a, b), (c, d)]
+    assert out.base.identification_classes == ((a, b), (c, d))
 
 
 def test_prepared_descent_equals_descend():
@@ -795,7 +831,7 @@ def random_cyclic_descriptor(rng, group, config):
     gluings = {}
     for ci, cls in enumerate(config.identification_classes):
         gluings[ci] = {branch: rng.choice(elems)
-                       for branch in cls.members[1:]}
+                       for branch in cls[1:]}
     return build_descriptor(config, group, gluings=gluings)
 
 
@@ -950,13 +986,13 @@ def test_is_connected_error_codes_match_sheet_graph():
         cover = build_descriptor(config, A3)
         ci, cls = 0, config.identification_classes[0]
         bad_constant = cover._replace(gluings={
-            **cover.gluings, ci: {cls.members[1]: Gluing(flip)}})
+            **cover.gluings, ci: {cls[1]: Gluing(flip)}})
         bad_monodromy = cover._replace(monodromy={
             config.components[-1].id: subgroup_generated(S3, [flip])})
         both = bad_constant._replace(monodromy=bad_monodromy.monodromy)
         # a mapping gluing takes the same decode as a constant
         bad_mapping = cover._replace(gluings={**cover.gluings, ci: {
-            cls.members[1]: Gluing(mapping=((flip, flip),))}})
+            cls[1]: Gluing(mapping=((flip, flip),))}})
         for bad, code in ((bad_constant, "FIBER_NOT_TORSOR"),
                           (bad_monodromy, "NOT_A_MEMBER"),
                           (both, "NOT_A_MEMBER"),

@@ -383,8 +383,7 @@ def test_replace_carries_over_no_cached_property():
     assert vars(fewer) == {}
     assert fewer.spanning_tree == (
         ((0, P("C2", "a")), (1, P("C3", "a"))), ())
-    extra = classes[0]._replace(members=(P("C1", "a"), P("C2", "b")))
-    assert len(extra) == 2 and extra.base_branch == P("C1", "a")
+    extra = (P("C1", "a"), P("C2", "b"))
     overlap = config._replace(identification_classes=classes + (extra,))
     assert [code for code, _ in validate(overlap)] == ["CLASSES_OVERLAP"] * 2
     assert validate(config) == [] and config.spanning_tree[1] == (

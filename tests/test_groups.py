@@ -280,12 +280,25 @@ def test_hasse_witt_sigma():
 def test_p_group_sigma_equals_d():
     # Burnside's basis theorem: d(G) is the F_p-dimension of G/[G,G]G^p,
     # which is sigma; so for p-groups the Nakajima bound t_G = d(G) is the
-    # Hasse-Witt bound, and projective_realizable needs only the latter
+    # Hasse-Witt bound, and projective_realizable needs only the latter;
+    # nakajima_tG reads t_G as sigma, and min_generators searches for d(G)
     pairs = [(G, p) for _, G in catalog_groups() for p in range(2, 25)
              if G.order() > 1 and is_prime(p) and is_p_group(G, p)]
     assert len(pairs) == 32  # every catalog group of prime-power order
     for G, p in pairs:
-        assert abelianization_p_rank(G, p) == min_generators(G)
+        assert abelianization_p_rank(G, p) == nakajima_tG(_fresh(G), p) \
+            == min_generators(G)
+
+
+def test_nakajima_tG_above_the_min_generators_bound():
+    # |C2^11| = 2048 > MIN_GEN_BOUND, where min_generators refuses
+    G = _elementary_abelian(2, 11)
+    with pytest.raises(DomainError) as err:
+        min_generators(_fresh(G))
+    assert err.value.code == "GROUP_TOO_LARGE"
+    started = time.perf_counter()
+    assert nakajima_tG(G, 2) == 11
+    assert time.perf_counter() - started < 1
 
 
 # number of subgroups and μ(1, G)
@@ -761,7 +774,7 @@ def test_no_perm_product_in_chain_or_index(monkeypatch):
          [P("C3", "b"), P("C1", "a")]])
     rng = random.Random(3)
     for _ in range(10):
-        gluings = {ci: {cls.members[1]: rng.choice(G.elements())}
+        gluings = {ci: {cls[1]: rng.choice(G.elements())}
                    for ci, cls in enumerate(config.identification_classes)}
         cover = build_descriptor(
             config, G, monodromy={"C2": subgroup_generated(G, [flip])},

@@ -164,7 +164,7 @@ def test_cross_check_descent_checks_base_points_once(monkeypatch):
         assert report.ok and report.checked == tuples, name
         assert sorted(calls) == sorted(
             ref for cls in config.identification_classes
-            for ref in cls.members), name
+            for ref in cls), name
 
 
 def test_template_matches_validating_constructor():

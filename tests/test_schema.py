@@ -57,7 +57,7 @@ def cover_json(draw):
                 ramification[PointRef(comp.id, "r")] = tuple(gens)
     gluings, elements = {}, group.elements()
     for ci, cls in enumerate(config.identification_classes):
-        for branch in cls.members[1:]:
+        for branch in cls[1:]:
             row = draw(st.permutations(range(group.order())))
             form = draw(st.sampled_from(["row", "constant", "mapping"]))
             if form == "row":
