@@ -1,12 +1,12 @@
 """Small-group catalog: every group of order <= 24, plus A5.
 
 The catalog is shipped as JSON data (data/catalog.json) mapping names to
-{"degree": d, "generators": [[...], ...]} with 1-indexed image arrays.
-Set PI1_CATALOG_PATH to point the loader at a different file.
+{"degree": d, "generators": [[...], ...]} with 1-indexed image arrays;
+PI1_CATALOG_PATH names another file.  One cache reads the file and builds
+every group once per process, at the first lookup or listing of names.
 
-The data is regenerated deterministically by the builders in
-tests/catalog_builders.py, and the test suite checks the shipped file
-against them; the package only loads it.
+The builders in tests/catalog_builders.py regenerate the data, and the
+test suite checks the shipped file against them.
 """
 
 from __future__ import annotations
@@ -39,33 +39,26 @@ def group_from_json(data) -> PermutationGroup:
     if not 1 <= degree <= MAX_DEGREE:
         raise DomainError(code, f"degree must be in 1..{MAX_DEGREE}, "
                                 f"not {degree}")
-    gens = [Perm.from_one_indexed(images) for images in
-            typed(data["generators"], list, "generators", code)]
-    for g in gens:
-        if g.degree != degree:
-            raise DomainError("DEGREE_MISMATCH",
-                              f"generator degree {g.degree} != {degree}")
-    return PermutationGroup.from_generators(gens, degree)
-
-
-@lru_cache(maxsize=None)
-def _load_catalog_data():
-    path = os.environ.get("PI1_CATALOG_PATH")
-    if path:
-        return read_json(path, "BAD_GROUP_FILE", f"PI1_CATALOG_PATH {path}")
-    ref = resources.files(__package__) / "data" / "catalog.json"
-    return json.loads(ref.read_text(encoding="utf-8"))
-
-
-def catalog_names() -> list:
-    return list(_load_catalog_data())
+    return PermutationGroup.from_generators(
+        [Perm.from_one_indexed(images) for images in
+         typed(data["generators"], list, "generators", code)], degree)
 
 
 @lru_cache(maxsize=None)
 def _catalog_groups() -> dict:
-    """name -> group, built once per process: each keeps its own index."""
-    data = typed(_load_catalog_data(), dict, "catalog", "BAD_GROUP_FILE")
+    """name -> group, read and built once: each keeps its own index."""
+    path = os.environ.get("PI1_CATALOG_PATH")
+    if path:
+        data = read_json(path, "BAD_GROUP_FILE", f"PI1_CATALOG_PATH {path}")
+    else:
+        ref = resources.files(__package__) / "data" / "catalog.json"
+        data = json.loads(ref.read_text(encoding="utf-8"))
+    typed(data, dict, "catalog", "BAD_GROUP_FILE")
     return {n: group_from_json(e) for n, e in data.items()}
+
+
+def catalog_names() -> list:
+    return list(_catalog_groups())
 
 
 def catalog_group(name: str) -> PermutationGroup:

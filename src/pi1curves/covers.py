@@ -32,13 +32,14 @@ stays the type of labels at the API and JSON boundary.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .catalog import catalog_group, group_from_json, group_to_json
 from .curves import (CurveConfiguration, PointRef, dual_graph,
-                     is_connected as config_connected, require_valid,
-                     validate)
+                     is_connected as config_connected, require_marked,
+                     require_valid, validate)
 from .errors import DomainError, fields, require, typed
 from .groups import PermutationGroup, orbit, subgroup_positions
 from .perms import Perm, compose, invert
@@ -128,7 +129,8 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
     # messages are formatted only on failure: Perm and PointRef reprs are
     # costly on the enumeration paths
     for comp_id, sub in monodromy.items():
-        config.component(comp_id)  # raises POINT_NOT_FOUND
+        if comp_id not in config.component_ids():
+            raise DomainError("POINT_NOT_FOUND", f"no component {comp_id!r}")
         if subgroup_positions(group, sub) is None:
             raise DomainError("NOT_A_MEMBER",
                               f"monodromy over {comp_id} is not a subgroup of G")
@@ -274,11 +276,8 @@ def induce(cover: CoverDescriptor,
 
 
 def _check_smooth_fiber_point(config, ref):
-    if not config.has_point(ref):
-        raise DomainError("POINT_NOT_FOUND", str(ref))
-    if ref in config.removed_points:
-        raise DomainError("OVERLAP_WITH_REMOVED", str(ref))
-    if config.class_of(ref) is not None:
+    require_marked(config, ref)
+    if any(ref in cls for cls in config.identification_classes):
         raise DomainError("FIBER_NOT_TORSOR",
                           f"{ref} is already a singular point")
 
@@ -407,11 +406,17 @@ def descent(cover: CoverDescriptor, base_relation):
     the right G-action permutes the cover classes.
     """
     config, group = cover.base, cover.group
-    base_classes = [sorted(set(c)) for c in base_relation]
+    # a non-collection reads as a one-item one, whose item the checks refuse
+    relation = [list(c) if isinstance(c, Iterable) else [c] for c in (
+        base_relation if isinstance(base_relation, Iterable)
+        else [base_relation])]
     # a cover point (ref, label) is the pair (slot of ref, label position):
     # slot[ref] = (base class index, place of ref in its sorted class)
-    slot, refused, join = {}, None, _join(cover, base_classes)
+    base_classes, slot, refused = [], {}, None
     try:
+        require(all(isinstance(ref, PointRef) for c in relation for ref in c),
+                "BAD_PARTITION", "a base class is not a set of PointRef")
+        base_classes = [sorted(set(c)) for c in relation]
         for cls in base_classes:
             require(len(cls) >= 2, "BAD_PARTITION", "base class of size < 2")
             for ref in cls:
@@ -426,10 +431,12 @@ def descent(cover: CoverDescriptor, base_relation):
         n = len(index)
     except DomainError as exc:
         refused = exc
+    join = _join(cover, base_classes)
 
     def apply(cover_relation, require_galois=True) -> CoverDescriptor:
-        cover_relation = list(cover_relation)
-        require(base_classes and cover_relation, "BAD_PARTITION",
+        cover_relation = list(cover_relation) if isinstance(
+            cover_relation, (list, Iterable)) else [cover_relation]
+        require(relation and cover_relation, "BAD_PARTITION",
                 "both relations must have nontrivial classes")
         if refused:  # a bad base relation, after an empty relation
             raise refused.with_traceback(None)
@@ -441,11 +448,16 @@ def descent(cover: CoverDescriptor, base_relation):
         for c in cover_relation:
             i, labels, one_each = None, {}, True
             try:
+                if c.__class__ is not tuple and not isinstance(c, Iterable):
+                    raise ValueError  # an int, say: a point, not a class
                 for pair in c:  # the exact-type test is the cheap common case
                     if pair.__class__ is not tuple \
                             and not isinstance(pair, (tuple, list)):
                         raise ValueError  # an int, say: nothing to unpack
                     ref, x = pair  # x not a Perm: no images, so not in G
+                    if ref.__class__ is not PointRef \
+                            and not isinstance(ref, tuple):  # or a plain pair
+                        raise ValueError  # a list, say: no hash to look up
                     j, k = slot.get(ref, (-1, 0))
                     if j != i:
                         i = j if i is None else -1

@@ -67,16 +67,6 @@ class CurveConfiguration(namedtuple(
             tuple(tuple(sorted(m)) for m in classes),
             frozenset(removed))
 
-    @property
-    def is_projective(self) -> bool:
-        return not self.removed_points
-
-    def component(self, component_id: str) -> ComponentData:
-        for comp in self.components:
-            if comp.id == component_id:
-                return comp
-        raise DomainError("POINT_NOT_FOUND", f"no component {component_id!r}")
-
     def component_ids(self):
         return [c.id for c in self.components]
 
@@ -123,13 +113,6 @@ class CurveConfiguration(namedtuple(
         tree_set = set(tree)
         return tuple(tree), tuple(e for e in edges if e not in tree_set)
 
-    def class_of(self, ref: PointRef):
-        """Index of the identification class containing ref, or None."""
-        for i, cls in enumerate(self.identification_classes):
-            if ref in cls:
-                return i
-        return None
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -173,10 +156,11 @@ class CurveConfiguration(namedtuple(
             components, points, classes, removed)
 
 
-def union_find(n: int, pairs) -> list:
-    """The equivalence relation on 0..n-1 that the pairs generate, by
-    union-find: the root of each element's class."""
-    parent = list(range(n))
+def equivalence_classes(pairs) -> list:
+    """The classes of the equivalence relation that the pairs generate on
+    their members, by union-find with path halving on the members: lists
+    of members in first-seen order, ordered by their first-seen member."""
+    parent: dict = {}  # in first-seen order
 
     def find(x):
         while parent[x] != x:
@@ -184,21 +168,12 @@ def union_find(n: int, pairs) -> list:
         return x
 
     for a, b in pairs:
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
         parent[find(a)] = find(b)
-    return [find(x) for x in range(n)]
-
-
-def equivalence_classes(pairs, items=()) -> list:
-    """The classes of the equivalence relation that the pairs generate on
-    the given items and the pairs' members: lists of members in first-seen
-    order, ordered by their first-seen member."""
-    number = {x: i for i, x in enumerate(dict.fromkeys(items))}
-    edges = [(number.setdefault(a, len(number)),
-              number.setdefault(b, len(number))) for a, b in pairs]
-    roots = union_find(len(number), edges)
     classes: dict = {}
-    for x, i in number.items():
-        classes.setdefault(roots[i], []).append(x)
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
     return list(classes.values())
 
 
@@ -279,7 +254,8 @@ def require_projective(config: CurveConfiguration) -> None:
     with no removed points (NOT_PROJECTIVE) and a connected dual graph
     (NOT_CONNECTED), checked in that order."""
     require_valid(config)
-    require(config.is_projective, "NOT_PROJECTIVE", "removed points present")
+    require(not config.removed_points, "NOT_PROJECTIVE",
+            "removed points present")
     require(is_connected(config), "NOT_CONNECTED")
 
 
@@ -328,6 +304,15 @@ def rank_report(config: CurveConfiguration) -> RankReport:
                    if len(comps) == 1 and removed else None))
 
 
+def require_marked(config: CurveConfiguration, ref: PointRef) -> None:
+    """A marked point of config that is not removed: POINT_NOT_FOUND,
+    then OVERLAP_WITH_REMOVED."""
+    if not config.has_point(ref):
+        raise DomainError("POINT_NOT_FOUND", str(ref))
+    if ref in config.removed_points:
+        raise DomainError("OVERLAP_WITH_REMOVED", str(ref))
+
+
 def identify(config: CurveConfiguration, relation) -> CurveConfiguration:
     """Merge the given sets of points into identification classes.
 
@@ -342,10 +327,7 @@ def identify(config: CurveConfiguration, relation) -> CurveConfiguration:
             raise DomainError("CLASS_TOO_SMALL",
                               f"merge set {merge_set} has fewer than 2 points")
         for ref in merge_set:
-            if not config.has_point(ref):
-                raise DomainError("POINT_NOT_FOUND", str(ref))
-            if ref in config.removed_points:
-                raise DomainError("OVERLAP_WITH_REMOVED", str(ref))
+            require_marked(config, ref)
 
     classes = equivalence_classes(
         (s[0], ref) for s in [*config.identification_classes, *relation]

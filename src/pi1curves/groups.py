@@ -108,15 +108,19 @@ class PermutationGroup:
     """A group given by its degree and generators, which alone decide
     equality and the hash; _memo keeps what is computed from them (the
     chain, the element index, its rows, the bound a stopped listing
-    passed)."""
+    passed).  Every given generator, an identity too, must have the
+    degree (DEGREE_MISMATCH); identities and repeats are then dropped."""
     __slots__ = ("degree", "generators", "_memo")
 
-    def __init__(self, degree: int, generators: tuple):
+    def __init__(self, degree: int, generators):
+        kept = {}  # the nontrivial generators, each once, in order
         for g in generators:
             if g.degree != degree:
                 raise DomainError("DEGREE_MISMATCH",
                                   f"generator degree {g.degree} != {degree}")
-        self.degree, self.generators, self._memo = degree, generators, {}
+            if not g.is_identity():
+                kept[g] = None
+        self.degree, self.generators, self._memo = degree, tuple(kept), {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -133,13 +137,12 @@ class PermutationGroup:
 
     @staticmethod
     def from_generators(generators, degree=None) -> "PermutationGroup":
-        generators = [g for g in generators if not g.is_identity()]
+        generators = tuple(generators)
         if degree is None:
             require(bool(generators), "DEGREE_MISMATCH",
                     "degree required for the trivial group")
             degree = generators[0].degree
-        gens = tuple(dict.fromkeys(generators))  # dedupe, keep order
-        return PermutationGroup(degree, gens)
+        return PermutationGroup(degree, generators)
 
     @staticmethod
     def trivial(degree: int) -> "PermutationGroup":

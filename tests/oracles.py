@@ -96,7 +96,7 @@ def betti_number(config) -> int:
     """Reference for delta: the first Betti number edges - vertices +
     parts of the dual graph, the parts counted by union-find."""
     vertices, edges = dual_graph(config)
-    parts = equivalence_classes(edges, vertices)
+    parts = equivalence_classes([*((v, v) for v in vertices), *edges])
     return len(edges) - len(vertices) + len(parts)
 
 

@@ -274,13 +274,11 @@ def test_missing_file_is_domain_error(capsys):
 
 @pytest.fixture
 def fresh_catalog():
-    """Empty the catalog loader caches before and after the test, so that
-    a PI1_CATALOG_PATH it sets is read and then forgotten."""
-    for loader in (catalog._load_catalog_data, catalog._catalog_groups):
-        loader.cache_clear()
+    """Empty the catalog cache before and after the test, so that a
+    PI1_CATALOG_PATH it sets is read and then forgotten."""
+    catalog._catalog_groups.cache_clear()
     yield
-    for loader in (catalog._load_catalog_data, catalog._catalog_groups):
-        loader.cache_clear()
+    catalog._catalog_groups.cache_clear()
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_json",
@@ -385,10 +383,12 @@ def _nodal_cover_with_gluing(**gluing):
 # cover and script files of the wrong shape that used to end in a traceback
 # (mapping_pair_short among them), or to be read wrongly: class_index_* used
 # to reach build_descriptor and exit with POINT_NOT_FOUND, and constant_* to
-# be read as the transposition (1 2) and exit 0.  The last four are cover
+# be read as the transposition (1 2) and exit 0.  The last five are cover
 # files with wrong values: a group generator of another degree (from_generators
-# would drop it), monodromy on no component, a map that repeats an image, and
-# a map that lists a label twice (once read as its last pair and exit 0)
+# would drop it), a monodromy identity of another degree (once dropped before
+# its degree was checked, and exit 0), monodromy on no component, a map that
+# repeats an image, and a map that lists a label twice (once read as its last
+# pair and exit 0)
 MALFORMED_COVER_INPUTS = {
     "monodromy_list": ("export-dot", "BAD_COVER_FILE", lambda: {
         **cover_to_json(build_descriptor(nodal_curve(5), catalog_group("S3"))),
@@ -413,6 +413,8 @@ MALFORMED_COVER_INPUTS = {
     "group_generator_degree": ("export-dot", "DEGREE_MISMATCH", lambda: {
         **_nodal_cover_with_gluing(),
         "group": {"degree": 3, "generators": [[1, 2]]}}),
+    "monodromy_identity_degree": ("export-dot", "DEGREE_MISMATCH", lambda: {
+        **_nodal_cover_with_gluing(), "monodromy": {"C1": [[1, 2]]}}),
     "monodromy_unknown_component": ("export-dot", "POINT_NOT_FOUND", lambda: {
         **_nodal_cover_with_gluing(), "monodromy": {"C9": [[2, 1, 3]]}}),
     "mapping_image_repeated": ("export-dot", "FIBER_NOT_TORSOR",

@@ -678,6 +678,24 @@ def _descent_case(name):
         rel = []
     elif name == "empty_cover_relation_over_bad_base":
         base_rel, rel = [{a, b}, {c, P("C1", "r")}], []
+    elif name == "plain_tuple_cover_points":
+        rel[0] = {(("C1", "a"), e), (("C1", "b"), x)}
+    elif name == "base_relation_not_iterable":
+        base_rel = 5
+    elif name == "base_class_not_iterable":
+        base_rel = [{a, b}, 5]
+    elif name == "base_point_plain_tuple":
+        base_rel = [{("C1", "a"), b}, {c, d}]
+    elif name == "base_point_int":
+        base_rel = [{a, 5}, {c, d}]
+    elif name == "base_point_list":
+        base_rel = [[a, ["C1", "b"]], {c, d}]
+    elif name == "cover_relation_not_iterable":
+        rel = 5
+    elif name == "cover_class_not_iterable":
+        rel[0] = 5
+    elif name == "cover_point_unhashable":
+        rel[5] = [[["C1", "c"], y], (d, y)]
     return cover, base_rel, rel, galois
 
 
@@ -737,6 +755,16 @@ NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
     ("one_item_pair", NOT_A_PAIR),
     ("non_iterable_item", NOT_A_PAIR),
     ("list_pairs", "constant"),
+    # a plain pair of strings is a cover point; anything that is no
+    # collection is a class or a point of its own, and refused as such
+    ("plain_tuple_cover_points", "constant"),
+    *((name, ("BAD_PARTITION", "a base class is not a set of PointRef"))
+      for name in ("base_relation_not_iterable", "base_class_not_iterable",
+                   "base_point_plain_tuple", "base_point_int",
+                   "base_point_list")),
+    *((name, NOT_A_PAIR) for name in ("cover_relation_not_iterable",
+                                      "cover_class_not_iterable",
+                                      "cover_point_unhashable")),
 ])
 def test_descend_failure_table(name, expected):
     # descend, and one descent prepared for the base relation and applied

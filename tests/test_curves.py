@@ -12,6 +12,7 @@ from pi1curves.curves import (
     affine_delta,
     delta,
     dual_graph,
+    equivalence_classes,
     factorize,
     identify,
     is_connected,
@@ -269,6 +270,29 @@ def test_random_configs_delta_betti_and_replay():
         steps = factorize(config)
         assert sum(s.same_component for s in steps) == delta(config)
         assert replay(strip_identifications(config), steps) == config
+
+
+def test_equivalence_classes_keep_first_seen_order():
+    # against Warshall's transitive closure: the same classes, each listing
+    # its members in first-seen order, ordered by their first-seen member
+    rng = random.Random(28)
+    refs = [P(c, str(i)) for c in "AB" for i in range(5)]
+    for universe in (list(range(10)), refs):
+        for _ in range(150):
+            pairs = [tuple(rng.choices(universe, k=2))
+                     for _ in range(rng.randrange(10))]
+            seen = list(dict.fromkeys(x for pair in pairs for x in pair))
+            reach = {(x, x) for x in seen} | set(pairs) \
+                | {(b, a) for a, b in pairs}
+            for k in seen:
+                reach |= {(i, j) for i in seen for j in seen
+                          if (i, k) in reach and (k, j) in reach}
+            expected, placed = [], set()
+            for x in seen:
+                if x not in placed:
+                    expected.append([y for y in seen if (x, y) in reach])
+                    placed.update(expected[-1])
+            assert equivalence_classes(pairs) == expected
 
 
 # -- configuration schema ---------------------------------------------------

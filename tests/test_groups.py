@@ -811,6 +811,22 @@ def test_group_equality_and_hash_ignore_the_memo():
     assert err.value.code == "DEGREE_MISMATCH"
 
 
+def test_every_generator_must_have_the_degree():
+    # an identity too: the degree is checked before identities are dropped
+    flip = Perm.from_cycles(3, [(1, 2)])
+    for gens in ([Perm.identity(2), flip], [flip, Perm.identity(2)]):
+        for build in (lambda: PermutationGroup.from_generators(gens, 3),
+                      lambda: PermutationGroup(3, gens)):
+            with pytest.raises(DomainError) as err:
+                build()
+            assert str(err.value) == "DEGREE_MISMATCH: generator degree 2 != 3"
+    # identities and repeats are dropped however the group is built
+    G = PermutationGroup(3, (Perm.identity(3), flip, Perm.identity(3), flip))
+    assert G == PermutationGroup(3, (flip,)) == \
+        PermutationGroup.from_generators([flip, flip, Perm.identity(3)])
+    assert G.generators == (flip,)
+
+
 def test_quotient_hom_fields():
     G = symmetric(4)
     hom = quotient(G, derived_subgroup(G))

@@ -176,3 +176,35 @@ def test_only_perms_composes_tuples():
              for line in _tuple_maps_of_getitem(
                  ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def _repeated_blocks(sources) -> list:
+    """file:line of every window of 4 consecutive stripped lines (no blank
+    line, comment or docstring opener among them, 80+ characters in all)
+    that occurs more than once in the sources."""
+    where: dict = {}
+    for path in sources:
+        lines = [line.strip()
+                 for line in path.read_text(encoding="utf-8").splitlines()]
+        for i in range(len(lines) - 3):
+            window = tuple(lines[i:i + 4])
+            if all(line and not line.startswith(("#", '"""', "'''"))
+                   for line in window) and sum(map(len, window)) >= 80:
+                where.setdefault(window, []).append(f"{path.name}:{i + 1}")
+    return sorted(place for places in where.values() if len(places) > 1
+                  for place in places)
+
+
+def test_no_repeated_code_block(tmp_path):
+    # one helper per concept: a block of code written twice is a second
+    # copy of a helper that should exist once
+    block = ("if not config.has_point(ref):\n"
+             "    raise DomainError('POINT_NOT_FOUND', str(ref))\n"
+             "if ref in config.removed_points:\n"
+             "    raise DomainError('OVERLAP_WITH_REMOVED', str(ref))\n")
+    (tmp_path / "a.py").write_text("x = 1\n" + block)
+    (tmp_path / "b.py").write_text(block.replace("\n", "\n    "))
+    (tmp_path / "c.py").write_text(block.replace("str(ref)", "ref", 1))
+    assert _repeated_blocks(sorted(tmp_path.glob("*.py"))) \
+        == ["a.py:2", "b.py:1"]
+    assert _repeated_blocks(sorted(PACKAGE.glob("*.py"))) == []

@@ -237,9 +237,9 @@ def test_connectivity_decided_once_per_configuration(monkeypatch):
     # pro_p_rank, require_enumerable) run on it, from the spanning tree
     # and with no union-find
     finds, decided = [], []
-    find = curves.union_find
-    monkeypatch.setattr(curves, "union_find",
-                        lambda n, pairs: finds.append(n) or find(n, pairs))
+    find = curves.equivalence_classes
+    monkeypatch.setattr(curves, "equivalence_classes",
+                        lambda pairs: finds.append(pairs) or find(pairs))
     connected = CurveConfiguration._connected.func
     recording = cached_property(
         lambda config: decided.append(config) or connected(config))
