@@ -33,6 +33,7 @@ stays the type of labels at the API and JSON boundary.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -107,8 +108,8 @@ class CoverDescriptor(NamedTuple):
     ramification: dict = MappingProxyType({})
 
     def monodromy_of(self, component_id: str) -> PermutationGroup:
-        return self.monodromy.get(component_id,
-                                  PermutationGroup.trivial(self.group.degree))
+        return (self.monodromy.get(component_id)  # a group is truthy
+                or PermutationGroup.trivial(self.group.degree))
 
 
 def build_descriptor(config, group, monodromy=None, gluings=None,
@@ -398,12 +399,13 @@ def descent(cover: CoverDescriptor, base_relation):
     function (cover_relation, require_galois=True) -> CoverDescriptor,
     which raises what descend raises, in the same order.
 
-    base_relation: nontrivial classes of base points (sets of PointRef).
-    cover_relation: nontrivial classes of cover points ((PointRef, label)
-    pairs).  Checks: the cover relation lies over the base relation (1);
-    each base class's full fiber is partitioned into classes of the same
-    size with exactly one point per branch (2); and (when require_galois)
-    the right G-action permutes the cover classes.
+    base_relation: nontrivial classes of base points (sets of PointRef of
+    two str fields).  cover_relation: nontrivial classes of cover points
+    ((PointRef, label) pairs), in any order and any collection.  Checks:
+    the cover relation lies over the base relation (1); each base class's
+    full fiber is partitioned into classes of the same size with exactly
+    one point per branch (2); and (when require_galois) the right G-action
+    permutes the cover classes.
     """
     config, group = cover.base, cover.group
     # a non-collection reads as a one-item one, whose item the checks refuse
@@ -414,7 +416,9 @@ def descent(cover: CoverDescriptor, base_relation):
     # slot[ref] = (base class index, place of ref in its sorted class)
     base_classes, slot, refused = [], {}, None
     try:
-        require(all(isinstance(ref, PointRef) for c in relation for ref in c),
+        require(all(isinstance(ref, PointRef) and isinstance(ref[0], str)
+                    and isinstance(ref[1], str)
+                    for c in relation for ref in c),
                 "BAD_PARTITION", "a base class is not a set of PointRef")
         base_classes = [sorted(set(c)) for c in relation]
         for cls in base_classes:
@@ -429,6 +433,7 @@ def descent(cover: CoverDescriptor, base_relation):
                 slot[ref] = (i, k)
         index, elements = group.index(), group.elements()
         n = len(index)
+        fiber = list(range(n))  # the base labels of a partition, sorted
     except DomainError as exc:
         refused = exc
     join = _join(cover, base_classes)
@@ -445,6 +450,7 @@ def descent(cover: CoverDescriptor, base_relation):
         # -> label position, filed under its base class i (None with no
         # pairs, -1 off one), or {} unless it has one label in G per place
         by_base = [[] for _ in base_classes]
+        slot_of, position_of = slot.get, index.get
         for c in cover_relation:
             i, labels, one_each = None, {}, True
             try:
@@ -458,23 +464,24 @@ def descent(cover: CoverDescriptor, base_relation):
                     if ref.__class__ is not PointRef \
                             and not isinstance(ref, tuple):  # or a plain pair
                         raise ValueError  # a list, say: no hash to look up
-                    j, k = slot.get(ref, (-1, 0))
+                    j, k = slot_of(ref, (-1, 0))
                     if j != i:
                         i = j if i is None else -1
-                    label = index.get(getattr(x, "images", None))
+                    label = position_of(getattr(x, "images", None))
                     if label is None or labels.setdefault(k, label) != label:
                         one_each = False
             except ValueError:  # an item that is not a pair
                 raise DomainError("BAD_PARTITION", "a cover point is not a "
                                   "(PointRef, label) pair") from None
-            require(i is not None and i >= 0, "RELATION_NOT_PRESERVED",
-                    "a cover class does not lie over a single base class")
+            if i is None or i < 0:
+                raise DomainError("RELATION_NOT_PRESERVED", "a cover class "
+                                  "does not lie over a single base class")
             by_base[i].append(labels if one_each else {})
 
-        # condition (2), base class by base class: n classes with distinct
-        # labels on every branch are the graphs of bijections of the
-        # fibers, the label over a branch is row[label over the base's];
-        # a left row is a bijection and at once a constant gluing
+        # condition (2), base class by base class: n classes with one label
+        # on every branch, sorted by base label, partition the fiber iff
+        # their base labels are 0..n-1, and then the labels over a branch
+        # are its row; a left row is a bijection and a constant gluing
         gluings, galois = {}, True
         for cls, classes in zip(base_classes, by_base):
             require(set(map(len, classes)) <= {len(cls)}, "BAD_PARTITION",
@@ -483,12 +490,11 @@ def descent(cover: CoverDescriptor, base_relation):
             if len(classes) != n:  # the message is formatted only on failure
                 raise DomainError("BAD_PARTITION", f"{len(classes)} cover "
                                   f"classes over a base class, not |G| = {n}")
-            base = [c[0] for c in classes]
-            require(len(set(base)) == n, "BAD_PARTITION",
+            classes.sort(key=itemgetter(0))
+            require([c[0] for c in classes] == fiber, "BAD_PARTITION",
                     "cover classes overlap")
-            through = invert(base)  # base label -> its class
             for k, branch in enumerate(cls[1:], 1):
-                row = compose([c[k] for c in classes], through)
+                row = tuple([c[k] for c in classes])
                 if _is_translation(group, row):  # a left row is a bijection
                     gluings[branch] = Gluing(elements[row[0]])
                 else:

@@ -11,13 +11,15 @@ constants, the same criterion), so the independent check on the count is
 the Moebius-inversion eulerian; it also rebuilds every enumerated cover
 through the descent construction and compares it with direct gluing.
 
-Both loops redo per tuple only what depends on the tuple.  Each builds
-one validated template, build_descriptor(config, group), and swaps the
-free-edge constants into a copy of its gluings (_descriptor_for); the
-descent check prepares one covers.descent over the base relation, which
-checks the base points and builds the joined base once, builds each
-branch's column of (branch, label) pairs once, and reads each tuple's
-cover classes through the gluing rows (_induced_relations).
+Both loops redo per tuple only what depends on the tuple, and run on
+element positions: the tuples are itertools.product(range(|G|),
+repeat=delta), in the order of the product of the elements.  Each loop
+builds one validated template, build_descriptor(config, group), and each
+element's Gluing once, and swaps the free-edge gluings into a copy of
+the template's (_descriptor_for); the descent check prepares one
+covers.descent over the base relation, and builds each branch's column
+of (branch, label) pairs once, each free branch's under each constant
+(_induced_relations), so a tuple's cover relation is a zip of columns.
 """
 
 from __future__ import annotations
@@ -44,13 +46,14 @@ def _check_rational(config):
             f"components of positive genus: {bad}")
 
 
-def _descriptor_for(template, free_edges, constants):
+def _descriptor_for(template, free_edges, positions, gluing_of):
     """The template (build_descriptor(config, group): the identity on every
-    branch) with these constants on the free edges."""
+    branch) with gluing_of[i], the Gluing of element i, on the free edge
+    of each position i."""
     gluings = {ci: dict(branches)
                for ci, branches in template.gluings.items()}
-    for (ci, branch), c in zip(free_edges, constants):
-        gluings[ci][branch] = Gluing(c)
+    for (ci, branch), i in zip(free_edges, positions):
+        gluings[ci][branch] = gluing_of[i]
     return template._replace(gluings=gluings)
 
 
@@ -85,15 +88,14 @@ def enumerate_connected_covers(group: PermutationGroup,
     """
     free_edges = require_enumerable(group, config)
     template = build_descriptor(config, group)
-    count = 0
-    witnesses = []
-    for constants in itertools.product(group.elements(),
-                                       repeat=len(free_edges)):
-        descriptor = _descriptor_for(template, free_edges, constants)
-        if cover_connected(descriptor):
-            count += 1
-            witnesses.append(constants)
-    return count, witnesses
+    elements = group.elements()
+    gluing_of = [Gluing(c) for c in elements]
+    witnesses = [tuple(elements[i] for i in positions)
+                 for positions in itertools.product(range(len(elements)),
+                                                    repeat=len(free_edges))
+                 if cover_connected(_descriptor_for(template, free_edges,
+                                                    positions, gluing_of))]
+    return len(witnesses), witnesses
 
 
 class CensusEntry(NamedTuple):
@@ -130,26 +132,34 @@ def census_report(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _induced_relations(config, group):
+def _induced_relations(config, group, free_edges):
     """The base relation that rebuilds config's classes from the stripped
-    configuration, and the function from per-branch constants already
-    stored in a descriptor built on config to the cover relation.  Each
-    branch's column of (branch, label) pairs, one per element, is built
-    once; the n cover classes over a class zip the base branch's column
-    with each other branch's column read through its gluing row."""
+    configuration, and the function from a tuple of positions (the
+    constants on free_edges, the identity on every tree edge, as in
+    _descriptor_for) to the cover relation.  Each branch's column of
+    (branch, label) pairs, one per element, is built once, and each free
+    branch's column under each constant c, the column read through the
+    left row of c; the n cover classes over a class zip its columns."""
     elements = group.elements()
+    rows = [group.left_row(c) for c in range(len(elements))]
+    free = {edge: k for k, edge in enumerate(free_edges)}
     base_rel = [set(cls) for cls in config.identification_classes]
-    columns = [{branch: [(branch, x) for x in elements]
-                for branch in cls}
-               for cls in config.identification_classes]
+    plan = []  # per class: (None, column) or (k, column under each constant)
+    for ci, cls in enumerate(config.identification_classes):
+        parts = []
+        for branch in cls:
+            column = [(branch, x) for x in elements]
+            k = free.get((ci, branch))
+            parts.append((None, column) if k is None else
+                         (k, [compose(column, row) for row in rows]))
+        plan.append(parts)
 
-    def cover_relation(gluings):
+    def cover_relation(positions):
         cover_rel = []
-        for ci, cls in enumerate(config.identification_classes):
-            column = columns[ci]
-            cover_rel.extend(zip(column[cls[0]], *(
-                compose(column[branch], gluings[ci][branch].row(group))
-                for branch in cls[1:])))
+        for parts in plan:
+            cover_rel.extend(zip(*[column if k is None
+                                   else column[positions[k]]
+                                   for k, column in parts]))
         return cover_rel
 
     return base_rel, cover_relation
@@ -173,28 +183,31 @@ def cross_check_descent(group: PermutationGroup,
     an equal one is Galois); also verify that a corrupted cover relation
     is rejected."""
     free_edges = require_enumerable(group, config)
-    base_rel, cover_relation = _induced_relations(config, group)
+    base_rel, cover_relation = _induced_relations(config, group, free_edges)
     descend = descent(build_descriptor(strip_identifications(config), group),
                       base_rel)
     template = build_descriptor(config, group)
     elements = group.elements()
+    gluing_of = [Gluing(c) for c in elements]
 
     checked, mismatches, rejected = 0, [], 0
-    for constants in itertools.product(elements, repeat=len(free_edges)):
-        direct = _descriptor_for(template, free_edges, constants)
+    for positions in itertools.product(range(len(elements)),
+                                       repeat=len(free_edges)):
+        direct = _descriptor_for(template, free_edges, positions, gluing_of)
         checked += 1
-        if descend(cover_relation(direct.gluings)) != direct:
-            mismatches.append([c.to_one_indexed() for c in constants])
+        if descend(cover_relation(positions)) != direct:
+            mismatches.append([elements[i].to_one_indexed()
+                               for i in positions])
 
     # negative control: corrupt one cover class and expect a rejection
     if len(elements) > 2:
         a, b = elements[1], elements[2]
         cls = config.identification_classes[0]
         corrupted = []
-        for pairs in cover_relation(template.gluings):
+        for pairs in cover_relation((0,) * len(free_edges)):
             labels = dict(pairs)
             if labels.get(cls[0]) == a:
-                labels[cls[1]] = b  # the template glues by 1
+                labels[cls[1]] = b  # position 0 is 1: the template's tuple
             corrupted.append({(ref, x) for ref, x in labels.items()})
         try:
             descend(corrupted)

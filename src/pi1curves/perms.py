@@ -22,9 +22,12 @@ class Perm(namedtuple("Perm", "images")):
     __slots__ = ()
 
     def __new__(cls, images):
-        if sorted(images) != list(range(len(images))):
+        """images: any iterable of ints, stored as a tuple, so that equal
+        permutations are equal and hash alike whatever held them."""
+        stored = tuple(images)
+        if sorted(stored) != list(range(len(stored))):
             raise DomainError("NOT_A_PERMUTATION", f"bad image array {images}")
-        return _new(cls, (images,))
+        return _new(cls, (stored,))
 
     @classmethod
     def _make(cls, iterable):  # so that _replace validates as well

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pi1curves import covers
 from pi1curves.catalog import catalog_group, catalog_groups
 from pi1curves.covers import (
     CoverDescriptor,
@@ -21,9 +22,11 @@ from pi1curves.covers import (
     sheet_graph_dot,
     spanning_tree,
 )
-from pi1curves.curves import CurveConfiguration, PointRef, identify
+from pi1curves.curves import (CurveConfiguration, PointRef, identify,
+                              strip_identifications)
 from pi1curves.errors import DomainError
 from pi1curves.groups import PermutationGroup, subgroup_generated
+from pi1curves.oracle import nodal_curve, two_node_curve
 from pi1curves.perms import Perm
 
 from catalog_builders import cyclic, symmetric
@@ -86,6 +89,29 @@ def test_build_descriptor_etale_genus_zero_guard():
     cover = build_descriptor(base, C2, monodromy={"C1": C2},
                              ramification={P("C1", "a"): (flip,)})
     assert cover.monodromy_of("C1").order() == 2
+
+
+def test_decode_builds_the_trivial_group_only_when_needed(monkeypatch):
+    # monodromy_of builds PermutationGroup.trivial only for a component
+    # with no monodromy
+    built = []
+    real_init = PermutationGroup.__init__
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    C3 = cyclic(3)
+    base = CurveConfiguration.build(
+        7, [("E", 1), ("F", 1)], {"E": ["a"], "F": ["a"]},
+        [[P("E", "a"), P("F", "a")]])
+    for monodromy, groups in (({"E": C3, "F": C3}, 0), ({"E": C3}, 1)):
+        cover = build_descriptor(base, C3, monodromy=monodromy)
+        monkeypatch.setattr(PermutationGroup, "__init__", init)
+        built.clear()
+        covers._decode(cover)
+        monkeypatch.undo()
+        assert len(built) == groups
 
 
 @pytest.mark.parametrize("name, code", [
@@ -690,6 +716,10 @@ def _descent_case(name):
         base_rel = [{a, 5}, {c, d}]
     elif name == "base_point_list":
         base_rel = [[a, ["C1", "b"]], {c, d}]
+    elif name == "base_point_list_field":
+        base_rel = [[a, P("C1", ["b"])], {c, d}]
+    elif name == "base_point_int_field":
+        base_rel = [{a, P("C1", 5)}, {c, d}]
     elif name == "cover_relation_not_iterable":
         rel = 5
     elif name == "cover_class_not_iterable":
@@ -706,6 +736,7 @@ NOT_OVER_ONE = ("RELATION_NOT_PRESERVED",
 OVERLAP = ("BAD_PARTITION", "cover classes overlap")
 NOT_A_PAIR = ("BAD_PARTITION",
               "a cover point is not a (PointRef, label) pair")
+NOT_A_BASE_POINT = ("BAD_PARTITION", "a base class is not a set of PointRef")
 EMPTY = ("BAD_PARTITION", "both relations must have nontrivial classes")
 NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
                    "right action does not permute the cover classes")
@@ -758,13 +789,16 @@ NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
     # a plain pair of strings is a cover point; anything that is no
     # collection is a class or a point of its own, and refused as such
     ("plain_tuple_cover_points", "constant"),
-    *((name, ("BAD_PARTITION", "a base class is not a set of PointRef"))
+    *((name, NOT_A_BASE_POINT)
       for name in ("base_relation_not_iterable", "base_class_not_iterable",
                    "base_point_plain_tuple", "base_point_int",
                    "base_point_list")),
     *((name, NOT_A_PAIR) for name in ("cover_relation_not_iterable",
                                       "cover_class_not_iterable",
                                       "cover_point_unhashable")),
+    # a PointRef whose fields are not both str
+    ("base_point_list_field", NOT_A_BASE_POINT),
+    ("base_point_int_field", NOT_A_BASE_POINT),
 ])
 def test_descend_failure_table(name, expected):
     # descend, and one descent prepared for the base relation and applied
@@ -849,6 +883,46 @@ def test_prepared_descent_equals_descend():
                 *out.gluings.values())]
             assert len({id(d) for d in dicts}) == len(dicts)
     assert outcomes == {True, False, "BAD_PARTITION", "ACTION_NOT_EQUIVARIANT"}
+
+
+def _shuffled(rng, relation):
+    """The relation with its classes and the pairs of each class in a
+    random order, each class a tuple, list or set, the whole a tuple or
+    list."""
+    return rng.choice((tuple, list))(
+        rng.choice((tuple, list, set))(rng.sample(pairs, len(pairs)))
+        for pairs in rng.sample(relation, len(relation)))
+
+
+def test_descent_ignores_class_order_and_containers():
+    # condition (2) sorts each base class's cover classes by base label:
+    # the class order, the pair order in a class and the collection type
+    # change nothing, and one repeated base label is still an overlap
+    rng = random.Random(29)
+    for config in (nodal_curve(5), two_node_curve(5)):
+        classes = config.identification_classes
+        base_rel = [set(cls) for cls in classes]
+        for name, G in catalog_groups(12):
+            elements = G.elements()
+            prepared = descent(
+                build_descriptor(strip_identifications(config), G), base_rel)
+            gluings = {ci: {branch: rng.choice(elements)
+                            for branch in cls[1:]}
+                       for ci, cls in enumerate(classes)}
+            expected = build_descriptor(config, G, gluings=gluings)
+            relation = [[(cls[0], x)] + [(branch, gluings[ci][branch] * x)
+                                         for branch in cls[1:]]
+                        for ci, cls in enumerate(classes) for x in elements]
+            for _ in range(4):
+                assert prepared(_shuffled(rng, relation)) == expected, name
+            if len(elements) < 2:
+                continue
+            repeated = [list(pairs) for pairs in relation]
+            repeated[0][0] = (classes[0][0], elements[1])  # x = 1 is gone
+            with pytest.raises(DomainError) as err:
+                prepared(_shuffled(rng, repeated))
+            assert (err.value.code, str(err.value)) \
+                == ("BAD_PARTITION", "BAD_PARTITION: cover classes overlap")
 
 
 # -- normal form and connectivity ---------------------------------------------

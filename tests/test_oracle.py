@@ -19,6 +19,7 @@ from pi1curves.oracle import (
 )
 
 from catalog_builders import cyclic
+from oracles import sheet_graph_connected
 
 
 def test_counts_match_spec_examples():
@@ -58,6 +59,26 @@ def test_rejects_too_large():
     with pytest.raises(DomainError) as err:
         enumerate_connected_covers(catalog_group("S4"), big)
     assert err.value.code == "TOO_LARGE"
+
+
+def test_witnesses_are_the_connected_product_tuples():
+    # in product order, and the group's own elements, as the same objects
+    for config in (nodal_curve(5), two_node_curve(5)):
+        _, free = spanning_tree(config)
+        for name, G in catalog_groups(8):
+            expected = []
+            for constants in itertools.product(G.elements(),
+                                               repeat=len(free)):
+                gluings: dict = {}
+                for (ci, branch), c in zip(free, constants):
+                    gluings.setdefault(ci, {})[branch] = c
+                if sheet_graph_connected(
+                        build_descriptor(config, G, gluings=gluings)):
+                    expected.append(constants)
+            count, witnesses = enumerate_connected_covers(G, config)
+            assert count == len(witnesses) == len(expected), name
+            assert all(a is b for got, want in zip(witnesses, expected)
+                       for a, b in zip(got, want, strict=True)), name
 
 
 def test_census_nodal():
@@ -168,8 +189,8 @@ def test_cross_check_descent_checks_base_points_once(monkeypatch):
 
 
 def test_template_matches_validating_constructor():
-    # cross_check_descent derives its relation from the descriptor it is
-    # given, so only this comparison catches a wrong template
+    # both census loops swap each tuple's gluings into the template, so
+    # only this comparison catches a wrong template
     P = PointRef
     # its first class holds the tree edge and a free edge
     two_components = CurveConfiguration.build(
@@ -179,14 +200,18 @@ def test_template_matches_validating_constructor():
     assert spanning_tree(two_components) == (
         ((0, P("C2", "a")),), ((0, P("C2", "b")), (1, P("C2", "c"))))
     G = catalog_group("S3")
+    elements = G.elements()
+    gluing_of = [Gluing(c) for c in elements]
     for config in (two_components, two_node_curve(5)):
         template = build_descriptor(config, G)
         _, free = spanning_tree(config)
-        for constants in itertools.product(G.elements(), repeat=len(free)):
+        for positions in itertools.product(range(len(elements)),
+                                           repeat=len(free)):
             gluings: dict = {}
-            for (ci, branch), c in zip(free, constants):
-                gluings.setdefault(ci, {})[branch] = c
-            assert oracle._descriptor_for(template, free, constants) \
+            for (ci, branch), i in zip(free, positions):
+                gluings.setdefault(ci, {})[branch] = elements[i]
+            assert oracle._descriptor_for(template, free, positions,
+                                          gluing_of) \
                 == build_descriptor(config, G, gluings=gluings)
         assert template == build_descriptor(config, G)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pi1curves import perms
 from pi1curves.errors import DomainError
+from pi1curves.groups import PermutationGroup
 from pi1curves.perms import Perm
 
 import oracles
@@ -128,6 +129,16 @@ def test_perm_is_the_tuple_of_its_images():
     assert sorted(perms) == sorted(perms, key=lambda p: p.images)
     assert all(Perm.trusted(p.images) == p for p in perms)
     assert repr(perms[0]) == f"Perm[{perms[0].cycle_string()}]"
+
+
+def test_perm_stores_its_images_as_a_tuple():
+    # whatever holds the images, the Perm holds their tuple: it hashes, and
+    # equals the Perm of the same tuple
+    flip = Perm([1, 0, 2])
+    assert flip == Perm((1, 0, 2)) and hash(flip) == hash(Perm((1, 0, 2)))
+    assert flip.images == (1, 0, 2)
+    assert Perm(range(3)) == Perm.identity(3)
+    assert PermutationGroup(3, [flip]).order() == 2
 
 
 @pytest.mark.parametrize("images", [(0, 0), (1, 2), (0, 2, 1, 5), (-1, 0)])
