@@ -12,7 +12,8 @@ iff f is the LEFT translation x -> f(1)*x, and that one test
 
 build_descriptor stores each gluing as Gluing.of_row reads its row: a
 left translation as its constant c (lambda -> c*lambda), any other
-bijection of G as its map base-fiber label -> branch-fiber label.
+bijection of G (a cover that is not Galois; descent builds only Galois
+ones) as its map base-fiber label -> branch-fiber label.
 _decode is the one reader of a descriptor (a gluing that is missing or
 no bijection of G is FIBER_NOT_TORSOR); is_galois tests its rows.
 
@@ -40,7 +41,7 @@ from typing import NamedTuple
 from .catalog import catalog_group, group_from_json, group_to_json
 from .curves import (CurveConfiguration, PointRef, dual_graph,
                      is_connected as config_connected, require_marked,
-                     require_valid, validate)
+                     require_valid)
 from .errors import DomainError, fields, require, typed
 from .groups import PermutationGroup, orbit, subgroup_positions
 from .perms import Perm, compose, invert
@@ -142,9 +143,8 @@ def build_descriptor(config, group, monodromy=None, gluings=None,
             if p.images not in index:
                 raise DomainError("NOT_A_MEMBER", f"inertia generator {p}")
     for comp in config.components:
-        sub = monodromy.get(comp.id)
-        if comp.genus == 0 and sub is not None \
-                and any(not g.is_identity() for g in sub.generators):
+        sub = monodromy.get(comp.id)  # generators: the nontrivial ones
+        if comp.genus == 0 and sub is not None and sub.generators:
             licensed = any(ref.component_id == comp.id for ref in ramification)
             if not licensed:
                 raise DomainError(
@@ -311,15 +311,14 @@ def _check_glue(group: PermutationGroup, parts, positions=()):
 def _join(cover: CoverDescriptor, relation):
     """The function glue -> the cover with fresh dicts, each point set of
     relation appended as a class (in order) and glue(branch) at each new
-    branch; INVALID_CONFIG on an invalid base.  Callers check the sets:
+    branch; INVALID_CONFIG here on an invalid base.  Callers check sets:
     pairwise disjoint, of 2+ marked smooth points, none removed."""
-    violations = validate(cover.base)
+    require_valid(cover.base)
     old = cover.base.identification_classes
     added = tuple(tuple(sorted(s)) for s in relation)
     base = cover.base._replace(identification_classes=old + added)
 
     def join(glue) -> CoverDescriptor:
-        require(not violations, "INVALID_CONFIG", repr(violations))
         gluings = {ci: dict(b) for ci, b in cover.gluings.items()}
         for ci, cls in enumerate(added, len(old)):
             gluings[ci] = {branch: glue(branch) for branch in cls[1:]}
@@ -387,64 +386,59 @@ def glue_two_components(group: PermutationGroup,
 
 # -- descent ----------------------------------------------------------------
 
-def descend(cover: CoverDescriptor, base_relation, cover_relation,
-            require_galois: bool = True) -> CoverDescriptor:
+def descend(cover, base_relation, cover_relation) -> CoverDescriptor:
     """Quotient a cover by compatible identifications up and downstairs."""
-    return descent(cover, base_relation)(cover_relation, require_galois)
+    return descent(cover, base_relation)(cover_relation)
 
 
 def descent(cover: CoverDescriptor, base_relation):
-    """descend, prepared once per base relation (the base classes sorted,
-    their points checked and given slots, the joined base built): the
-    function (cover_relation, require_galois=True) -> CoverDescriptor,
-    which raises what descend raises, in the same order.
+    """descend, prepared once per base relation: the function
+    cover_relation -> CoverDescriptor.  Every base-side error is raised
+    here, in order: an empty relation, a point that is no PointRef of two
+    str fields, a class of size < 2, the smooth-point checks, overlapping
+    classes, INVALID_CONFIG (_join), GROUP_TOO_LARGE.
 
-    base_relation: nontrivial classes of base points (sets of PointRef of
-    two str fields).  cover_relation: nontrivial classes of cover points
-    ((PointRef, label) pairs), in any order and any collection.  Checks:
-    the cover relation lies over the base relation (1); each base class's
-    full fiber is partitioned into classes of the same size with exactly
-    one point per branch (2); and (when require_galois) the right G-action
-    permutes the cover classes.
+    cover_relation: nontrivial classes of cover points ((PointRef, label)
+    pairs), in any order and any collection.  Checks: the cover relation
+    lies over the base relation (1); each base class's full fiber is
+    partitioned into classes of the same size with exactly one point per
+    branch (2); and the right G-action permutes the cover classes, so
+    every gluing is a constant: the result is Galois.
     """
     config, group = cover.base, cover.group
     # a non-collection reads as a one-item one, whose item the checks refuse
     relation = [list(c) if isinstance(c, Iterable) else [c] for c in (
         base_relation if isinstance(base_relation, Iterable)
         else [base_relation])]
+    require(relation, "BAD_PARTITION",
+            "both relations must have nontrivial classes")
+    require(all(isinstance(ref, PointRef) and isinstance(ref[0], str)
+                and isinstance(ref[1], str) for c in relation for ref in c),
+            "BAD_PARTITION", "a base class is not a set of PointRef")
+    base_classes = [sorted(set(c)) for c in relation]
+    for cls in base_classes:
+        require(len(cls) >= 2, "BAD_PARTITION", "base class of size < 2")
+        for ref in cls:
+            _check_smooth_fiber_point(config, ref)
     # a cover point (ref, label) is the pair (slot of ref, label position):
     # slot[ref] = (base class index, place of ref in its sorted class)
-    base_classes, slot, refused = [], {}, None
-    try:
-        require(all(isinstance(ref, PointRef) and isinstance(ref[0], str)
-                    and isinstance(ref[1], str)
-                    for c in relation for ref in c),
-                "BAD_PARTITION", "a base class is not a set of PointRef")
-        base_classes = [sorted(set(c)) for c in relation]
-        for cls in base_classes:
-            require(len(cls) >= 2, "BAD_PARTITION", "base class of size < 2")
-            for ref in cls:
-                _check_smooth_fiber_point(config, ref)
-        for i, cls in enumerate(base_classes):
-            for k, ref in enumerate(cls):
-                if ref in slot:
-                    raise DomainError("BAD_PARTITION",
-                                      f"{ref} in two base classes")
-                slot[ref] = (i, k)
-        index, elements = group.index(), group.elements()
-        n = len(index)
-        fiber = list(range(n))  # the base labels of a partition, sorted
-    except DomainError as exc:
-        refused = exc
+    slot = {}
+    for i, cls in enumerate(base_classes):
+        for k, ref in enumerate(cls):
+            if ref in slot:
+                raise DomainError("BAD_PARTITION",
+                                  f"{ref} in two base classes")
+            slot[ref] = (i, k)
     join = _join(cover, base_classes)
+    index, elements = group.index(), group.elements()
+    n = len(index)
+    fiber = list(range(n))  # the base labels of a partition, sorted
 
-    def apply(cover_relation, require_galois=True) -> CoverDescriptor:
+    def apply(cover_relation) -> CoverDescriptor:
         cover_relation = list(cover_relation) if isinstance(
             cover_relation, (list, Iterable)) else [cover_relation]
-        require(relation and cover_relation, "BAD_PARTITION",
+        require(cover_relation, "BAD_PARTITION",
                 "both relations must have nontrivial classes")
-        if refused:  # a bad base relation, after an empty relation
-            raise refused.with_traceback(None)
 
         # condition (1), in one pass: each cover class becomes a map place
         # -> label position, filed under its base class i (None with no
@@ -480,9 +474,10 @@ def descent(cover: CoverDescriptor, base_relation):
 
         # condition (2), base class by base class: n classes with one label
         # on every branch, sorted by base label, partition the fiber iff
-        # their base labels are 0..n-1, and then the labels over a branch
-        # are its row; a left row is a bijection and a constant gluing
-        gluings, galois = {}, True
+        # their base labels are 0..n-1; the labels over a branch are its
+        # row, and the right action (base label x -> x*g) permutes the
+        # classes iff every row is a left row: a bijection and a constant
+        gluings = {}
         for cls, classes in zip(base_classes, by_base):
             require(set(map(len, classes)) <= {len(cls)}, "BAD_PARTITION",
                     "a cover class does not have one point in G on each "
@@ -495,18 +490,12 @@ def descent(cover: CoverDescriptor, base_relation):
                     "cover classes overlap")
             for k, branch in enumerate(cls[1:], 1):
                 row = tuple([c[k] for c in classes])
-                if _is_translation(group, row):  # a left row is a bijection
-                    gluings[branch] = Gluing(elements[row[0]])
-                else:
+                if not _is_translation(group, row):
                     require(len(set(row)) == n, "BAD_PARTITION",
                             "cover classes overlap")
-                    gluings[branch] = Gluing.of_row(row, group)
-                    galois = False
-
-        # the right action moves the class through base label x to the
-        # one through x*g: it permutes them iff every row is a left row
-        require(galois or not require_galois, "ACTION_NOT_EQUIVARIANT",
-                "right action does not permute the cover classes")
+                    raise DomainError("ACTION_NOT_EQUIVARIANT", "right action "
+                                      "does not permute the cover classes")
+                gluings[branch] = Gluing(elements[row[0]])
         return join(gluings.__getitem__)
 
     return apply

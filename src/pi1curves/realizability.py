@@ -14,9 +14,9 @@ from collections import namedtuple
 from .curves import (CurveConfiguration, delta, rank_report,
                      require_projective)
 from .errors import require
-from .groups import (MAX_CHARACTERISTIC, PermutationGroup,
-                     abelianization_p_rank, is_p_group, is_prime,
-                     min_generators, nakajima_tG, quasi_p_part, quotient)
+from .groups import (PermutationGroup, abelianization_p_rank, is_p_group,
+                     is_prime, min_generators, nakajima_tG, quasi_p_part,
+                     quotient)
 
 
 class RealizabilityVerdict(namedtuple("RealizabilityVerdict",
@@ -44,8 +44,7 @@ class RealizabilityVerdict(namedtuple("RealizabilityVerdict",
 
 
 def _check_char(p):
-    require(p == 0 or (p <= MAX_CHARACTERISTIC and is_prime(p)),
-            "BAD_CHARACTERISTIC", f"p = {p}")
+    require(p == 0 or is_prime(p), "BAD_CHARACTERISTIC", f"p = {p}")
 
 
 def _affine_ranks(mode, p, config, no_removed):

@@ -89,6 +89,11 @@ def test_build_descriptor_etale_genus_zero_guard():
     cover = build_descriptor(base, C2, monodromy={"C1": C2},
                              ramification={P("C1", "a"): (flip,)})
     assert cover.monodromy_of("C1").order() == 2
+    # monodromy given by identity generators alone is trivial: no license
+    trivial = PermutationGroup(C2.degree, [Perm.identity(C2.degree)] * 2)
+    cover = build_descriptor(base, C2, monodromy={"C1": trivial})
+    assert cover.monodromy_of("C1").order() == 1
+    assert not cover.ramification
 
 
 def test_decode_builds_the_trivial_group_only_when_needed(monkeypatch):
@@ -528,8 +533,6 @@ def test_descend_rejects_non_equivariant():
     with pytest.raises(DomainError) as err:
         descend(cover, [{a, b}], bad)
     assert err.value.code == "ACTION_NOT_EQUIVARIANT"
-    out = descend(cover, [{a, b}], bad, require_galois=False)
-    assert not is_galois(out)
 
 
 def test_descend_rejects_bad_partition():
@@ -640,8 +643,8 @@ def test_classes_are_plain_sorted_tuples():
 
 
 def _descent_case(name):
-    """(cover, base relation, cover relation, require_galois) for one row
-    of test_descend_failure_table: a C3-cover of a curve with points
+    """(cover, base relation, cover relation) for one row of
+    test_descend_failure_table: a C3-cover of a curve with points
     a, b, c, d, descended along {a, b} (glued by x) and {c, d} (by 1)."""
     C3 = cyclic(3)
     base = CurveConfiguration.build(
@@ -656,7 +659,7 @@ def _descent_case(name):
     outside = Perm.from_cycles(3, [(1, 2)])
     rel = [{(a, l), (b, x * l)} for l in (e, x, y)] \
         + [{(c, l), (d, l)} for l in (e, x, y)]
-    base_rel, galois = [{a, b}, {c, d}], True
+    base_rel = [{a, b}, {c, d}]
     unknown = {(c, y), (P("C1", "zzz"), y)}
     if name == "unknown_ref":
         rel[5] = unknown
@@ -676,9 +679,10 @@ def _descent_case(name):
         rel[0] = {(a, x), (b, e)}
     elif name == "repeated_branch_label":
         rel[0] = {(a, e), (b, y)}
-    elif name in ("non_translation", "non_translation_accepted"):
+    elif name.startswith("non_translation"):
         rel[:3] = [{(a, e), (b, e)}, {(a, x), (b, y)}, {(a, y), (b, x)}]
-        galois = name == "non_translation"
+        if name == "non_translation_then_overlap":
+            rel[3] = {(c, e), (d, x)}
     elif name == "non_perm_label":
         rel[0] = {(a, e), (b, "x")}
     elif name == "one_item_pair":
@@ -698,6 +702,8 @@ def _descent_case(name):
         rel[0:2] = [{(a, e)}]
     elif name == "overlapping_base_classes":
         base_rel = [{a, b}, {b, c}]
+    elif name == "empty_base_relation":
+        base_rel = []
     elif name == "removed_base_point":
         base_rel = [{a, b}, {c, P("C1", "r")}]
     elif name == "empty_cover_relation":
@@ -726,7 +732,7 @@ def _descent_case(name):
         rel[0] = 5
     elif name == "cover_point_unhashable":
         rel[5] = [[["C1", "c"], y], (d, y)]
-    return cover, base_rel, rel, galois
+    return cover, base_rel, rel
 
 
 BAD_ONE_EACH = ("BAD_PARTITION",
@@ -740,6 +746,13 @@ NOT_A_BASE_POINT = ("BAD_PARTITION", "a base class is not a set of PointRef")
 EMPTY = ("BAD_PARTITION", "both relations must have nontrivial classes")
 NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
                    "right action does not permute the cover classes")
+REMOVED = ("OVERLAP_WITH_REMOVED", str(P("C1", "r")))
+INVALID = ("INVALID_CONFIG",
+           "[('BAD_CHARACTERISTIC', '4 is not prime or 0')]")
+# the prefixes of the rows whose error lies in the base relation or the
+# base configuration
+BASE_SIDE = ("base_", "invalid_config", "overlapping_base_classes",
+             "removed_base_point", "empty_cover_relation_over_bad_base")
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -754,7 +767,8 @@ NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
     ("repeated_base_label", OVERLAP),
     ("repeated_branch_label", OVERLAP),
     ("non_translation", NOT_EQUIVARIANT),
-    ("non_translation_accepted", "mapping"),
+    # a row that is no left translation is refused at once
+    ("non_translation_then_overlap", NOT_EQUIVARIANT),
     ("non_perm_label", BAD_ONE_EACH),
     ("repeated_pair_in_list", "constant"),
     # two defects: condition (1) runs over every cover class before
@@ -766,23 +780,19 @@ NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
     ("count_and_missing_branch", BAD_ONE_EACH),
     ("overlapping_base_classes", ("BAD_PARTITION",
                                   f"{P('C1', 'b')} in two base classes")),
-    ("removed_base_point", ("OVERLAP_WITH_REMOVED", str(P("C1", "r")))),
+    ("removed_base_point", REMOVED),
     ("empty_cover_relation", EMPTY),
-    # the empty relation is refused before the base relation is read
-    ("empty_cover_relation_over_bad_base", EMPTY),
-    # an invalid base configuration is refused after every relation error
-    ("invalid_config", ("INVALID_CONFIG",
-                        "[('BAD_CHARACTERISTIC', '4 is not prime or 0')]")),
-    ("invalid_config_removed_base_point",
-     ("OVERLAP_WITH_REMOVED", str(P("C1", "r")))),
-    ("invalid_config_missing_branch_then_unknown_ref", NOT_OVER_ONE),
-    ("invalid_config_wrong_count", ("BAD_PARTITION",
-                                    "2 cover classes over a base class, "
-                                    "not |G| = 3")),
-    ("invalid_config_non_translation", NOT_EQUIVARIANT),
-    ("invalid_config_non_translation_accepted",
-     ("INVALID_CONFIG", "[('BAD_CHARACTERISTIC', '4 is not prime or 0')]")),
-    ("invalid_config_empty_cover_relation_over_bad_base", EMPTY),
+    # a bad base relation is refused when the descent is prepared, before
+    # the cover relation is read, and an invalid base configuration after
+    # every other base-side error
+    ("empty_cover_relation_over_bad_base", REMOVED),
+    ("invalid_config", INVALID),
+    ("invalid_config_removed_base_point", REMOVED),
+    ("invalid_config_missing_branch_then_unknown_ref", INVALID),
+    ("invalid_config_wrong_count", INVALID),
+    ("invalid_config_non_translation", INVALID),
+    ("invalid_config_empty_base_relation", EMPTY),
+    ("invalid_config_empty_cover_relation_over_bad_base", REMOVED),
     ("one_item_pair", NOT_A_PAIR),
     ("non_iterable_item", NOT_A_PAIR),
     ("list_pairs", "constant"),
@@ -801,37 +811,40 @@ NOT_EQUIVARIANT = ("ACTION_NOT_EQUIVARIANT",
     ("base_point_int_field", NOT_A_BASE_POINT),
 ])
 def test_descend_failure_table(name, expected):
-    # descend, and one descent prepared for the base relation and applied
-    # twice, answer alike
-    cover, base_rel, rel, galois = _descent_case(name)
-    prepared = descent(cover, base_rel)
-    calls = [lambda: descend(cover, base_rel, rel, require_galois=galois),
-             lambda: prepared(rel, require_galois=galois)]
+    # descend, a descent prepared in the call, and one descent prepared
+    # for the base relation and applied twice, answer alike; a base-side
+    # error is raised by preparing the descent alone
+    cover, base_rel, rel = _descent_case(name)
     if isinstance(expected, tuple):
-        for call in calls + calls[1:]:
+        calls = [lambda: descend(cover, base_rel, rel),
+                 lambda: descent(cover, base_rel)(rel)]
+        if name.startswith(BASE_SIDE):
+            calls.append(lambda: descent(cover, base_rel))
+        else:
+            prepared = descent(cover, base_rel)
+            calls += [lambda: prepared(rel)] * 2
+        for call in calls:
             with pytest.raises(DomainError) as err:
                 call()
             assert (err.value.code, str(err.value)) \
                 == (expected[0], ": ".join(expected))
         return
-    out = descend(cover, base_rel, rel, require_galois=galois)
-    assert prepared(rel, require_galois=galois) == out
+    assert expected == "constant"
+    prepared = descent(cover, base_rel)
+    out = descend(cover, base_rel, rel)
+    assert prepared(rel) == out
     e, x, y = cover.group.elements()
     a, b, c, d = (P("C1", s) for s in "abcd")
-    glued = out.gluings[0][b]
-    if expected == "constant":
-        assert glued == Gluing(x)
-    else:
-        assert glued == Gluing(mapping=((e, e), (x, y), (y, x)))
+    assert out.gluings[0][b] == Gluing(x)
     assert out.gluings[1] == {d: Gluing(e)}
     assert out.base.identification_classes == ((a, b), (c, d))
 
 
 def test_prepared_descent_equals_descend():
     # one descent per cover and base relation, applied to many random
-    # cover relations (translations, other bijections, defects; with and
-    # without require_galois), gives what descend gives each time, and no
-    # two results, nor a result and the cover, share a mutable dict
+    # cover relations (translations, other bijections, defects), gives
+    # what descend gives each time, and no two results, nor a result and
+    # the cover, share a mutable dict
     rng = random.Random(25)
     labels = [str(i) for i in range(7)]
     config = CurveConfiguration.build(
@@ -865,16 +878,15 @@ def test_prepared_descent_equals_descend():
                 if rng.random() < 0.2:
                     del cover_rel[rng.randrange(len(cover_rel))]
                 rng.shuffle(cover_rel)
-                galois = rng.random() < 0.5
                 try:
-                    expected = descend(cover, base_rel, cover_rel, galois)
+                    expected = descend(cover, base_rel, cover_rel)
                 except DomainError as exc:
                     with pytest.raises(DomainError) as err:
-                        prepared(cover_rel, galois)
+                        prepared(cover_rel)
                     assert str(err.value) == str(exc)
                     outcomes.add(exc.code)
                     continue
-                out = prepared(cover_rel, galois)
+                out = prepared(cover_rel)
                 assert out == expected
                 outcomes.add(is_galois(out))
                 results.append(out)
@@ -882,7 +894,7 @@ def test_prepared_descent_equals_descend():
                 out.monodromy, out.gluings, out.ramification,
                 *out.gluings.values())]
             assert len({id(d) for d in dicts}) == len(dicts)
-    assert outcomes == {True, False, "BAD_PARTITION", "ACTION_NOT_EQUIVARIANT"}
+    assert outcomes == {True, "BAD_PARTITION", "ACTION_NOT_EQUIVARIANT"}
 
 
 def _shuffled(rng, relation):
@@ -1034,8 +1046,8 @@ def test_is_connected_matches_oracle_on_constant_covers():
 
 
 def test_is_connected_matches_oracle_on_mapping_covers(monkeypatch):
-    # descend(require_galois=False) leaves raw mappings where a class is
-    # glued by a bijection that is not a left translation.  On the second
+    # build_descriptor keeps a mapping where a class is glued by a
+    # bijection that is not a left translation.  On the second
     # base the spanning tree reaches C before B, so the tree edges from B
     # to C are moved from their branch side; is_connected builds no cosets
     def forbidden(*args):
@@ -1059,22 +1071,21 @@ def test_is_connected_matches_oracle_on_mapping_covers(monkeypatch):
             G = catalog_group(name)
             elements = G.elements()
             for _ in range(40):
-                cover = build_descriptor(base, G, monodromy={
-                    comp.id: _random_subgroup(rng, G)
-                    for comp in base.components})
+                monodromy = {comp.id: _random_subgroup(rng, G)
+                             for comp in base.components}
                 chosen = rng.sample(pairs, rng.randint(1, 3))
-                relation = []
-                for lo, hi in chosen:
+                gluings = {}  # each pair lo < hi: class ci, branch hi
+                for ci, (lo, hi) in enumerate(chosen):
                     images = list(elements)
                     if rng.random() < 0.5:
                         rng.shuffle(images)
                     else:
                         c = rng.choice(elements)
                         images = [c * x for x in elements]
-                    relation += [{(lo, x), (hi, y)}
-                                 for x, y in zip(elements, images)]
-                out = descend(cover, [set(p) for p in chosen], relation,
-                              require_galois=False)
+                    gluings[ci] = {hi: Gluing(
+                        mapping=tuple(zip(elements, images)))}
+                out = build_descriptor(identify(base, chosen), G,
+                                       monodromy=monodromy, gluings=gluings)
                 connected = is_connected(out)
                 assert connected == sheet_graph_connected(out)
                 seen.add((connected, is_galois(out)))

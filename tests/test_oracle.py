@@ -164,6 +164,40 @@ def test_cross_check_descent_lists_mismatches(monkeypatch, part):
     assert report.negative_controls_rejected == 1
 
 
+def test_negative_control_is_the_galois_refusal(monkeypatch):
+    # the control partitions the fiber, so only the Galois refusal can
+    # reject it: it is the one call of the prepared descent that raises,
+    # and it raises ACTION_NOT_EQUIVARIANT
+    codes = []
+    real_descent = oracle.descent
+
+    def descent(*prepared):
+        apply = real_descent(*prepared)
+
+        def descend(relation):
+            try:
+                return apply(relation)
+            except DomainError as exc:
+                codes.append(exc.code)
+                raise
+
+        return descend
+
+    monkeypatch.setattr(oracle, "descent", descent)
+    for config in (nodal_curve(5), two_node_curve(5)):
+        for name, G in catalog_groups(12):
+            if G.order() < 3:
+                continue
+            codes.clear()
+            report = cross_check_descent(G, config)
+            assert report.ok and report.negative_controls_rejected == 1, name
+            assert codes == ["ACTION_NOT_EQUIVARIANT"], name
+    # a descent that takes every row for a left translation lets it pass
+    monkeypatch.setattr(covers, "_is_translation", lambda group, row: True)
+    report = cross_check_descent(catalog_group("S3"), nodal_curve(5))
+    assert report.negative_controls_rejected == 0
+
+
 def test_cross_check_descent_checks_base_points_once(monkeypatch):
     # the descent is prepared once per cross-check: each base point is
     # checked once, however many tuples (|G|^delta) are descended
