@@ -3,24 +3,24 @@
 Over a projective configuration whose components are all rational, a
 connected G-cover is (after tree normalization) exactly a choice of one
 gluing constant per non-tree edge of the dual graph such that the
-constants generate G.  Enumerating those tuples therefore counts
-generating tuples, and the count must equal the Eulerian function
-phi_delta(G).  This module does the enumeration, deciding connectivity
-with covers.is_connected (a span of the monodromy and non-tree gluing
-constants, the same criterion), so the independent check on the count is
-the Moebius-inversion eulerian; it also rebuilds every enumerated cover
-through descent, compares it with direct gluing, and has descent refuse
-one partition that is not Galois.
+constants generate G: the paper's theorem at genus 0, pi_1 = F_delta.
+Enumerating those tuples therefore counts generating tuples, and the
+count must equal the Eulerian function phi_delta(G).  This module does
+the enumeration, keeping the tuples whose span (group.span) is all of G,
+so the independent check on the count is the Moebius-inversion eulerian;
+it also rebuilds every enumerated cover through descent, compares it
+with direct gluing, and has descent refuse one partition that is not
+Galois.
 
-Both loops redo per tuple only what depends on the tuple, and run on
-element positions: the tuples are itertools.product(range(|G|),
-repeat=delta), in the order of the product of the elements.  Each loop
-builds one validated template, build_descriptor(config, group), and each
-element's Gluing once, and swaps the free-edge gluings into a copy of
-the template's (_descriptor_for); the descent check prepares one
-covers.descent over the base relation, and builds each branch's column
-of (branch, label) pairs once, each free branch's under each constant
-(_induced_relations), so a tuple's cover relation is a zip of columns.
+Both loops run on element positions: the tuples are
+itertools.product(range(|G|), repeat=delta), in the order of the product
+of the elements.  The descent check builds one validated template,
+build_descriptor(config, group), and each element's Gluing once, and
+swaps the free-edge gluings into a copy of the template's
+(_descriptor_for); it prepares one covers.descent over the base
+relation, and builds each branch's column of (branch, label) pairs once,
+each free branch's under each constant (_induced_relations), so a
+tuple's cover relation is a zip of columns.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import itertools
 from typing import NamedTuple
 
 from .catalog import catalog_groups
-from .covers import (Gluing, build_descriptor, descent,
-                     is_connected as cover_connected, spanning_tree)
+from .covers import Gluing, build_descriptor, descent, spanning_tree
 from .curves import (CurveConfiguration, PointRef, delta,
                      require_projective, strip_identifications)
 from .errors import DomainError, require
@@ -81,21 +80,20 @@ def require_enumerable(group: PermutationGroup,
 
 def enumerate_connected_covers(group: PermutationGroup,
                                config: CurveConfiguration):
-    """Count connected G-covers in tree-normalized form.
+    """Count connected G-covers in tree-normalized form: the tuples of
+    non-tree gluing constants that generate G.
 
     Returns (count, witnesses) where each witness is the tuple of
     non-tree gluing constants of one connected descriptor, in the
     deterministic edge order of spanning_tree().
     """
     free_edges = require_enumerable(group, config)
-    template = build_descriptor(config, group)
     elements = group.elements()
-    gluing_of = [Gluing(c) for c in elements]
+    whole = (1 << len(elements)) - 1
     witnesses = [tuple(elements[i] for i in positions)
                  for positions in itertools.product(range(len(elements)),
                                                     repeat=len(free_edges))
-                 if cover_connected(_descriptor_for(template, free_edges,
-                                                    positions, gluing_of))]
+                 if group.span(positions) == whole]
     return len(witnesses), witnesses
 
 

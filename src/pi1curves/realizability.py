@@ -44,7 +44,8 @@ class RealizabilityVerdict(namedtuple("RealizabilityVerdict",
 
 
 def _check_char(p):
-    require(p == 0 or is_prime(p), "BAD_CHARACTERISTIC", f"p = {p}")
+    require(p == 0 or is_prime(p), "BAD_CHARACTERISTIC",
+            f"{p} is not prime or 0")
 
 
 def _affine_ranks(mode, p, config, no_removed):

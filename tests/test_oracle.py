@@ -222,15 +222,60 @@ def test_cross_check_descent_checks_base_points_once(monkeypatch):
             for ref in cls), name
 
 
-def test_template_matches_validating_constructor():
-    # both census loops swap each tuple's gluings into the template, so
-    # only this comparison catches a wrong template
-    P = PointRef
+def _two_components():
     # its first class holds the tree edge and a free edge
-    two_components = CurveConfiguration.build(
+    P = PointRef
+    return CurveConfiguration.build(
         5, [("C1", 0), ("C2", 0)], {"C1": ["a", "b"], "C2": ["a", "b", "c"]},
         [[P("C1", "a"), P("C2", "a"), P("C2", "b")],
          [P("C1", "b"), P("C2", "c")]])
+
+
+def test_span_filter_is_cover_connectivity():
+    # a tree edge and a three-branch class, which the nodal and two-node
+    # curves lack: a tuple spans G iff its cover is connected, by
+    # is_connected and by the sheet graph, and the enumeration keeps
+    # exactly those tuples
+    config = _two_components()
+    _, free = spanning_tree(config)
+    for name, G in catalog_groups(8):
+        elements = G.elements()
+        whole = (1 << len(elements)) - 1
+        expected = []
+        for positions in itertools.product(range(len(elements)),
+                                           repeat=len(free)):
+            gluings: dict = {}
+            for (ci, branch), i in zip(free, positions):
+                gluings.setdefault(ci, {})[branch] = elements[i]
+            cover = build_descriptor(config, G, gluings=gluings)
+            spans = G.span(positions) == whole
+            assert covers.is_connected(cover) == spans, (name, positions)
+            assert sheet_graph_connected(cover) == spans, (name, positions)
+            if spans:
+                expected.append(tuple(elements[i] for i in positions))
+        assert enumerate_connected_covers(G, config) \
+            == (len(expected), expected), name
+
+
+def test_enumeration_builds_no_cover(monkeypatch):
+    G, theta = catalog_group("S3"), two_node_curve(5)
+    count, witnesses = enumerate_connected_covers(G, theta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumeration built or decided a cover")
+
+    monkeypatch.setattr(oracle, "build_descriptor", refuse)
+    monkeypatch.setattr(covers, "build_descriptor", refuse)
+    monkeypatch.setattr(covers, "is_connected", refuse)
+    assert enumerate_connected_covers(G, theta) == (count, witnesses)
+    assert count == 18
+
+
+def test_template_matches_validating_constructor():
+    # the descent check swaps each tuple's gluings into the template, so
+    # only this comparison catches a wrong template
+    P = PointRef
+    two_components = _two_components()
     assert spanning_tree(two_components) == (
         ((0, P("C2", "a")),), ((0, P("C2", "b")), (1, P("C2", "c"))))
     G = catalog_group("S3")

@@ -284,7 +284,8 @@ def test_affine_rules_guard_order(rule, mode, no_removed):
     invalid = CurveConfiguration.build(5, [("C", -1)], {"C": []}, [])
     cases = ((two, 4, f"NOT_AFFINE: --mode {mode} needs a single component"),
              (invalid, 4, "INVALID_CONFIG: [('NEGATIVE_GENUS', 'C')]"),
-             (affine_curve(5, 0, 0, 1), 4, "BAD_CHARACTERISTIC: p = 4"),
+             (affine_curve(5, 0, 0, 1), 4,
+              "BAD_CHARACTERISTIC: 4 is not prime or 0"),
              (affine_curve(5, 0, 0, 1), 5, f"NOT_AFFINE: {no_removed}"))
     for config, p, message in cases:
         with pytest.raises(DomainError) as err:
