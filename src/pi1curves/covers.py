@@ -261,20 +261,7 @@ def is_galois(cover: CoverDescriptor) -> bool:
                for _, _, row in _decode(cover)[1])
 
 
-# -- induction and gluing ---------------------------------------------------
-
-def induce(cover: CoverDescriptor,
-           ambient: PermutationGroup) -> CoverDescriptor:
-    """Reinterpret an H-cover as a (disconnected) ambient-group cover.
-
-    In the torsor model the label set simply grows from H to the ambient
-    group; monodromy subgroups and gluing constants are unchanged.
-    """
-    positions = subgroup_positions(ambient, cover.group)
-    require(positions is not None, "NOT_A_MEMBER",
-            "cover group is not a subgroup of the ambient group")
-    return cover._replace(group=ambient)
-
+# -- gluing ----------------------------------------------------------------
 
 def _check_smooth_fiber_point(config, ref):
     require_marked(config, ref)
@@ -345,10 +332,13 @@ def glue_same_component(ambient: PermutationGroup, sub: PermutationGroup,
     _check_glue(ambient, [(base_cover, sub, (y1, y2))], [g])
     require(y1 != y2, "FIBER_NOT_TORSOR", "points must be distinct")
 
-    # label x over y1 is matched with label gamma*x over y2; the new class
-    # is {y1, y2}, so its base branch is min(y1, y2)
+    # the H-cover, read as an ambient-group cover (its label set grows from
+    # H to the ambient group; monodromy and constants are unchanged), with
+    # label x over y1 matched with label gamma*x over y2; the new class is
+    # {y1, y2}, so its base branch is min(y1, y2)
     gluing = Gluing(gamma if y1 < y2 else gamma.inverse)
-    return _join(induce(base_cover, ambient), [{y1, y2}])(lambda _: gluing)
+    return _join(base_cover._replace(group=ambient),
+                 [{y1, y2}])(lambda _: gluing)
 
 
 def glue_two_components(group: PermutationGroup,

@@ -23,8 +23,9 @@ those positions (span), so the subset test is a & ~b == 0 and the order
 is a.bit_count().  On the index run the cover calculus, Sylow subgroups,
 normal closures, quotients, sigma(G), and one level-by-level join search
 over subgroups (_subgroup_levels) behind the lattice, Moebius/Eulerian
-counting and d(G), which a sigma bound met by a generating tuple can cut
-short; they raise GROUP_TOO_LARGE above their bound and build no chain.
+counting (μ kept per group, so each lattice is built once) and d(G),
+which a sigma bound met by a generating tuple can cut short; they raise
+GROUP_TOO_LARGE above their bound and build no chain.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ class PermutationGroup:
     """A group given by its degree and generators, which alone decide
     equality and the hash; _memo keeps what is computed from them (the
     chain, the element index, its rows, the bound a stopped listing
-    passed).  Every given generator, an identity too, must have the
-    degree (DEGREE_MISMATCH); identities and repeats are then dropped."""
+    passed, and μ on the subgroup lattice, once it is built).  Every
+    given generator, an identity too, must have the degree
+    (DEGREE_MISMATCH); identities and repeats are then dropped."""
     __slots__ = ("degree", "generators", "_memo")
 
     def __init__(self, degree: int, generators):
@@ -558,13 +560,17 @@ def _positions_of(mask: int) -> list:
 
 
 def _moebius_masks(group: PermutationGroup) -> dict:
-    """μ(H, G) as {mask of H: μ}, largest subgroups first."""
-    mu: dict = {}
-    for h in sorted(_lattice_masks(group), key=lambda m: -m.bit_count()):
-        # every subgroup already in mu is at least as large as h, so the
-        # proper overgroups of h among them are exactly its supersets
-        mu[h] = -sum(m for k, m in mu.items() if not h & ~k) if mu else 1
-    return mu
+    """μ(H, G) as {mask of H: μ}, largest subgroups first, kept in the
+    group's _memo once the lattice is built (so a group above
+    LATTICE_BOUND raises GROUP_TOO_LARGE on every call)."""
+    if "moebius" not in group._memo:
+        mu: dict = {}
+        for h in sorted(_lattice_masks(group), key=lambda m: -m.bit_count()):
+            # every subgroup already in mu is at least as large as h, so the
+            # proper overgroups of h among them are exactly its supersets
+            mu[h] = -sum(m for k, m in mu.items() if not h & ~k) if mu else 1
+        group._memo["moebius"] = mu
+    return group._memo["moebius"]
 
 
 def _frozenset_of(group: PermutationGroup, mask: int) -> frozenset:

@@ -6,21 +6,22 @@ gluing constant per non-tree edge of the dual graph such that the
 constants generate G: the paper's theorem at genus 0, pi_1 = F_delta.
 Enumerating those tuples therefore counts generating tuples, and the
 count must equal the Eulerian function phi_delta(G).  This module does
-the enumeration, keeping the tuples whose span (group.span) is all of G,
-so the independent check on the count is the Moebius-inversion eulerian;
-it also rebuilds every enumerated cover through descent, compares it
-with direct gluing, and has descent refuse one partition that is not
-Galois.
+the enumeration, keeping the tuples whose span is all of G, so the
+independent check on the count is the Moebius-inversion eulerian; it
+also rebuilds every enumerated cover through descent, compares it with
+direct gluing, and has descent refuse one partition that is not Galois.
 
 Both loops run on element positions: the tuples are
 itertools.product(range(|G|), repeat=delta), in the order of the product
-of the elements.  The descent check builds one validated template,
-build_descriptor(config, group), and each element's Gluing once, and
-swaps the free-edge gluings into a copy of the template's
-(_descriptor_for); it prepares one covers.descent over the base
-relation, and builds each branch's column of (branch, label) pairs once,
-each free branch's under each constant (_induced_relations), so a
-tuple's cover relation is a zip of columns.
+of the elements.  The enumeration spans each <x> once and keys a tuple
+by the union of its <x_i>, which generates what the tuple does, so one
+group.span decides every tuple with that union.  The descent check
+builds one validated template, build_descriptor(config, group), and each
+element's Gluing once, and swaps the free-edge gluings into a copy of
+the template's (_descriptor_for); it prepares one covers.descent over
+the base relation, and builds each branch's column of (branch, label)
+pairs once, each free branch's under each constant (_induced_relations),
+so a tuple's cover relation is a zip of columns.
 """
 
 from __future__ import annotations
@@ -84,16 +85,28 @@ def enumerate_connected_covers(group: PermutationGroup,
     non-tree gluing constants that generate G.
 
     Returns (count, witnesses) where each witness is the tuple of
-    non-tree gluing constants of one connected descriptor, in the
-    deterministic edge order of spanning_tree().
+    non-tree gluing constants of one connected descriptor (the group's
+    own elements), in the deterministic edge order of spanning_tree(),
+    the witnesses in product order.  <x_1..x_delta> is generated by
+    <x_1> | ... | <x_delta>, so the first tuple with a given union of
+    cyclic masks decides, by one span, every later tuple with it.
     """
     free_edges = require_enumerable(group, config)
     elements = group.elements()
     whole = (1 << len(elements)) - 1
-    witnesses = [tuple(elements[i] for i in positions)
-                 for positions in itertools.product(range(len(elements)),
-                                                    repeat=len(free_edges))
-                 if group.span(positions) == whole]
+    cyclic = [group.span((i,)) for i in range(len(elements))]
+    spans_whole: dict = {}  # union of the <x_i> -> whether it spans G
+    witnesses = []
+    for positions in itertools.product(range(len(elements)),
+                                       repeat=len(free_edges)):
+        union = 0
+        for i in positions:
+            union |= cyclic[i]
+        spans = spans_whole.get(union)
+        if spans is None:
+            spans = spans_whole[union] = group.span(positions) == whole
+        if spans:
+            witnesses.append(compose(elements, positions))
     return len(witnesses), witnesses
 
 
@@ -108,7 +121,7 @@ class CensusEntry(NamedTuple):
         return {"group": self.name, "order": self.order,
                 "realizable": self.realizable, "count": self.count,
                 "witness": [c.to_one_indexed() for c in self.witness]
-                if self.witness else None}
+                if self.witness is not None else None}
 
 
 def quotient_census(config: CurveConfiguration, max_order: int):

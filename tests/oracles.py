@@ -55,6 +55,19 @@ def _closure(generators, identity) -> frozenset:
     return frozenset(found)
 
 
+def perm_closure(degree, gens) -> set:
+    """The group that the Perms gens generate, closed under Perm
+    products: an oracle for group.span."""
+    identity = Perm.identity(degree)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        frontier = [y for y in {g * x for x in frontier for g in gens}
+                    if y not in seen]
+        seen.update(frontier)
+    return seen
+
+
 def subgroup_lattice_by_closure(group) -> list:
     """Independent oracle for subgroup_lattice: every subgroup as a
     frozenset of image tuples, sorted by order and then by its sorted

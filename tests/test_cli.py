@@ -145,6 +145,21 @@ def test_enumerate_census_json(capsys, nodal_file):
         '"order": 4, "realizable": false, "witness": null}]\n')
 
 
+def test_enumerate_census_delta_zero_witness_is_empty(capsys, tmp_path):
+    # on P^1 the one connected C1-cover has no gluing constants: its
+    # witness is the empty tuple, as --group lists it, not null
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(CurveConfiguration.build(
+        5, [("C1", 0)], {"C1": []}, []).to_json()))
+    code, out, _ = run(capsys, "enumerate", str(path), "--max-order", "2")
+    assert code == 0 and out == (
+        '[{"count": 1, "group": "C1", "order": 1, "realizable": true, '
+        '"witness": []}, {"count": 0, "group": "C2", "order": 2, '
+        '"realizable": false, "witness": null}]\n')
+    code, out, _ = run(capsys, "enumerate", str(path), "--group", "C1")
+    assert code == 0 and json.loads(out)["witnesses"] == [[]]
+
+
 def test_realizable_tame(capsys, tmp_path):
     path = tmp_path / "nodal_affine.json"
     path.write_text(json.dumps(affine_curve(5, 0, 1, 1).to_json()))

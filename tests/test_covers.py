@@ -15,7 +15,6 @@ from pi1curves.covers import (
     dual_graph_dot,
     glue_same_component,
     glue_two_components,
-    induce,
     is_connected,
     is_galois,
     normalize_spanning_tree,
@@ -197,23 +196,6 @@ def test_monodromy_outside_the_group_is_not_a_member():
     assert err.value.code == "NOT_A_MEMBER"
 
 
-def test_induce_and_transversal():
-    S3, A3, _ = s3_and_a3()
-    base = CurveConfiguration.build(5, [("C1", 1)], {"C1": ["a"]}, [])
-    cover = build_descriptor(base, A3, monodromy={"C1": A3})
-    bigger = induce(cover, S3)
-    assert bigger.group.elements() == S3.elements()
-
-
-def test_induce_requires_subgroup():
-    C4 = cyclic(4)
-    C3 = cyclic(3)
-    base = CurveConfiguration.build(5, [("C1", 1)], {"C1": []}, [])
-    cover = build_descriptor(base, C3, monodromy={"C1": C3})
-    with pytest.raises(DomainError):
-        induce(cover, C4)
-
-
 # -- gluing propositions ----------------------------------------------------
 
 def test_glue_same_component():
@@ -386,16 +368,19 @@ def test_empty_base_is_disconnected():
 
 def test_glue_same_component_rejects_non_subgroup():
     # membership is checked before generation: <(1 2), rotation> is all
-    # of S3, a proper overgroup of the ambient A3
+    # of S3, a proper overgroup of the ambient A3; C3 on 3 points lies in
+    # no group of degree 4.  Gluing reads the cover as an ambient-group
+    # cover only after this check.
     S3, A3, flip = s3_and_a3()
-    rotation = A3.generators[0]
-    outside = subgroup_generated(S3, [flip])
+    C4 = cyclic(4)
     base = CurveConfiguration.build(5, [("C1", 1)], {"C1": ["a", "b"]}, [])
-    cover = build_descriptor(base, outside, monodromy={"C1": outside})
-    with pytest.raises(DomainError) as err:
-        glue_same_component(A3, outside, rotation, cover,
-                            P("C1", "a"), P("C1", "b"))
-    assert err.value.code == "NOT_A_MEMBER"
+    for ambient, outside in ((A3, subgroup_generated(S3, [flip])),
+                             (C4, cyclic(3))):
+        cover = build_descriptor(base, outside, monodromy={"C1": outside})
+        with pytest.raises(DomainError) as err:
+            glue_same_component(ambient, outside, ambient.generators[0],
+                                cover, P("C1", "a"), P("C1", "b"))
+        assert err.value.code == "NOT_A_MEMBER"
 
 
 @pytest.mark.parametrize("name", ["S3", "SL23"])
@@ -413,7 +398,7 @@ def test_cover_calculus_never_sifts(monkeypatch, name):
     cover = build_descriptor(base, H, monodromy={"C1": H},
                              ramification={P("C1", "r"): (a,)})
     glued = glue_same_component(G, H, b, cover, P("C1", "a"), P("C1", "b"))
-    assert is_connected(glued) and is_galois(glued)
+    assert glued.group is G and is_connected(glued) and is_galois(glued)
     data = cover_to_json(glued)
     assert cover_to_json(cover_from_json(data)) == data
     assert sheet_graph_dot(glued).startswith("graph sheets {")
@@ -423,7 +408,6 @@ def test_cover_calculus_never_sifts(monkeypatch, name):
                                  P("C1", "a"), P("D1", "a"))
     norm = normalize_spanning_tree(joined)
     assert is_connected(norm) and is_galois(norm)
-    assert induce(cover, G).group is G
     relation = [{(P("C1", "a"), x), (P("C1", "b"), a * x)}
                 for x in H.elements()]
     assert is_galois(descend(cover, [{P("C1", "a"), P("C1", "b")}], relation))

@@ -8,7 +8,8 @@ from operator import mul
 import pytest
 
 from pi1curves import groups, perms
-from pi1curves.catalog import catalog_group, catalog_groups, group_to_json
+from pi1curves.catalog import (catalog_group, catalog_groups, group_from_json,
+                               group_to_json)
 from pi1curves.cli import main
 from pi1curves.covers import (build_descriptor, is_connected,
                               normalize_spanning_tree, spanning_tree)
@@ -39,7 +40,7 @@ from pi1curves.perms import Perm
 
 from catalog_builders import alternating, cyclic, dihedral, symmetric
 from oracles import (compose, conjugate, count_generating_tuples,
-                     subgroup_lattice_by_closure)
+                     perm_closure, subgroup_lattice_by_closure)
 
 
 def test_orders():
@@ -332,17 +333,6 @@ def test_subgroup_lattice_matches_closure_oracle():
             assert sum(mu[K] for K in expected if H <= K) == (H == whole)
 
 
-def _perm_closure(degree, gens):
-    identity = Perm.identity(degree)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        frontier = [y for y in {g * x for x in frontier for g in gens}
-                    if y not in seen]
-        seen.update(frontier)
-    return seen
-
-
 def test_span_matches_perm_closure():
     rng = random.Random(5)
     for name, G in catalog_groups(24):
@@ -352,7 +342,7 @@ def test_span_matches_perm_closure():
             positions = tuple(rng.randrange(len(elements))
                               for _ in range(rng.randint(0, 3)))
             mask = G.span(positions)
-            expected = _perm_closure(G.degree, [elements[i] for i in positions])
+            expected = perm_closure(G.degree, [elements[i] for i in positions])
             assert {elements[i] for i in range(len(elements))
                     if mask >> i & 1} == expected, (name, positions)
 
@@ -368,7 +358,7 @@ def test_coset_map_gives_the_right_cosets():
         subgroups = {frozenset([elements[0]]): []}
         for i in range(1, n):
             subgroups.setdefault(
-                frozenset(_perm_closure(G.degree, [elements[i]])), [i])
+                frozenset(perm_closure(G.degree, [elements[i]])), [i])
         for H, positions in subgroups.items():
             ids, reps = G.coset_map(positions)
             classes = [[x for x in range(n) if ids[x] == c]
@@ -391,6 +381,35 @@ def test_eulerian_vs_exhaustive():
 def test_eulerian_k_zero():
     assert eulerian(PermutationGroup.trivial(1), 0) == 1
     assert eulerian(cyclic(2), 0) == 0
+
+
+def test_eulerian_refuses_a_large_group_on_every_call():
+    # μ is kept only once the lattice is built, so the bound is checked
+    # again on each call
+    S6 = symmetric(6)
+    for _ in range(2):
+        with pytest.raises(DomainError) as err:
+            eulerian(S6, 2)
+        assert str(err.value) == \
+            f"GROUP_TOO_LARGE: |G| = 720 > {LATTICE_BOUND}"
+    assert "moebius" not in S6._memo
+
+
+def test_moebius_result_does_not_share_the_kept_mu():
+    G = catalog_group("S4")
+    before = [eulerian(G, k) for k in range(4)]
+    mu = moebius(G)
+    mu.clear()
+    assert [eulerian(G, k) for k in range(4)] == before == [0, 0, 216, 10080]
+
+
+def test_kept_mu_gives_the_values_of_a_fresh_group():
+    # φ_k on each catalog group, its μ kept from the first call, against a
+    # fresh copy per k that builds the lattice anew
+    for name, G in catalog_groups(LATTICE_BOUND):
+        assert [eulerian(G, k) for k in range(4)] == [
+            eulerian(group_from_json(group_to_json(G)), k)
+            for k in range(4)], name
 
 
 def test_p_group_predicates():
@@ -427,7 +446,7 @@ def test_quotient_layer(name):
     assert set(chosen) <= members
     assert all(g * n * g.inverse in members
                for g in G.generators for n in N.generators)
-    assert members == _perm_closure(
+    assert members == perm_closure(
         G.degree, [g * s * g.inverse for g in elements for s in chosen])
     hom = quotient(G, N)
     assert hom.image.order() == order // len(members)

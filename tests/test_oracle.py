@@ -19,7 +19,7 @@ from pi1curves.oracle import (
 )
 
 from catalog_builders import cyclic
-from oracles import sheet_graph_connected
+from oracles import perm_closure, sheet_graph_connected
 
 
 def test_counts_match_spec_examples():
@@ -79,6 +79,49 @@ def test_witnesses_are_the_connected_product_tuples():
             assert count == len(witnesses) == len(expected), name
             assert all(a is b for got, want in zip(witnesses, expected)
                        for a, b in zip(got, want, strict=True)), name
+
+
+def three_node_curve(p):
+    """A rational curve with three nodes (delta = 3)."""
+    refs = [PointRef("C1", s) for s in "012345"]
+    return CurveConfiguration.build(p, [("C1", 0)], {"C1": list("012345")},
+                                    [refs[0:2], refs[2:4], refs[4:6]])
+
+
+@pytest.mark.parametrize("config, max_order", [
+    (nodal_curve(5), 12), (two_node_curve(5), 12), (three_node_curve(5), 8)])
+def test_enumeration_matches_perm_closure(config, max_order):
+    # each tuple decided by Perm products alone, not by group.span: the
+    # shared answer per union of cyclic subgroups changes no witness
+    for name, G in catalog_groups(max_order):
+        elements = G.elements()
+        expected = [constants for constants
+                    in itertools.product(elements, repeat=delta(config))
+                    if len(perm_closure(G.degree, constants))
+                    == len(elements)]
+        count, witnesses = enumerate_connected_covers(G, config)
+        assert count == len(expected) and witnesses == expected, name
+        assert all(a is b for got, want in zip(witnesses, expected)
+                   for a, b in zip(got, want, strict=True)), name
+
+
+def test_enumeration_spans_once_per_union_of_cyclic_subgroups(monkeypatch):
+    # S3 over theta: one span per element (its cyclic subgroup) and one
+    # per distinct union of two, not one per tuple (6^2 = 36)
+    G, theta = catalog_group("S3"), two_node_curve(5)
+    elements = G.elements()
+    cyclic_of = [frozenset(perm_closure(G.degree, [x])) for x in elements]
+    unions = {a | b for a in cyclic_of for b in cyclic_of}
+    calls = []
+    span = PermutationGroup.span
+
+    def counted(self, positions):
+        calls.append(tuple(positions))
+        return span(self, positions)
+
+    monkeypatch.setattr(PermutationGroup, "span", counted)
+    assert enumerate_connected_covers(G, theta)[0] == 18
+    assert len(calls) <= len(elements) + len(unions) < len(elements) ** 2
 
 
 def test_census_nodal():
