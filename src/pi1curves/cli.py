@@ -19,8 +19,7 @@ from .catalog import (catalog_group, catalog_groups, catalog_names,
 from .covers import (cover_from_json, cover_to_json, dual_graph_dot,
                      glue_same_component, glue_two_components,
                      sheet_graph_dot)
-from .curves import (CurveConfiguration, PointRef, delta, rank_report,
-                     validate)
+from .curves import CurveConfiguration, PointRef, rank_report, validate
 from .errors import DomainError, fields, read_json, require, typed
 from .groups import eulerian, min_generators
 from .perms import Perm
@@ -81,9 +80,8 @@ def cmd_enumerate(args):
         read_json(args.config, "BAD_CONFIG_FILE", args.config))
     if args.group is not None:
         group = _resolve_group(args.group)
-        oracle.require_enumerable(group, config)
+        d = len(oracle.require_enumerable(group, config))
         # GROUP_TOO_LARGE above LATTICE_BOUND, before the |G|^delta tuples
-        d = delta(config)
         phi = eulerian(group, d)
         count, witnesses = oracle.enumerate_connected_covers(group, config)
         payload = {"group": args.group, "delta": d,

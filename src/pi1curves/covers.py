@@ -39,8 +39,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .catalog import catalog_group, group_from_json, group_to_json
-from .curves import (CurveConfiguration, PointRef, dual_graph,
-                     is_connected as config_connected, require_marked,
+from .curves import (CurveConfiguration, PointRef, dual_graph, require_marked,
                      require_valid)
 from .errors import DomainError, fields, require, typed
 from .groups import PermutationGroup, orbit, subgroup_positions
@@ -207,26 +206,23 @@ def is_connected(cover: CoverDescriptor) -> bool:
     the spanning tree (_transport), act transitively on its labels; a
     disconnected base gives False."""
     moved = _transport(cover)
-    if moved is None:
-        return False
-    rows = [row for rows in moved[0] for row in rows]
-    rows += [row for _, _, row in moved[1]]
-    return orbit(rows).bit_count() == len(cover.group.index())
+    return moved is not None \
+        and orbit(moved).bit_count() == len(cover.group.index())
 
 
 def _transport(cover: CoverDescriptor):
     """Relabel the fiber over each component C by a bijection s_C of
     element positions, read along the spanning tree in BFS order so that
-    every tree gluing becomes the identity.  Returns (the rows s_C o h o
-    s_C^-1 of each component's monodromy generators h, in component order;
-    (class index, branch, s_b o f o s_a^-1) for each gluing row f from
-    component a to component b, in class order), or None on a disconnected
-    or empty base.  Raises as _decode does."""
+    every tree gluing becomes the identity.  Returns the moved rows, in
+    one flat list: s_C o h o s_C^-1 for each monodromy generator h of
+    each component C, in component order, then s_b o f o s_a^-1 for each
+    gluing row f from component a to component b, in class order; or None
+    on a disconnected or empty base.  Raises as _decode does."""
     positions, gluings = _decode(cover)
     config, group = cover.base, cover.group
     monodromy = [list(map(group.left_row, hs)) for hs in positions]
     if len(monodromy) == 1:  # one component needs no tree: s = 1
-        return monodromy, gluings
+        return monodromy[0] + [f for _, _, f in gluings]
     if not monodromy:  # no component: no root, and nothing is connected
         return None
     ids, classes = config.component_ids(), config.identification_classes
@@ -247,11 +243,10 @@ def _transport(cover: CoverDescriptor):
     def moved(row, a, b):  # s_b o row o s_a^-1
         return compose(compose(s[b][0], row), s[a][1])
 
-    return ([[moved(h, comp, comp) for h in rows]
-             for comp, rows in zip(ids, monodromy)],
-            [(ci, branch, moved(f, classes[ci][0].component_id,
-                                branch.component_id))
-             for ci, branch, f in gluings])
+    return ([moved(h, comp, comp)
+             for comp, rows in zip(ids, monodromy) for h in rows]
+            + [moved(f, classes[ci][0].component_id, branch.component_id)
+               for ci, branch, f in gluings])
 
 
 def is_galois(cover: CoverDescriptor) -> bool:
@@ -491,37 +486,11 @@ def descent(cover: CoverDescriptor, base_relation):
     return apply
 
 
-# -- spanning-tree normal form ---------------------------------------------
+# -- spanning tree ---------------------------------------------------------
 
 def spanning_tree(config):
     """CurveConfiguration.spanning_tree: (tree edges, non-tree edges)."""
     return config.spanning_tree
-
-
-def normalize_spanning_tree(cover: CoverDescriptor) -> CoverDescriptor:
-    """Relabel fibers component-by-component so every spanning-tree gluing
-    constant becomes the identity (_transport).
-
-    The surviving constants, one per non-tree edge, number exactly delta.
-    The cover must be Galois (is_galois); raises ACTION_NOT_EQUIVARIANT
-    otherwise.
-    """
-    require(config_connected(cover.base), "BASE_NOT_CONNECTED")
-    require(is_galois(cover), "ACTION_NOT_EQUIVARIANT",
-            "non-translation gluing cannot be tree-normalized")
-    monodromy, moved = _transport(cover)
-    monodromy = dict(zip(cover.base.component_ids(), monodromy))
-    group, elements = cover.group, cover.group.elements()
-    # every moved row is a left row: row[0] is its constant
-    gluings = {ci: {} for ci in cover.gluings}
-    for ci, branch, row in moved:
-        gluings[ci][branch] = Gluing(elements[row[0]])
-    return CoverDescriptor(
-        cover.base, group,
-        {comp_id: PermutationGroup.from_generators(
-            [elements[h[0]] for h in monodromy[comp_id]], group.degree)
-         for comp_id in cover.monodromy},
-        gluings, dict(cover.ramification))
 
 
 # -- DOT export -------------------------------------------------------------

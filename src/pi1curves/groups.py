@@ -317,11 +317,6 @@ def orbit(rows) -> int:
 
 # -- basic constructions ----------------------------------------------------
 
-def subgroup_generated(group: PermutationGroup, perms) -> PermutationGroup:
-    """⟨perms⟩ as a subgroup of the symmetric group of group.degree."""
-    return PermutationGroup.from_generators(list(perms), group.degree)
-
-
 def subgroup_positions(group: PermutationGroup, sub: PermutationGroup):
     """Positions of sub's generators in group.elements(), or None unless
     sub is a subgroup of group."""

@@ -34,10 +34,6 @@ class RealizabilityVerdict(namedtuple("RealizabilityVerdict",
     def _make(cls, iterable):  # so that _replace validates as well
         return cls(*iterable)
 
-    @property
-    def yes(self) -> bool:
-        return self.verdict == "Yes"
-
     def to_json(self) -> dict:
         return {"verdict": self.verdict, "evidence": dict(self.evidence),
                 "rule": self.rule}

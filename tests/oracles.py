@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pi1curves.curves import (CurveConfiguration, PointRef, dual_graph,
                               equivalence_classes)
 from pi1curves.errors import require
-from pi1curves.groups import PermutationGroup, subgroup_generated
+from pi1curves.groups import PermutationGroup
 from pi1curves.perms import Perm
 
 
@@ -25,6 +25,11 @@ def invert(a) -> tuple:
     """Reference inverse of an image tuple, through a dict."""
     preimage = {x: i for i, x in enumerate(a)}
     return tuple(preimage[i] for i in range(len(a)))
+
+
+def subgroup_generated(group, perms) -> PermutationGroup:
+    """<perms> as a subgroup of the symmetric group of group.degree."""
+    return PermutationGroup.from_generators(list(perms), group.degree)
 
 
 def count_generating_tuples(group, k: int) -> int:

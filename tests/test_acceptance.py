@@ -16,7 +16,7 @@ from pi1curves.catalog import catalog_group, catalog_groups, catalog_names
 from pi1curves.covers import (build_descriptor, descend,
                               glue_same_component, glue_two_components,
                               is_connected as cover_connected, is_galois,
-                              normalize_spanning_tree, spanning_tree)
+                              spanning_tree)
 from pi1curves.curves import (CurveConfiguration, PointRef, delta, factorize,
                               replay, strip_identifications, validate)
 from pi1curves.errors import DomainError
@@ -301,7 +301,9 @@ def test_free_product_on_rational_shapes(capsys):
         if delta(config) != d:
             failures.append((i, "delta", delta(config), d))
             continue
-        tree, free = spanning_tree(config)
+        _, free = spanning_tree(config)
+        if len(free) != d:  # one free factor per non-tree edge
+            failures.append((i, "non-tree edges", len(free), d))
         branches = [(ci, branch)
                     for ci, cls in enumerate(config.identification_classes)
                     for branch in cls[1:]]
@@ -320,16 +322,8 @@ def test_free_product_on_rational_shapes(capsys):
                     gluings.setdefault(ci, {})[branch] = \
                         rng.choice(G.elements())
                 cover = build_descriptor(config, G, gluings=gluings)
-                norm = normalize_spanning_tree(cover)
-                kept = [norm.gluings[ci][branch].constant
-                        for ci, branch in branches if (ci, branch) not in tree]
-                if len(kept) != d or not all(
-                        norm.gluings[ci][branch].constant.is_identity()
-                        for ci, branch in tree):
-                    failures.append((i, name, "normalize"))
                 connected = sheet_graph_connected(cover)
-                if not cover_connected(cover) == cover_connected(norm) \
-                        == sheet_graph_connected(norm) == connected:
+                if cover_connected(cover) != connected:
                     failures.append((i, name, "connected", connected))
     # every component count and delta, and 3-branch classes on trees
     assert {n for n, _, _ in shapes} == {1, 2, 3, 4}, shapes

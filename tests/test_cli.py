@@ -13,11 +13,10 @@ from pi1curves import catalog
 from pi1curves.cli import main
 from pi1curves.covers import build_descriptor, cover_to_json
 from pi1curves.curves import CurveConfiguration, PointRef
-from pi1curves.groups import subgroup_generated
 from pi1curves.catalog import catalog_group
 from pi1curves.oracle import nodal_curve, quotient_census, two_node_curve
 
-from oracles import affine_curve
+from oracles import affine_curve, subgroup_generated
 
 
 @pytest.fixture

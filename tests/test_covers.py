@@ -17,19 +17,19 @@ from pi1curves.covers import (
     glue_two_components,
     is_connected,
     is_galois,
-    normalize_spanning_tree,
     sheet_graph_dot,
     spanning_tree,
 )
 from pi1curves.curves import (CurveConfiguration, PointRef, identify,
                               strip_identifications)
 from pi1curves.errors import DomainError
-from pi1curves.groups import PermutationGroup, subgroup_generated
+from pi1curves.groups import PermutationGroup
 from pi1curves.oracle import nodal_curve, two_node_curve
 from pi1curves.perms import Perm
 
 from catalog_builders import cyclic, symmetric
-from oracles import sheet_graph_connected, torsor_labeling
+from oracles import (conjugate, sheet_graph_connected, subgroup_generated,
+                     torsor_labeling)
 
 P = PointRef
 
@@ -406,8 +406,7 @@ def test_cover_calculus_never_sifts(monkeypatch, name):
     cover2 = build_descriptor(base2, H2, monodromy={"D1": H2})
     joined = glue_two_components(G, H, H2, cover, cover2,
                                  P("C1", "a"), P("D1", "a"))
-    norm = normalize_spanning_tree(joined)
-    assert is_connected(norm) and is_galois(norm)
+    assert is_connected(joined) and is_galois(joined)
     relation = [{(P("C1", "a"), x), (P("C1", "b"), a * x)}
                 for x in H.elements()]
     assert is_galois(descend(cover, [{P("C1", "a"), P("C1", "b")}], relation))
@@ -422,8 +421,8 @@ def glued_by(group, gluing):
 
 def test_hand_built_left_translation_is_galois():
     # build_descriptor stores a left-translation mapping as its constant;
-    # a descriptor that keeps the mapping is Galois and tree-normalizes
-    # as the constant does
+    # a descriptor that keeps the mapping is Galois and connected as the
+    # constant is
     for _, G in catalog_groups(12):
         elements = G.elements()
         for c in elements:
@@ -433,8 +432,7 @@ def test_hand_built_left_translation_is_galois():
             kept = constant._replace(
                 gluings={0: {P("C1", "1"): Gluing(mapping=pairs)}})
             assert is_galois(kept)
-            assert normalize_spanning_tree(kept) \
-                == normalize_spanning_tree(constant)
+            assert is_connected(kept) == is_connected(constant)
 
 
 def test_hand_built_non_translation_is_not_galois():
@@ -444,9 +442,6 @@ def test_hand_built_non_translation_is_not_galois():
     c = next(g for g in S3.elements() if g.order() == 2)
     right = Gluing(mapping=tuple((x, x * c) for x in S3.elements()))
     assert not is_galois(glued_by(S3, right))
-    with pytest.raises(DomainError) as err:
-        normalize_spanning_tree(glued_by(S3, right))
-    assert err.value.code == "ACTION_NOT_EQUIVARIANT"
     # a map that repeats an image is no bijection of the fibers
     repeated = Gluing(mapping=tuple((x, c) for x in S3.elements()))
     with pytest.raises(DomainError) as err:
@@ -942,20 +937,6 @@ def chain_config():
          [P("C3", "b"), P("C1", "a")]])
 
 
-def test_normalize_spanning_tree():
-    rng = random.Random(5)
-    G = catalog_group("S3")
-    for _ in range(25):
-        cover = random_cyclic_descriptor(rng, G, chain_config())
-        norm = normalize_spanning_tree(cover)
-        tree, free = spanning_tree(norm.base)
-        for ci, branch in tree:
-            assert norm.gluings[ci][branch].constant.is_identity()
-        assert len(free) == 1
-        assert is_connected(norm) == is_connected(cover)
-        assert sheet_graph_connected(norm) == is_connected(cover)
-
-
 # the sheet graph and dual graph of dot_fixture(), as printed before
 # PointRef became a tuple
 SHEET_DOT = (
@@ -1105,15 +1086,26 @@ def test_is_connected_error_codes_match_sheet_graph():
 
 
 def test_relabeling_invariance():
-    # conjugating every fiber by a constant changes no verdict
+    # relabeling every fiber by the automorphism x -> t*x*t^-1 of G sends
+    # monodromy H to tHt^-1 and a gluing constant c to tct^-1, and changes
+    # no verdict
     rng = random.Random(9)
     G = catalog_group("D4")
+    config = chain_config()
+    assert len(spanning_tree(config)[1]) == 1  # delta
     for _ in range(10):
-        cover = random_cyclic_descriptor(rng, G, chain_config())
-        norm = normalize_spanning_tree(cover)
-        assert is_galois(cover)
-        assert is_galois(norm)
-        assert is_connected(cover) == is_connected(norm)
+        cover = random_cyclic_descriptor(rng, G, config)._replace(
+            monodromy={"C2": _random_subgroup(rng, G)})
+        t = rng.choice(G.elements())
+        relabeled = cover._replace(
+            monodromy={comp_id: conjugate(H, t)
+                       for comp_id, H in cover.monodromy.items()},
+            gluings={ci: {branch: Gluing(t * g.constant * t.inverse)
+                          for branch, g in branches.items()}
+                     for ci, branches in cover.gluings.items()})
+        assert is_galois(cover) and is_galois(relabeled)
+        assert is_connected(relabeled) == is_connected(cover) \
+            == sheet_graph_connected(cover)
 
 
 # -- serialization and DOT --------------------------------------------------

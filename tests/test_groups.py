@@ -11,8 +11,7 @@ from pi1curves import groups, perms
 from pi1curves.catalog import (catalog_group, catalog_groups, group_from_json,
                                group_to_json)
 from pi1curves.cli import main
-from pi1curves.covers import (build_descriptor, is_connected,
-                              normalize_spanning_tree, spanning_tree)
+from pi1curves.covers import build_descriptor, is_connected
 from pi1curves.curves import CurveConfiguration, PointRef
 from pi1curves.errors import DomainError
 from pi1curves.groups import (
@@ -30,7 +29,6 @@ from pi1curves.groups import (
     normal_closure,
     quasi_p_part,
     quotient,
-    subgroup_generated,
     subgroup_lattice,
     sylow_subgroup,
 )
@@ -40,7 +38,8 @@ from pi1curves.perms import Perm
 
 from catalog_builders import alternating, cyclic, dihedral, symmetric
 from oracles import (compose, conjugate, count_generating_tuples,
-                     perm_closure, subgroup_lattice_by_closure)
+                     perm_closure, sheet_graph_connected, subgroup_generated,
+                     subgroup_lattice_by_closure)
 
 
 def test_orders():
@@ -798,11 +797,7 @@ def test_no_perm_product_in_chain_or_index(monkeypatch):
         cover = build_descriptor(
             config, G, monodromy={"C2": subgroup_generated(G, [flip])},
             gluings=gluings)
-        norm = normalize_spanning_tree(cover)
-        tree, _ = spanning_tree(config)
-        assert all(norm.gluings[ci][branch].constant.is_identity()
-                   for ci, branch in tree)
-        assert is_connected(norm) == is_connected(cover)
+        assert is_connected(cover) == sheet_graph_connected(cover)
     assert perms._INTERNED == {}
 
 

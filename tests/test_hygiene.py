@@ -79,16 +79,23 @@ def test_caches_decorate_only_zero_argument_functions():
     assert found == []
 
 
-def test_tracing_spans_resolve():
-    # the benchmark's tracer (perfbench/tracing.py) wraps these entry points
-    # by name, methods through their class __dict__; one renamed or deleted
-    # here would break traced runs, so the file is loaded by path and read
+def _tracing_spans() -> dict:
+    """SPANS of the benchmark's tracer, perfbench/tracing.py, loaded by
+    path."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.SPANS
+
+
+def test_tracing_spans_resolve():
+    # the benchmark's tracer wraps these entry points by name, methods
+    # through their class __dict__; one renamed or deleted here would
+    # break traced runs
+    spans = _tracing_spans()
     missing = []
-    for targets in tracing.SPANS.values():
+    for targets in spans.values():
         for target in targets:
             module_name, attr = target.split(":")
             owner = importlib.import_module(f"pi1curves.{module_name}")
@@ -97,8 +104,37 @@ def test_tracing_spans_resolve():
                 owner = vars(owner).get(cls)
             if owner is None or not callable(vars(owner).get(name)):
                 missing.append(target)
-    assert sum(map(len, tracing.SPANS.values())) > 40
+    assert sum(map(len, spans.values())) > 40
     assert missing == []
+
+
+def _names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_package_caller():
+    # a public function or class that no other package statement names is
+    # code only the tests reach; the tracer's entry points and the paper's
+    # factorization into elementary identifications (criterion 1) stay
+    named = [(path.stem, node, _names(node))
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    kept = {"curves.factorize", "curves.replay"}
+    for targets in _tracing_spans().values():
+        for target in targets:
+            module, attr = target.split(":")
+            kept.add(f"{module}.{attr.split('.')[0]}")
+    unreached = [
+        f"{module}.{node.name}" for module, node, _ in named
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not node.name.startswith("_")
+        and f"{module}.{node.name}" not in kept
+        and not any(node.name in names
+                    for _, other, names in named if other is not node)]
+    assert unreached == []
 
 
 def test_no_package_module_imports_dataclasses():

@@ -307,7 +307,7 @@ def test_verdict_outside_three_values_is_domain_error():
 
 def test_verdict_is_a_validated_tuple():
     v = RealizabilityVerdict("Yes", "free-factor", {"d_G": 1, "delta": 1})
-    assert v == ("Yes", "free-factor", {"d_G": 1, "delta": 1}) and v.yes
+    assert v == ("Yes", "free-factor", {"d_G": 1, "delta": 1})
     assert v._replace(verdict="No") == ("No", "free-factor", v.evidence)
     with pytest.raises(DomainError) as err:
         v._replace(verdict="Maybe")

@@ -19,8 +19,8 @@ from pi1curves.cli import main
 from pi1curves.covers import (Gluing, build_descriptor, cover_from_json,
                               cover_to_json)
 from pi1curves.curves import CurveConfiguration, PointRef
-from pi1curves.groups import subgroup_generated
 
+from oracles import subgroup_generated
 from test_curves import SCHEMA, _wrong_value
 
 GROUPS = [group for _, group in catalog_groups(6) if group.order() > 1]
