@@ -69,7 +69,7 @@ def cmd_realizable(args):
     # looked up per call, so that a wrapped rule is the one called
     rule = getattr(realizability, f"{args.mode}_realizable")
     payload = rule(group, p, config).to_json()
-    # exact d(G): a level search, or a σ bound met by a generating tuple
+    # exact d(G): σ_p on a p-group, else a generating probe or a level search
     payload["randomized"] = False
     _emit(payload, args.pretty)
     return 0

@@ -21,18 +21,18 @@ left rows (each composed from its parent's row along the search tree of
 elements(), one compose per row), and a subgroup is an int bitmask over
 those positions (span), so the subset test is a & ~b == 0 and the order
 is a.bit_count().  On the index run the cover calculus, Sylow subgroups,
-normal closures, quotients, sigma(G), and one level-by-level join search
-over subgroups (_subgroup_levels) behind the lattice, Moebius/Eulerian
-counting (μ kept per group, so each lattice is built once) and d(G),
-which a sigma bound met by a generating tuple can cut short; they raise
-GROUP_TOO_LARGE above their bound and build no chain.
+normal closures, quotients, sigma(G), which is d(G) on a p-group, and one
+join search over subgroups (_subgroup_levels) behind the lattice, Moebius
+and Eulerian counting (μ kept per group) and d(G) of any other group,
+which a pair probe (first, if G is non-abelian) or a sigma bound can cut
+short; they raise GROUP_TOO_LARGE above their bound and build no chain.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import reduce
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from random import Random
 from typing import NamedTuple
 
@@ -48,9 +48,7 @@ MAX_CHARACTERISTIC = 2 ** 31 - 1  # is_prime divides by trial up to the root
 def is_prime(p: int) -> bool:
     require(p <= MAX_CHARACTERISTIC, "BAD_CHARACTERISTIC",
             f"{p} exceeds {MAX_CHARACTERISTIC}")
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -474,13 +472,21 @@ def _subgroup_levels(group: PermutationGroup):
 
 def min_generators(group: PermutationGroup, seed: int = 0) -> int:
     """d(G), exact for every seed; GROUP_TOO_LARGE above MIN_GEN_BOUND.
-    Level k of _subgroup_levels exhausted proves d > k, and a generating
-    probe (of 64 seeded (k+1)-tuples) then proves d = k+1.  If the pair
-    probes fail, d >= L = max σ_p(G) over the primes p^3 | |G| (σ_p <=
+    A p-group has d = σ_p(G) by Burnside's basis theorem (Φ(P) = P'P^p).
+    Else level k of _subgroup_levels exhausted proves d > k, and a
+    generating probe (of 64 seeded (k+1)-tuples) proves d = k+1; the pair
+    probe comes before level 1 when two generators do not commute.  Past
+    level 1, d >= L = max σ_p(G) over the primes p^3 | |G| (σ_p <=
     v_p(|G|)), so when L > 2 a generating L-tuple probe proves d = L."""
     order = len(group.elements(MIN_GEN_BOUND))
-    if order == 1:
-        return 0
+    primes, rest = [], order  # the primes of |G|, by trial division
+    for p in range(2, isqrt(order) + 1):
+        if rest % p == 0:
+            primes.append(p)
+            rest //= _p_part(rest, p)
+    primes += [rest] if rest > 1 else []
+    if len(primes) < 2:  # trivial, or a p-group
+        return abelianization_p_rank(group, primes[0]) if primes else 0
     full = (1 << order) - 1
     nontrivial = range(1, order)  # the identity is position 0
     rng = Random(seed)
@@ -489,15 +495,18 @@ def min_generators(group: PermutationGroup, seed: int = 0) -> int:
         return (group.span([rng.choice(nontrivial) for _ in range(size)])
                 for _ in range(64))
 
+    gens = [g.images for g in group.generators]
+    abelian = all(compose(a, b) == compose(b, a) for a in gens for b in gens)
+    if not abelian and full in probes(2):  # not cyclic, so d >= 2
+        return 2
     for k, level in enumerate(_subgroup_levels(group), 1):
         if full in level:
             return k
-        if full in probes(k + 1):
+        if (abelian or k > 1) and full in probes(k + 1):  # pairs once
             return k + 1
         if k == 1:  # the σ bound, once, before level 2 is built
-            sigma = max((abelianization_p_rank(group, p)
-                         for p in range(2, order) if order % p ** 3 == 0
-                         and is_prime(p)), default=0)
+            sigma = max((abelianization_p_rank(group, p) for p in primes
+                         if order % p ** 3 == 0), default=0)
             if sigma > 2 and full in probes(sigma):
                 return sigma
     raise DomainError("INTERNAL_INVARIANT", "no level holds the group")

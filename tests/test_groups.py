@@ -140,8 +140,7 @@ def _elementary_abelian(p, n):
 
 
 def test_min_generators_on_elementary_abelian_groups():
-    # d = σ_p = n: the σ bound and one generating probe settle each group
-    # before level 2 is built
+    # d = σ_p = n by Burnside's basis theorem: no level is built
     started = time.perf_counter()
     assert min_generators(_elementary_abelian(2, 5)) == 5
     assert min_generators(_elementary_abelian(2, 6)) == 6
@@ -165,26 +164,81 @@ def _counting_sigma(monkeypatch, answer=None):
     return calls
 
 
+def _recording_levels(monkeypatch):
+    """Record each level min_generators takes from _subgroup_levels."""
+    taken, levels = [], groups._subgroup_levels
+
+    def recording(G):
+        for level in levels(G):
+            taken.append(level)
+            yield level
+    monkeypatch.setattr(groups, "_subgroup_levels", recording)
+    return taken
+
+
+def _smallest_prime(n):
+    return next(p for p in range(2, n + 1) if n % p == 0)
+
+
 def test_sigma_bound_is_taken_only_past_the_pair_probes(monkeypatch):
-    # d <= 2 groups never reach the σ step; nor does C3xC3:C2 (d = 3),
-    # since no p^3 divides 18; every other catalog group with d >= 3 asks
-    # once, for p = 2, whose cube divides its order
-    calls = _counting_sigma(monkeypatch)
+    # a p-group asks σ_p once, for its own prime, and takes no level
+    # (Burnside's basis theorem); of the other groups, those with d <= 2
+    # never reach the σ step, nor does C3xC3:C2 (d = 3), since no p^3
+    # divides 18; every other one with d >= 3 asks once, for p = 2, whose
+    # cube divides its order
+    calls, taken = _counting_sigma(monkeypatch), _recording_levels(monkeypatch)
     for name, G in catalog_groups():
+        p = _smallest_prime(G.order()) if G.order() > 1 else None
         for seed in range(5):
             calls.clear()
+            taken.clear()
             d = min_generators(_fresh(G), seed)
-            expected = [2] if d >= 3 and name != "C3xC3:C2" else []
-            assert calls == expected, (name, seed)
+            if p is not None and is_p_group(G, p):
+                assert (calls, taken) == ([p], []), (name, seed)
+            else:
+                expected = [2] if d >= 3 and name != "C3xC3:C2" else []
+                assert calls == expected, (name, seed)
 
 
 def test_sigma_bound_without_a_witness_falls_back(monkeypatch):
     # a σ bound below d leaves every L-tuple probe failing, and the level
     # search decides (C3^3:C2 x C2^2, of order 216, has σ_2 = 3 < d = 4);
-    # here σ_2(C2^4) = 4 is reported as 3
+    # here σ_2(C2^4 x C3) = 4 is reported as 3
+    G = PermutationGroup.from_generators(
+        [Perm.from_cycles(11, [cycle])
+         for cycle in ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10, 11))])
+    assert G.order() == 48
     calls = _counting_sigma(monkeypatch, answer=3)
-    assert min_generators(_elementary_abelian(2, 4)) == 4
+    started = time.perf_counter()
+    assert min_generators(_fresh(G)) == 4
     assert calls == [2]
+    assert time.perf_counter() - started < 1
+
+
+def test_non_abelian_groups_skip_the_level_search(monkeypatch):
+    # two generators that do not commute make G non-cyclic, so a
+    # generating pair probe proves d = 2 before any level is built; an
+    # abelian group that is not a p-group still takes level 1, which
+    # alone proves d = 1 for a cyclic one
+    ds = {name: min_generators(_fresh(G)) for name, G in catalog_groups()}
+    taken = _recording_levels(monkeypatch)
+    non_abelian, abelian = 0, 0
+    for name, G in catalog_groups():
+        order = G.order()
+        if order == 1 or is_p_group(G, _smallest_prime(order)):
+            continue
+        for seed in range(5):
+            taken.clear()
+            assert min_generators(_fresh(G), seed) == ds[name]
+            if derived_subgroup(G).order() > 1:
+                non_abelian += 1
+                assert ds[name] > 2 or taken == [], (name, seed)
+            else:
+                abelian += 1
+                assert taken, (name, seed)
+                if ds[name] == 1:
+                    assert len(taken) == 1, (name, seed)
+    assert non_abelian and abelian
 
 
 def _level_search_d(G):
@@ -225,6 +279,29 @@ def test_min_generators_is_exact_whatever_the_seed():
             == [ds[name]] * 5, name
     assert set(ds.values()) == {0, 1, 2, 3, 4}
     assert {ds[name] for name, _ in subgroups} == {1, 2, 3}
+
+
+def test_min_generators_is_exact_on_p_groups_outside_the_catalog():
+    # σ_p (Burnside's basis theorem) against the level search, on p-groups
+    # in other permutation representations: the Sylow 2- and 3-subgroups
+    # of S6 and the Sylow subgroups of every catalog group; and C2^5, C3^3
+    S6 = symmetric(6)
+    p_groups = [sylow_subgroup(S6, 2), sylow_subgroup(S6, 3)]
+    for _, G in catalog_groups():
+        order = G.order()
+        p_groups += [sylow_subgroup(G, p) for p in range(2, order + 1)
+                     if order % p == 0 and is_prime(p)]
+    ds = []
+    for G in p_groups:
+        ds.append(_level_search_d(_fresh(G)))
+        assert [min_generators(_fresh(G), seed) for seed in range(5)] \
+            == [ds[-1]] * 5, G
+    assert ds[:2] == [3, 2] and set(ds) == {1, 2, 3, 4}
+    for p, n in ((2, 5), (3, 3)):
+        G = _elementary_abelian(p, n)
+        assert _level_search_d(_fresh(G)) == n
+        assert [min_generators(_fresh(G), seed) for seed in range(5)] \
+            == [n] * 5
 
 
 def test_sigma_is_a_lower_bound_for_d():
@@ -281,7 +358,8 @@ def test_p_group_sigma_equals_d():
     # Burnside's basis theorem: d(G) is the F_p-dimension of G/[G,G]G^p,
     # which is sigma; so for p-groups the Nakajima bound t_G = d(G) is the
     # Hasse-Witt bound, and projective_realizable needs only the latter;
-    # nakajima_tG reads t_G as sigma, and min_generators searches for d(G)
+    # nakajima_tG and min_generators both read sigma (the level search
+    # checks min_generators on p-groups outside the catalog)
     pairs = [(G, p) for _, G in catalog_groups() for p in range(2, 25)
              if G.order() > 1 and is_prime(p) and is_p_group(G, p)]
     assert len(pairs) == 32  # every catalog group of prime-power order
